@@ -1,0 +1,42 @@
+"""CLI outputs pinned byte for byte against the files in tests/golden/.
+
+A golden file is regenerated by running the command it names, for example
+
+    python -m qprim.cli classify -2604 11 > tests/golden/classify_-2604_11.json
+
+and a change to one is a change to the CLI's output contract.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from qprim import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+VERIFY_ARGV = ["verify", "--dmin", "-60", "--dmax", "-3", "--pmax", "7", "--bound", "500"]
+
+STDOUT_CASES = {
+    # h = 4, cyclic of order 4
+    "classgroup_-56.json": ["classgroup", "-56"],
+    # h = 24, 4 ambiguous classes, largest order 12
+    "classgroup_-2604.json": ["classgroup", "-2604"],
+    "classify_-56_3.json": ["classify", "-56", "3"],
+    # route 3 with both outcomes
+    "classify_-2604_11.json": ["classify", "-2604", "11"],
+    "verify_-60_-3_7_500.json": VERIFY_ARGV,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_CASES))
+def test_stdout_matches_golden(name, capsys):
+    assert cli.run(STDOUT_CASES[name]) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def test_verify_report_file_matches_golden(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert cli.run(VERIFY_ARGV + ["--json", str(path)]) == 0
+    capsys.readouterr()
+    assert path.read_bytes() == (GOLDEN / "verify_-60_-3_7_500.report.json").read_bytes()
