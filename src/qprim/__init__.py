@@ -12,7 +12,7 @@ from .classgroup import (
     identity_form,
     inverse_class,
 )
-from .intarith import Valuation, divisors, kronecker, valuation
+from .intarith import divisors, kronecker, valuation
 from .pprim import (
     TwoSquareSolution,
     Verdict,
@@ -27,7 +27,6 @@ from .qform import (
     IntMap2,
     Reduction,
     apply_map,
-    discriminant,
     improper_automorph,
     inverse_rep,
     is_ambiguous,
@@ -56,7 +55,6 @@ __all__ = [
     "Reduction",
     "Spectrum",
     "TwoSquareSolution",
-    "Valuation",
     "Verdict",
     "__version__",
     "ambiguous_classes",
@@ -66,7 +64,6 @@ __all__ = [
     "classify_all",
     "compose",
     "compose_forms",
-    "discriminant",
     "divisors",
     "element_order",
     "enumerate_classes",

@@ -8,7 +8,7 @@ from functools import cached_property, lru_cache
 
 from . import qform
 from .intarith import ext_gcd
-from .qform import BinaryForm, is_discriminant
+from .qform import BinaryForm, is_ambiguous, is_discriminant
 
 
 @dataclass(frozen=True, order=True)
@@ -51,6 +51,22 @@ class ClassGroup:
             tuple(self.index_of(compose(x, y)) for y in self.classes)
             for x in self.classes
         )
+
+    @cached_property
+    def orders(self) -> dict[ProperClass, int]:
+        """Order of every class, walking each cyclic subgroup once: if x has
+        order k, then x^j has order k / gcd(j, k)."""
+        orders: dict[ProperClass, int] = {}
+        for x in self.classes:
+            if x in orders:
+                continue
+            powers = [x]
+            while powers[-1] != self.identity:
+                powers.append(compose(powers[-1], x))
+            k = len(powers)
+            for j, y in enumerate(powers, 1):
+                orders.setdefault(y, k // math.gcd(j, k))
+        return orders
 
 
 @lru_cache(maxsize=None)
@@ -136,14 +152,10 @@ def inverse_class(x: ProperClass) -> ProperClass:
 
 def element_order(x: ProperClass) -> int:
     """Order of the class in the composition group."""
-    ident = identity_form(x.D)
-    k, power = 1, x
-    while power != ident:
-        power = compose(power, x)
-        k += 1
-    return k
+    return enumerate_classes(x.D).orders[x]
 
 
 def ambiguous_classes(group: ClassGroup) -> list[ProperClass]:
-    """Classes of order <= 2, in representative order."""
-    return [c for c in group.classes if compose(c, c) == group.identity]
+    """Classes of order <= 2, in representative order: those whose reduced
+    form has b = 0, a = b or a = c."""
+    return [c for c in group.classes if is_ambiguous(c.rep)]

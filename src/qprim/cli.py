@@ -3,7 +3,8 @@
 stdout carries data (JSON with alphabetically ordered keys by default);
 stderr carries diagnostics.  Exit codes: 0 success, 1 a verification
 sweep found a contradiction, 2 usage or precondition error.  The
-QPRIM_THREADS environment variable caps fan-out for `verify` sweeps.
+QPRIM_THREADS environment variable asks `verify` for that many worker
+processes; the sweep uses at most one per CPU and one per discriminant.
 """
 
 from __future__ import annotations
@@ -12,23 +13,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import oracle, pprim, repcount, ternary
 from .classgroup import ambiguous_classes, element_order, enumerate_classes
 from .qform import BinaryForm
 
 FORMATS = ("json", "text", "tsv")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: subcommand, its arguments, output format, workers."""
-
-    command: str
-    args: argparse.Namespace
-    fmt: str
-    workers: int
 
 
 def _emit(payload: dict) -> None:
@@ -223,9 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="complete p-primitivity verdicts")
     p.add_argument("D", type=int)
     p.add_argument("p", type=int)
-    # registered before --format, so this default is the one argparse keeps
-    p.add_argument("--json", action="store_const", const="json", dest="fmt",
-                   default="json", help="force JSON output (the default)")
     add_format(p)
     p.set_defaults(func=_cmd_classify)
 

@@ -1,13 +1,10 @@
-"""Exact integer helpers: Kronecker symbol, valuations, divisors, CRT.
+"""Exact integer helpers: primes, Kronecker symbol, valuations, divisors, ext_gcd.
 
 Everything works on plain Python ints, so products like 4*a1*a2 never
 overflow regardless of input size.
 """
 
 from __future__ import annotations
-
-import math
-from typing import NamedTuple
 
 
 def is_prime(n: int) -> bool:
@@ -95,17 +92,6 @@ def valuation(q: int, n: int) -> int:
     return e
 
 
-class Valuation(NamedTuple):
-    """A prime together with the exponent it carries in some integer."""
-
-    prime: int
-    exponent: int
-
-    @classmethod
-    def of(cls, prime: int, n: int) -> "Valuation":
-        return cls(prime, valuation(prime, n))
-
-
 def divisors(n: int) -> list[int]:
     """Positive divisors of n >= 1, sorted ascending."""
     if n < 1:
@@ -114,6 +100,11 @@ def divisors(n: int) -> list[int]:
     for p, e in prime_factors(n).items():
         divs = [d * p**i for d in divs for i in range(e + 1)]
     return sorted(divs)
+
+
+def ceil_div(p: int, q: int) -> int:
+    """Ceiling of p / q for q > 0."""
+    return -((-p) // q)
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -129,26 +120,3 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_x, old_y = -old_r, -old_x, -old_y
     return old_r, old_x, old_y
-
-
-def crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    """Solve x = r1 (mod m1), x = r2 (mod m2); returns (x, lcm) with 0 <= x < lcm.
-
-    Raises ValueError when the congruences are incompatible.
-    """
-    if m1 < 1 or m2 < 1:
-        raise ValueError("moduli must be positive")
-    g, u, _ = ext_gcd(m1, m2)
-    if (r2 - r1) % g != 0:
-        raise ValueError("incompatible congruences")
-    lcm = m1 // g * m2
-    x = (r1 + (r2 - r1) // g * u % (m2 // g) * m1) % lcm
-    return x, lcm
-
-
-def is_square(n: int) -> bool:
-    """True iff n is a perfect square (n < 0 gives False)."""
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n

@@ -3,15 +3,19 @@
 Nothing here trusts the decision routes: verdicts are re-derived from
 exhaustive enumeration (value sweeps, matrix searches, valuation scans)
 and compared.  A disagreement is reported as a contradiction, never
-suppressed.
+suppressed.  The classification grid escalates a missing witness search
+to 10x the sweep bound, then to a ceiling that defaults to 50x.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import pprim
 from .classgroup import (
@@ -47,15 +51,6 @@ STATUS_NO_WITNESS = "no_witness_up_to_bound"
 STATUS_AGREES = "agrees"
 STATUS_CONTRADICTION = "contradiction"
 STATUS_UNCONFIRMED = "unconfirmed"
-
-
-def raw_form(a: int, b: int, c: int) -> BinaryForm:
-    """BinaryForm bypassing constructor validation.  Negative tests only."""
-    f = object.__new__(BinaryForm)
-    object.__setattr__(f, "a", a)
-    object.__setattr__(f, "b", b)
-    object.__setattr__(f, "c", c)
-    return f
 
 
 @dataclass(frozen=True)
@@ -297,7 +292,7 @@ def _escalation_ladder(bound: int, ceiling: int) -> list[int]:
     return sorted({b for b in (min(bound * 10, ceiling), ceiling) if b > bound})
 
 
-def _grid_discriminant(D, pmax, bound, ceiling, classifier) -> list[GridCell]:
+def _grid_discriminant(D: int, primes: list[int], bound: int, ceiling: int) -> list[GridCell]:
     """Cells for a single discriminant; class profiles are swept once and
     shared across primes."""
     group = enumerate_classes(D)
@@ -306,10 +301,10 @@ def _grid_discriminant(D, pmax, bound, ceiling, classifier) -> list[GridCell]:
         prof = rep_profile(x.rep, bound)
         profiles[x] = (sorted(prof), prof)
     cells = []
-    for p in primes_up_to(pmax):
+    for p in primes:
         if D % p == 0:
             continue
-        for v in classifier(D, p):
+        for v in pprim.classify_all(D, p):
             keys, prof = profiles[v.cls]
             witness = next((n for n in keys if prof[n].gcd_all % p == 0), None)
             used = bound
@@ -332,11 +327,6 @@ def _grid_discriminant(D, pmax, bound, ceiling, classifier) -> list[GridCell]:
     return cells
 
 
-def _grid_worker(args: tuple[int, int, int, int]) -> list[GridCell]:
-    D, pmax, bound, ceiling = args
-    return _grid_discriminant(D, pmax, bound, ceiling, pprim.classify_all)
-
-
 def verify_classification_grid(
     dmin: int = -400,
     dmax: int = -3,
@@ -344,34 +334,33 @@ def verify_classification_grid(
     bound: int = 5000,
     ceiling: int | None = None,
     workers: int | None = None,
-    classifier=None,
 ) -> GridReport:
     """Classify every (D, p, class) cell in the window and re-check it by
     exhaustive value sweeps.
 
     Positive verdicts must show no witness <= bound.  Negative verdicts
-    must produce a witness; the search escalates once to `ceiling`
-    (default 10x bound) and cells still lacking one are reported as
-    unconfirmed rather than contradictions.  `workers` > 1 fans the
-    discriminants out over processes (the default classifier only);
+    must produce a witness; the search escalates to 10x bound, then to
+    `ceiling` (default 50x bound), and cells still lacking one are
+    reported as unconfirmed rather than contradictions.  A window with no
+    (D, p) cell raises ValueError.  `workers` > 1 fans the discriminants
+    out over at most min(workers, cpu count, discriminants) processes;
     results are identical to the serial run.
     """
     if ceiling is None:
-        ceiling = bound * 10
+        ceiling = bound * 50
     ds = discriminants_in(dmin, dmax)
-    if workers and workers > 1 and classifier is None:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_grid_worker, [(D, pmax, bound, ceiling) for D in ds]))
-        cells = [cell for part in parts for cell in part]
-    else:
-        if classifier is None:
-            classifier = pprim.classify_all
-        cells = [
-            cell
-            for D in ds
-            for cell in _grid_discriminant(D, pmax, bound, ceiling, classifier)
-        ]
-    cells.sort(key=lambda cell: (cell.D, cell.p, cell.form))
+    primes = primes_up_to(pmax)
+    if not any(D % p for D in ds for p in primes):
+        raise ValueError(f"no (D, p) cell with D in [{dmin}, {dmax}] and p <= {pmax}")
+    workers = min(workers or 1, os.cpu_count() or 1, len(ds))
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        parts = (pool.map if pool else map)(
+            _grid_discriminant, ds, repeat(primes), repeat(bound), repeat(ceiling)
+        )
+        cells = sorted(
+            (cell for part in parts for cell in part),
+            key=lambda cell: (cell.D, cell.p, cell.form),
+        )
     return GridReport(dmin, dmax, pmax, bound, ceiling, tuple(cells))
 
 

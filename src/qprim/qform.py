@@ -90,10 +90,6 @@ class Reduction(NamedTuple):
     map: IntMap2
 
 
-def discriminant(f: BinaryForm) -> int:
-    return f.D
-
-
 def is_discriminant(D: int) -> bool:
     """True iff D is a valid negative form discriminant (D < 0, D = 0,1 mod 4)."""
     return D < 0 and D % 4 in (0, 1)

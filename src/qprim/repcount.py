@@ -11,12 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .intarith import divisors, is_prime, kronecker
+from .intarith import ceil_div, divisors, is_prime, kronecker
 from .qform import BinaryForm, is_discriminant, omega
-
-
-def _ceil_div(p: int, q: int) -> int:
-    return -((-p) // q)
 
 
 def enumerate_solutions(f: BinaryForm, n: int) -> list[tuple[int, int]]:
@@ -87,7 +83,7 @@ def rep_profile(f: BinaryForm, bound: int) -> dict[int, ValueStats]:
     for y in range(-ymax, ymax + 1):
         disc = 4 * a * bound - abs_d * y * y
         s = math.isqrt(disc)
-        xlo = _ceil_div(-b * y - s, 2 * a)
+        xlo = ceil_div(-b * y - s, 2 * a)
         xhi = (-b * y + s) // (2 * a)
         cyy = c * y * y
         by = b * y

@@ -15,11 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .intarith import ceil_div
+
 Vec3 = tuple[int, int, int]
-
-
-def _ceil_div(p: int, q: int) -> int:
-    return -((-p) // q)
 
 
 @dataclass(frozen=True, order=True)
@@ -138,7 +136,7 @@ def rep_count_table(f: TernaryForm, bound: int) -> dict[int, int]:
             if disc < 0:
                 continue
             s = math.isqrt(disc)
-            for z in range(_ceil_div(-lin - s, zz2), (-lin + s) // zz2 + 1):
+            for z in range(ceil_div(-lin - s, zz2), (-lin + s) // zz2 + 1):
                 v = f.zz * z * z + lin * z + rest
                 if 1 <= v <= bound:
                     counts[v] = counts.get(v, 0) + 1
@@ -258,8 +256,3 @@ def spectrum_identity_report(
         rows,
         det,
     )
-
-
-def check_spectrum_identity(bound: int = 1000) -> bool:
-    """True iff the two 1 mod 3 value sets agree (after dropping 1) up to bound."""
-    return spectrum_identity_report(bound).sets_match

@@ -15,7 +15,7 @@ from qprim.classgroup import (
     identity_form,
     inverse_class,
 )
-from qprim.qform import BinaryForm, discriminants_in, is_ambiguous, is_reduced, reduce
+from qprim.qform import BinaryForm, discriminants_in, is_reduced, reduce
 
 
 def brute_compose(f, g):
@@ -167,10 +167,18 @@ def test_element_order_examples():
 
 
 def test_element_order_divides_h():
+    # the cached table against a plain walk: x^ord is the identity and no
+    # smaller power is
     for D in discriminants_in(-800, -3):
         g = enumerate_classes(D)
         for cls in g.classes:
-            assert g.h % element_order(cls) == 0
+            k = element_order(cls)
+            assert g.h % k == 0
+            power = cls
+            for _ in range(k - 1):
+                assert power != g.identity
+                power = compose(power, cls)
+            assert power == g.identity
 
 
 def test_ambiguous_classes_examples():
@@ -184,9 +192,9 @@ def test_ambiguous_matches_syntactic_test():
     # order <= 2 exactly when the reduced form has b == 0, a == b, or a == c
     for D in discriminants_in(-2000, -3):
         g = enumerate_classes(D)
-        by_order = set(ambiguous_classes(g))
-        by_shape = {c for c in g.classes if is_ambiguous(c.rep)}
-        assert by_order == by_shape
+        by_shape = ambiguous_classes(g)
+        by_order = [c for c in g.classes if compose(c, c) == g.identity]
+        assert by_shape == by_order
 
 
 def test_classgroup_record():

@@ -1,10 +1,11 @@
 """End-to-end CLI behavior: JSON payloads, formats, exit codes, env knobs."""
 
 import json
+import os
 
 import pytest
 
-from qprim import cli
+from qprim import cli, oracle
 from qprim.classgroup import element_order, enumerate_classes
 from qprim.pprim import ROUTE_PRINCIPAL_SQUARE, Verdict, classify_all
 from qprim.repcount import rep_counts, spectrum
@@ -212,6 +213,49 @@ def test_verify_honors_thread_env(capsys, monkeypatch):
     assert parallel == serial
 
 
+def test_verify_caps_thread_env(capsys, monkeypatch):
+    requested = []
+
+    class RecordingPool:
+        """Stands in for the process pool: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("QPRIM_THREADS", "100000")
+    argv = ["verify", "--dmin", "-40", "--dmax", "-3", "--pmax", "5", "--bound", "300"]
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert run_json(capsys, argv)[0] == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert run_json(capsys, argv)[0] == 0
+    assert requested == [3, 20]  # the CPU count, then the 20 discriminants
+    # a single discriminant runs serially and never builds a pool
+    argv = ["verify", "--dmin", "-56", "--dmax", "-56", "--pmax", "5", "--bound", "300"]
+    assert run_json(capsys, argv)[0] == 0
+    assert requested == [3, 20]
+
+
+@pytest.mark.parametrize(
+    "window", [["--dmin", "-3", "--dmax", "-20"], ["--pmax", "1"]]
+)
+def test_verify_rejects_window_without_cells(capsys, window):
+    code = cli.run(["verify", *window])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "no (D, p) cell" in captured.err
+
+
 def test_verify_rejects_bad_thread_env(capsys, monkeypatch):
     monkeypatch.setenv("QPRIM_THREADS", "many")
     code = cli.run(["verify", "--dmin", "-4", "--dmax", "-3", "--pmax", "3"])
@@ -237,6 +281,8 @@ def test_usage_errors(capsys):
     assert cli.run(["classgroup"]) == 2
     capsys.readouterr()
     assert cli.run(["classgroup", "-5"]) == 2  # not a discriminant
+    capsys.readouterr()
+    assert cli.run(["classify", "-56", "3", "--json"]) == 2  # JSON is the default
     capsys.readouterr()
     assert cli.run(["--help"]) == 0
     capsys.readouterr()

@@ -6,12 +6,9 @@ import random
 import pytest
 
 from qprim.intarith import (
-    Valuation,
-    crt,
     divisors,
     ext_gcd,
     is_prime,
-    is_square,
     kronecker,
     prime_factors,
     primes_up_to,
@@ -128,12 +125,6 @@ def test_valuation():
         valuation(1, 10)
 
 
-def test_valuation_record():
-    assert Valuation.of(3, 54) == Valuation(3, 3)
-    assert Valuation.of(5, 7) == (5, 0)
-    assert Valuation.of(2, 96).exponent == 5
-
-
 def test_divisors_matches_filter():
     assert divisors(1) == [1]
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
@@ -153,25 +144,3 @@ def test_ext_gcd():
         assert g == math.gcd(a, b)
         assert a * x + b * y == g
 
-
-def test_crt():
-    rng = random.Random(11)
-    for _ in range(400):
-        m1 = rng.randint(1, 60)
-        m2 = rng.randint(1, 60)
-        r1 = rng.randrange(m1)
-        r2 = rng.randrange(m2)
-        if (r1 - r2) % math.gcd(m1, m2) != 0:
-            with pytest.raises(ValueError):
-                crt(r1, m1, r2, m2)
-            continue
-        x, mod = crt(r1, m1, r2, m2)
-        assert mod == math.lcm(m1, m2)
-        assert 0 <= x < mod
-        assert x % m1 == r1 and x % m2 == r2
-
-
-def test_is_square():
-    for n in range(-50, 3000):
-        expected = n >= 0 and math.isqrt(max(n, 0)) ** 2 == n
-        assert is_square(n) == expected

@@ -3,6 +3,8 @@ product membership, and the classification grid."""
 
 import pytest
 
+from helpers import raw_form
+from qprim import pprim
 from qprim.classgroup import ProperClass, enumerate_classes
 from qprim.intarith import kronecker, primes_up_to
 from qprim.oracle import (
@@ -13,7 +15,6 @@ from qprim.oracle import (
     STATUS_WITNESS,
     _escalation_ladder,
     brute_force_cpp,
-    raw_form,
     revalidate_verdict,
     verify_classification_grid,
     verify_isometry_matrix_search,
@@ -173,19 +174,20 @@ def test_grid_spot_witnesses():
     assert cells[((3, 2, 5), 3)].cpp
 
 
-def test_grid_flags_corrupted_classifier():
+def test_grid_flags_corrupted_classifier(monkeypatch):
     def lying_classifier(D, p):
         return [
             Verdict(x, p, True, ROUTE_PRINCIPAL_SQUARE, {"m": 0, "n": 0})
             for x in enumerate_classes(D).classes
         ]
 
-    report = verify_classification_grid(-56, -56, 3, 100, classifier=lying_classifier)
+    monkeypatch.setattr(pprim, "classify_all", lying_classifier)
+    report = verify_classification_grid(-56, -56, 3, 100)
     assert not report.ok
     assert any(c.status == STATUS_CONTRADICTION for c in report.cells)
 
 
-def test_grid_unconfirmed_when_ceiling_too_low():
+def test_grid_unconfirmed_when_ceiling_too_low(monkeypatch):
     def eager_classifier(D, p):
         return [
             Verdict(x, p, False, "order_four_square_failed",
@@ -194,13 +196,28 @@ def test_grid_unconfirmed_when_ceiling_too_low():
             if x.rep.triple() == (3, 2, 5)
         ]
 
+    monkeypatch.setattr(pprim, "classify_all", eager_classifier)
     # [3,2,5] really is completely 3-primitive, so no witness can exist
-    report = verify_classification_grid(
-        -56, -56, 3, 50, ceiling=100, classifier=eager_classifier
-    )
+    report = verify_classification_grid(-56, -56, 3, 50, ceiling=100)
     assert report.ok  # unconfirmed is not a contradiction
     assert any(c.status == STATUS_UNCONFIRMED for c in report.cells)
     assert all(c.bound == 100 for c in report.cells if c.status == STATUS_UNCONFIRMED)
+
+
+def test_grid_default_ceiling_confirms_every_cell():
+    # a 10x ceiling left two cells of D = -399 without a witness
+    report = verify_classification_grid(-399, -399, 17, 5000)
+    assert report.ceiling == 250000
+    assert report.cells and not report.unconfirmed
+
+
+def test_grid_rejects_window_without_cells():
+    with pytest.raises(ValueError):
+        verify_classification_grid(-3, -20, 23, 100)
+    with pytest.raises(ValueError):
+        verify_classification_grid(-400, -3, 1, 100)
+    with pytest.raises(ValueError):
+        verify_classification_grid(-4, -4, 2, 100)  # the only prime divides D
 
 
 def test_grid_parallel_matches_serial():

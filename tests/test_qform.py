@@ -4,8 +4,8 @@ import random
 
 import pytest
 
+from helpers import raw_form
 from qprim.classgroup import enumerate_classes
-from qprim.oracle import raw_form
 from qprim.qform import (
     BinaryForm,
     IntMap2,

@@ -10,7 +10,6 @@ from qprim.ternary import (
     TernaryForm,
     build_fm,
     build_tilde_fm,
-    check_spectrum_identity,
     rep_count_table,
     spectrum_identity_report,
     substitute,
@@ -184,6 +183,8 @@ def test_spectrum_identity_report():
     assert payload["sym_diff"] == [1]
     assert payload["gram_dets"] == [126, 126]
     assert payload["sets_match"] is True
+    with pytest.raises(ValueError):
+        spectrum_identity_report(5)
 
 
 def test_spectrum_identity_lhs_rhs_congruent():
@@ -194,9 +195,3 @@ def test_spectrum_identity_lhs_rhs_congruent():
     assert 1 in f1_vals and 1 not in tilde_vals
     assert f1_vals - {1} == tilde_vals
     assert report.sets_match
-
-
-def test_check_spectrum_identity():
-    assert check_spectrum_identity(200)
-    with pytest.raises(ValueError):
-        spectrum_identity_report(5)
