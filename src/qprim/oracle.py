@@ -3,8 +3,15 @@
 Nothing here trusts the decision routes: verdicts are re-derived from
 exhaustive enumeration (value sweeps, matrix searches, valuation scans)
 and compared.  A disagreement is reported as a contradiction, never
-suppressed.  The classification grid escalates a missing witness search
-to 10x the sweep bound, then to a ceiling that defaults to 50x.
+suppressed.
+
+A witness against complete p-primitivity is an n that f represents only
+with p | x and p | y, so n = p^2 f(x/p, y/p): every witness up to N lies
+in p^2 * Q(f, N/p^2).  The witness search therefore sweeps the values of
+f up to N/p^2 and checks each candidate p^2 m by enumerating its
+solutions.  The classification grid runs that search at the sweep bound,
+escalates a negative verdict without a witness to 10x the bound, then to
+a ceiling that defaults to 50x, and re-derives every verdict's evidence.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .classgroup import (
     identity_form,
     inverse_class,
 )
-from .intarith import is_prime, kronecker, primes_up_to, valuation
+from .intarith import is_prime, primes_up_to, valuation
 from .qform import (
     BinaryForm,
     IntMap2,
@@ -74,15 +81,26 @@ class BruteVerdict:
 
 
 def brute_force_cpp(f: BinaryForm, p: int, bound: int) -> BruteVerdict:
-    """Smallest n <= bound represented by f but never p-primitively, if any."""
+    """Smallest n <= bound represented by f but never p-primitively, if any.
+
+    Such an n has only solutions with p | x and p | y, so n = p^2 m with
+    m = f(x/p, y/p) <= bound/p^2.  The candidates p^2 m are taken in
+    ascending order from one sweep up to bound // p^2, and the first whose
+    solutions all lie in pZ^2 is the witness.  The search is exhaustive;
+    below p^2 there is nothing to sweep and no witness.
+    """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if f.D % p == 0:
         raise ValueError(f"p = {p} divides the discriminant {f.D}")
-    prof = rep_profile(f, bound)
-    for n in sorted(prof):
-        if prof[n].gcd_all % p == 0:
-            return BruteVerdict(f, p, bound, n, STATUS_WITNESS)
+    if bound < 1:
+        raise ValueError(f"brute_force_cpp requires bound >= 1, got {bound}")
+    p2 = p * p
+    if bound >= p2:
+        for m in sorted(rep_profile(f, bound // p2)):
+            n = p2 * m
+            if all(x % p == 0 and y % p == 0 for x, y in enumerate_solutions(f, n)):
+                return BruteVerdict(f, p, bound, n, STATUS_WITNESS)
     return BruteVerdict(f, p, bound, None, STATUS_NO_WITNESS)
 
 
@@ -134,8 +152,6 @@ def verify_isometry_matrix_search(D: int, p: int, entry_bound: int | None = None
     if entry_bound is None:
         entry_bound = 2 * p * (math.isqrt(max(f.a, f.c)) + 1)
     found = _matrix_search(f, p, entry_bound)
-    if kronecker(D, p) == -1:
-        return not found
     sols = solve_two_square(D, p)
     if not sols:
         return not found
@@ -287,42 +303,34 @@ class GridReport:
 
 
 def _escalation_ladder(bound: int, ceiling: int) -> list[int]:
-    """Witness-search bounds beyond the base sweep: 10x first (capped by the
+    """Witness-search bounds beyond the base bound: 10x first (capped by the
     ceiling), then the ceiling itself."""
     return sorted({b for b in (min(bound * 10, ceiling), ceiling) if b > bound})
 
 
 def _grid_discriminant(D: int, primes: list[int], bound: int, ceiling: int) -> list[GridCell]:
-    """Cells for a single discriminant; class profiles are swept once and
-    shared across primes."""
-    group = enumerate_classes(D)
-    profiles = {}
-    for x in group.classes:
-        prof = rep_profile(x.rep, bound)
-        profiles[x] = (sorted(prof), prof)
+    """Cells for a single discriminant.  A positive verdict is searched up to
+    the bound, a negative one up the ladder until a witness turns up; a
+    verdict whose evidence does not re-derive is a contradiction."""
+    rungs = [bound] + _escalation_ladder(bound, ceiling)
     cells = []
     for p in primes:
         if D % p == 0:
             continue
         for v in pprim.classify_all(D, p):
-            keys, prof = profiles[v.cls]
-            witness = next((n for n in keys if prof[n].gcd_all % p == 0), None)
-            used = bound
+            f = v.cls.rep
+            for used in [bound] if v.completely_p_primitive else rungs:
+                witness = brute_force_cpp(f, p, used).witness
+                if witness is not None:
+                    break
             if v.completely_p_primitive:
                 status = STATUS_CONTRADICTION if witness is not None else STATUS_AGREES
             else:
-                # escalate through the ladder before giving up
-                for step in _escalation_ladder(bound, ceiling):
-                    if witness is not None:
-                        break
-                    used = step
-                    witness = brute_force_cpp(v.cls.rep, p, step).witness
                 status = STATUS_AGREES if witness is not None else STATUS_UNCONFIRMED
+            if not revalidate_verdict(v):
+                status = STATUS_CONTRADICTION
             cells.append(
-                GridCell(
-                    D, p, v.cls.rep, v.completely_p_primitive, v.route,
-                    status, witness, used,
-                )
+                GridCell(D, p, f, v.completely_p_primitive, v.route, status, witness, used)
             )
     return cells
 
@@ -336,12 +344,13 @@ def verify_classification_grid(
     workers: int | None = None,
 ) -> GridReport:
     """Classify every (D, p, class) cell in the window and re-check it by
-    exhaustive value sweeps.
+    exhaustive witness searches and by re-deriving its evidence.
 
     Positive verdicts must show no witness <= bound.  Negative verdicts
     must produce a witness; the search escalates to 10x bound, then to
     `ceiling` (default 50x bound), and cells still lacking one are
-    reported as unconfirmed rather than contradictions.  A window with no
+    reported as unconfirmed rather than contradictions.  A verdict whose
+    evidence fails `revalidate_verdict` is a contradiction.  A window with no
     (D, p) cell raises ValueError.  `workers` > 1 fans the discriminants
     out over at most min(workers, cpu count, discriminants) processes;
     results are identical to the serial run.

@@ -47,25 +47,20 @@ class TwoSquareSolution(NamedTuple):
     p: int
 
 
-def _check_split(D: int, p: int) -> None:
+def solve_two_square(D: int, p: int) -> list[TwoSquareSolution]:
+    """All (m, n) with m, n >= 0, 4p^2 = m^2 + |D|n^2, gcd(m, n, p) = 1.
+
+    Sorted by n ascending; the scan over n <= sqrt(4p^2/|D|) is exhaustive.
+    Requires p prime and p not | D.  For (D/p) = -1 the list is empty: a
+    solution with p not | n makes D a square mod p (mod 8 for p = 2), and
+    p | n forces p | m.
+    """
     if not is_discriminant(D):
         raise ValueError(f"{D} is not a valid negative discriminant")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    s = kronecker(D, p)
-    if s == 0:
+    if D % p == 0:
         raise ValueError(f"p = {p} divides the discriminant {D}")
-    if s == -1:
-        raise ValueError(f"(D/p) = -1 for D = {D}, p = {p}: no two-square solution")
-
-
-def solve_two_square(D: int, p: int) -> list[TwoSquareSolution]:
-    """All (m, n) with m, n >= 0, 4p^2 = m^2 + |D|n^2, gcd(m, n, p) = 1.
-
-    Sorted by n ascending.  Requires (D/p) = 1; the scan over
-    n <= sqrt(4p^2/|D|) is exhaustive.
-    """
-    _check_split(D, p)
     abs_d = -D
     four_p2 = 4 * p * p
     sols = []

@@ -142,9 +142,11 @@ def test_isometry_solvable(capsys):
 
 
 def test_isometry_unsolvable(capsys):
-    code, payload, _ = run_json(capsys, ["isometry", "-56", "3", "--form", "1,0,14"])
-    assert code == 0
-    assert payload == {"D": -56, "p": 3, "form": [1, 0, 14], "solvable": False}
+    # 3 splits in D = -56 and 11 is inert; neither two-square equation is solvable
+    for p in (3, 11):
+        code, payload, _ = run_json(capsys, ["isometry", "-56", str(p), "--form", "1,0,14"])
+        assert code == 0
+        assert payload == {"D": -56, "p": p, "form": [1, 0, 14], "solvable": False}
 
 
 def test_isometry_rejects_dividing_prime(capsys):

@@ -1,9 +1,11 @@
 """The brute-force layer itself: witness sweeps, matrix search, parity,
 product membership, and the classification grid."""
 
+from dataclasses import replace
+
 import pytest
 
-from helpers import raw_form
+from helpers import brute_force_cpp_full_sweep, raw_form
 from qprim import pprim
 from qprim.classgroup import ProperClass, enumerate_classes
 from qprim.intarith import kronecker, primes_up_to
@@ -42,6 +44,27 @@ def test_brute_force_cpp_preconditions():
         brute_force_cpp(BinaryForm(1, 0, 14), 7, 100)  # p | D
     with pytest.raises(ValueError):
         brute_force_cpp(BinaryForm(1, 0, 14), 4, 100)
+    with pytest.raises(ValueError):
+        brute_force_cpp(BinaryForm(1, 0, 14), 3, 0)
+
+
+def test_brute_force_cpp_matches_full_sweep():
+    # every class of every D in [-200, -3] with p <= 23, at bounds around p^2
+    # and at 3000; at 50000 the cells the grid escalates, negative verdicts
+    # at p in {19, 23}.  A witness found by 3000 is the smallest by 50000.
+    for D in discriminants_in(-200, -3):
+        primes = [p for p in primes_up_to(23) if D % p]
+        verdicts = {p: classify_all(D, p) for p in primes}
+        for i, x in enumerate(enumerate_classes(D).classes):
+            f = x.rep
+            for p in primes:
+                for bound in (1, p * p - 1, p * p, 3000):
+                    ref = brute_force_cpp_full_sweep(f, p, bound)
+                    assert brute_force_cpp(f, p, bound) == ref
+                if p in (19, 23) and not verdicts[p][i].completely_p_primitive:
+                    if ref.witness is None:
+                        ref = brute_force_cpp_full_sweep(f, p, 50000)
+                    assert brute_force_cpp(f, p, 50000) == replace(ref, bound=50000)
 
 
 def test_brute_matches_classifier_small():
@@ -187,21 +210,40 @@ def test_grid_flags_corrupted_classifier(monkeypatch):
     assert any(c.status == STATUS_CONTRADICTION for c in report.cells)
 
 
-def test_grid_unconfirmed_when_ceiling_too_low(monkeypatch):
-    def eager_classifier(D, p):
-        return [
-            Verdict(x, p, False, "order_four_square_failed",
-                    {"order": 1, "square_form": [1, 0, 14], "square_has_p_square": False})
-            for x in enumerate_classes(D).classes
-            if x.rep.triple() == (3, 2, 5)
-        ]
+def test_grid_flags_doctored_evidence(monkeypatch):
+    real = pprim.classify_all
 
-    monkeypatch.setattr(pprim, "classify_all", eager_classifier)
-    # [3,2,5] really is completely 3-primitive, so no witness can exist
-    report = verify_classification_grid(-56, -56, 3, 50, ceiling=100)
+    def doctoring_classifier(D, p):
+        # right cpp flags, one made-up solution of f(x, y) = p^2
+        verdicts = real(D, p)
+        v = verdicts[-1]
+        verdicts[-1] = replace(v, evidence={**v.evidence, "solution": [0, 0]})
+        return verdicts
+
+    monkeypatch.setattr(pprim, "classify_all", doctoring_classifier)
+    report = verify_classification_grid(-56, -56, 3, 5000)
+    statuses = {c.form.triple(): c.status for c in report.cells}
+    assert statuses == {
+        (1, 0, 14): STATUS_AGREES,
+        (2, 0, 7): STATUS_AGREES,
+        (3, -2, 5): STATUS_AGREES,
+        (3, 2, 5): STATUS_CONTRADICTION,
+    }
+    assert not report.ok
+
+
+def test_grid_unconfirmed_when_ceiling_too_low():
+    # the smallest witnesses at p = 3 are 9 and 18, above a ceiling of 8
+    report = verify_classification_grid(-56, -56, 3, 5, ceiling=8)
     assert report.ok  # unconfirmed is not a contradiction
-    assert any(c.status == STATUS_UNCONFIRMED for c in report.cells)
-    assert all(c.bound == 100 for c in report.cells if c.status == STATUS_UNCONFIRMED)
+    statuses = {c.form.triple(): c.status for c in report.cells}
+    assert statuses == {
+        (1, 0, 14): STATUS_UNCONFIRMED,
+        (2, 0, 7): STATUS_UNCONFIRMED,
+        (3, -2, 5): STATUS_AGREES,
+        (3, 2, 5): STATUS_AGREES,
+    }
+    assert all(c.bound == 8 and c.witness is None for c in report.unconfirmed)
 
 
 def test_grid_default_ceiling_confirms_every_cell():

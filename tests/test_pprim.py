@@ -56,8 +56,7 @@ def test_solve_two_square_examples():
 def test_solve_two_square_preconditions():
     with pytest.raises(ValueError):
         solve_two_square(-56, 7)  # p | D
-    with pytest.raises(ValueError):
-        solve_two_square(-56, 11)  # inert
+    assert solve_two_square(-56, 11) == []  # inert: no solution, no error
     with pytest.raises(ValueError):
         solve_two_square(-56, 4)  # not prime
     with pytest.raises(ValueError):
