@@ -22,9 +22,20 @@ STDOUT_CASES = {
     "classgroup_-56.json": ["classgroup", "-56"],
     # h = 24, 4 ambiguous classes, largest order 12
     "classgroup_-2604.json": ["classgroup", "-2604"],
+    "classgroup_-56.txt": ["classgroup", "-56", "--format", "text"],
+    "classgroup_-56.tsv": ["classgroup", "-56", "--format", "tsv"],
     "classify_-56_3.json": ["classify", "-56", "3"],
     # route 3 with both outcomes
     "classify_-2604_11.json": ["classify", "-2604", "11"],
+    "classify_-2604_11.txt": ["classify", "-2604", "11", "--format", "text"],
+    "classify_-2604_11.tsv": ["classify", "-2604", "11", "--format", "tsv"],
+    # 3 splits in -56 but the two-square equation has no solution
+    "isometry_-56_3.json": ["isometry", "-56", "3", "--form", "1,0,14"],
+    "isometry_-3_7.json": ["isometry", "-3", "7", "--form", "1,1,1"],
+    "represent_-56_9_3.json": ["represent", "-56", "9", "--p", "3"],
+    "spectrum_-56_3_2_5.json": ["spectrum", "-56", "--form", "3,2,5", "--bound", "200",
+                                "--p", "3"],
+    "ternary-demo_1000.json": ["ternary-demo", "--bound", "1000"],
     "verify_-60_-3_7_500.json": VERIFY_ARGV,
 }
 
