@@ -25,7 +25,6 @@ from .pprim import (
 from .qform import (
     BinaryForm,
     IntMap2,
-    Reduction,
     apply_map,
     improper_automorph,
     inverse_rep,
@@ -52,7 +51,6 @@ __all__ = [
     "IntMap2",
     "ProperClass",
     "RepRecord",
-    "Reduction",
     "Spectrum",
     "TwoSquareSolution",
     "Verdict",

@@ -37,21 +37,6 @@ class ClassGroup:
     def h(self) -> int:
         return len(self.classes)
 
-    def index_of(self, cls: ProperClass) -> int:
-        return self._index[cls]
-
-    @cached_property
-    def _index(self) -> dict[ProperClass, int]:
-        return {c: i for i, c in enumerate(self.classes)}
-
-    @cached_property
-    def composition_table(self) -> tuple[tuple[int, ...], ...]:
-        """h x h table of class indices under composition."""
-        return tuple(
-            tuple(self.index_of(compose(x, y)) for y in self.classes)
-            for x in self.classes
-        )
-
     @cached_property
     def orders(self) -> dict[ProperClass, int]:
         """Order of every class, walking each cyclic subgroup once: if x has
@@ -78,7 +63,7 @@ def identity_form(D: int) -> ProperClass:
         f = BinaryForm(1, 0, -D // 4)
     else:
         f = BinaryForm(1, 1, (1 - D) // 4)
-    return ProperClass(qform.reduce(f).form)
+    return ProperClass(qform.reduce(f))
 
 
 @lru_cache(maxsize=None)
@@ -139,7 +124,7 @@ def compose_forms(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     assert (B - b2) % (2 * a2 // e) == 0
     assert (B * B - D) % (4 * A) == 0
     C = (B * B - D) // (4 * A)
-    return qform.reduce(BinaryForm(A, B, C)).form
+    return qform.reduce(BinaryForm(A, B, C))
 
 
 def compose(x: ProperClass, z: ProperClass) -> ProperClass:

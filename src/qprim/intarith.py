@@ -21,6 +21,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_prime_not_dividing(p: int, D: int) -> None:
+    """Raise ValueError unless p is prime and p does not divide D."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if D % p == 0:
+        raise ValueError(f"p = {p} divides the discriminant {D}")
+
+
 def primes_up_to(n: int) -> list[int]:
     """Primes <= n in increasing order."""
     return [p for p in range(2, n + 1) if is_prime(p)]

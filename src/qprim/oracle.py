@@ -32,7 +32,7 @@ from .classgroup import (
     identity_form,
     inverse_class,
 )
-from .intarith import is_prime, primes_up_to, valuation
+from .intarith import check_prime_not_dividing, is_prime, primes_up_to, valuation
 from .qform import (
     BinaryForm,
     IntMap2,
@@ -58,6 +58,12 @@ STATUS_NO_WITNESS = "no_witness_up_to_bound"
 STATUS_AGREES = "agrees"
 STATUS_CONTRADICTION = "contradiction"
 STATUS_UNCONFIRMED = "unconfirmed"
+
+#: coordinate bound of the vectors verify_reflection_parity checks
+REFLECTION_SAMPLE_BOUND = 15
+#: trials of verify_product_membership, and the largest value it samples
+PRODUCT_TRIALS = 40
+PRODUCT_VALUE_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -89,10 +95,7 @@ def brute_force_cpp(f: BinaryForm, p: int, bound: int) -> BruteVerdict:
     solutions all lie in pZ^2 is the witness.  The search is exhaustive;
     below p^2 there is nothing to sweep and no witness.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if f.D % p == 0:
-        raise ValueError(f"p = {p} divides the discriminant {f.D}")
+    check_prime_not_dividing(p, f.D)
     if bound < 1:
         raise ValueError(f"brute_force_cpp requires bound >= 1, got {bound}")
     p2 = p * p
@@ -138,19 +141,15 @@ def _matrix_search(f: BinaryForm, p: int, entry_bound: int) -> list[IntMap2]:
     return found
 
 
-def verify_isometry_matrix_search(D: int, p: int, entry_bound: int | None = None) -> bool:
+def verify_isometry_matrix_search(D: int, p: int) -> bool:
     """Matrix-level oracle: a scaling isometry of the principal form exists
     iff the two-square equation 4p^2 = m^2 + |D|n^2 has a p-primitive
     solution.  Entries up to 2p*sqrt(max(a, c)) suffice; the constructed
     isometry must itself land inside that box.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if D % p == 0:
-        raise ValueError(f"p = {p} divides the discriminant {D}")
+    check_prime_not_dividing(p, D)
     f = identity_form(D).rep
-    if entry_bound is None:
-        entry_bound = 2 * p * (math.isqrt(max(f.a, f.c)) + 1)
+    entry_bound = 2 * p * (math.isqrt(max(f.a, f.c)) + 1)
     found = _matrix_search(f, p, entry_bound)
     sols = solve_two_square(D, p)
     if not sols:
@@ -160,18 +159,18 @@ def verify_isometry_matrix_search(D: int, p: int, entry_bound: int | None = None
     return bool(found) and inside and t in found
 
 
-def verify_reflection_parity(f: BinaryForm, q: int, sample_bound: int = 15) -> bool:
+def verify_reflection_parity(f: BinaryForm, q: int) -> bool:
     """For the reflection sigma of an ambiguous reduced form and q not | D:
     ord_q f(v +- sigma v) is even whenever the value is nonzero, and a
     vector outside qZ^2 whose value q divides is never fixed up to sign.
+    Checked on every v with coordinates in [-REFLECTION_SAMPLE_BOUND,
+    REFLECTION_SAMPLE_BOUND].
     """
-    if not is_prime(q):
-        raise ValueError(f"q must be prime, got {q}")
-    if f.D % q == 0:
-        raise ValueError(f"q = {q} divides the discriminant {f.D}")
+    check_prime_not_dividing(q, f.D)
     sigma = improper_automorph(f)  # raises for non-ambiguous forms
-    for x in range(-sample_bound, sample_bound + 1):
-        for y in range(-sample_bound, sample_bound + 1):
+    span = range(-REFLECTION_SAMPLE_BOUND, REFLECTION_SAMPLE_BOUND + 1)
+    for x in span:
+        for y in span:
             sx, sy = sigma(x, y)
             for wx, wy in ((x - sx, y - sy), (x + sx, y + sy)):
                 val = f.evaluate(wx, wy)
@@ -183,26 +182,23 @@ def verify_reflection_parity(f: BinaryForm, q: int, sample_bound: int = 15) -> b
     return True
 
 
-def verify_product_membership(
-    D: int, p: int, trials: int = 40, value_cap: int = 200
-) -> bool:
+def verify_product_membership(D: int, p: int) -> bool:
     """Sampled product check: for a p-primitively represented by class X and
     alpha by class Z with gcd(a, alpha, D) = 1, the product a*alpha is
     p-primitively represented by X*Z or by X*Z^-1.
 
-    Sampling is deterministic (seeded by D and p).  Returns True only if
-    every performed trial succeeds and at least one trial ran.
+    Sampling is deterministic (seeded by D and p): PRODUCT_TRIALS pairs
+    with a, alpha <= PRODUCT_VALUE_CAP, in at most 50 attempts per trial.
+    Returns True only if every performed trial succeeds and at least one
+    trial ran.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if D % p == 0:
-        raise ValueError(f"p = {p} divides the discriminant {D}")
+    check_prime_not_dividing(p, D)
     rng = random.Random(f"product:{D}:{p}")
     group = enumerate_classes(D)
-    pools = {x: spectrum(x.rep, value_cap, p).qp_star for x in group.classes}
+    pools = {x: spectrum(x.rep, PRODUCT_VALUE_CAP, p).qp_star for x in group.classes}
     checked = 0
     attempts = 0
-    while checked < trials and attempts < trials * 50:
+    while checked < PRODUCT_TRIALS and attempts < PRODUCT_TRIALS * 50:
         attempts += 1
         x = rng.choice(group.classes)
         z = rng.choice(group.classes)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .classgroup import ProperClass, compose, element_order, enumerate_classes
-from .intarith import is_prime, kronecker
+from .intarith import check_prime_not_dividing, kronecker
 from .qform import BinaryForm, IntMap2, is_discriminant, transformed_coefficients
 from .repcount import rep_counts
 
@@ -57,10 +57,7 @@ def solve_two_square(D: int, p: int) -> list[TwoSquareSolution]:
     """
     if not is_discriminant(D):
         raise ValueError(f"{D} is not a valid negative discriminant")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if D % p == 0:
-        raise ValueError(f"p = {p} divides the discriminant {D}")
+    check_prime_not_dividing(p, D)
     abs_d = -D
     four_p2 = 4 * p * p
     sols = []
@@ -133,12 +130,8 @@ class Verdict:
 def classify(x: ProperClass, p: int) -> Verdict:
     """Decide whether the class x is completely p-primitive (p prime, p not | D)."""
     D = x.D
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    s = kronecker(D, p)
-    if s == 0:
-        raise ValueError(f"p = {p} divides the discriminant {D}")
-    if s == -1:
+    check_prime_not_dividing(p, D)
+    if kronecker(D, p) == -1:
         # every solution of f = p^2*a has both coordinates divisible by p
         return Verdict(
             x, p, False, ROUTE_SYMBOL_MINUS_ONE, {"witness": p * p * x.rep.a}

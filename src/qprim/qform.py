@@ -3,14 +3,13 @@
 A form [a, b, c] stands for a*x^2 + b*x*y + c*y^2.  Only negative
 discriminants are handled; the constructor pins the positive definite
 branch (a > 0) and primitivity (gcd(a, b, c) = 1), so each proper class
-has a unique reduced representative.
+has a unique reduced representative, which `reduce` returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 
 @dataclass(frozen=True, order=True)
@@ -22,25 +21,12 @@ class IntMap2:
     m21: int
     m22: int
 
-    @classmethod
-    def identity(cls) -> "IntMap2":
-        return cls(1, 0, 0, 1)
-
     @property
     def det(self) -> int:
         return self.m11 * self.m22 - self.m12 * self.m21
 
     def __call__(self, x: int, y: int) -> tuple[int, int]:
         return (self.m11 * x + self.m12 * y, self.m21 * x + self.m22 * y)
-
-    def __mul__(self, other: "IntMap2") -> "IntMap2":
-        # matrix product: apply_map(f, M * N) == apply_map(apply_map(f, M), N)
-        return IntMap2(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
 
     def rows(self) -> list[list[int]]:
         return [[self.m11, self.m12], [self.m21, self.m22]]
@@ -81,13 +67,6 @@ class BinaryForm:
 
     def __str__(self) -> str:
         return f"[{self.a},{self.b},{self.c}]"
-
-
-class Reduction(NamedTuple):
-    """A reduced form together with the det-1 substitution reaching it."""
-
-    form: BinaryForm
-    map: IntMap2
 
 
 def is_discriminant(D: int) -> bool:
@@ -132,30 +111,32 @@ def is_reduced(f: BinaryForm) -> bool:
     return True
 
 
-def reduce(f: BinaryForm) -> Reduction:
-    """Gauss reduction; returns the reduced form and a det-1 map M with f o M reduced."""
+def reduce(f: BinaryForm) -> BinaryForm:
+    """Gauss reduction: the reduced form properly equivalent to f.
+
+    Two det-1 steps run on the coefficients until the form is reduced:
+    the shift (x, y) |-> (x + t*y, y) taking b into (-a, a], and the swap
+    (x, y) |-> (-y, x) taking [a, b, c] to [c, -b, a].
+    """
     if f.D >= 0 or f.a <= 0:
         raise ValueError(f"cannot reduce non positive definite form {f}")
-    g = f
-    total = IntMap2.identity()
+    a, b, c = f.a, f.b, f.c
     while True:
-        a, b, c = g.a, g.b, g.c
         if b <= -a or b > a:
             t = (a - b) // (2 * a)  # shifts b into (-a, a]
-            step = IntMap2(1, t, 0, 1)
+            b, c = b + 2 * a * t, (a * t + b) * t + c
         elif a > c or (a == c and b < 0):
-            step = IntMap2(0, -1, 1, 0)  # [a,b,c] -> [c,-b,a]
+            a, b, c = c, -b, a
         else:
             break
-        g = apply_map(g, step)
-        total = total * step
-    assert is_reduced(g) and total.det == 1
-    return Reduction(g, total)
+    g = BinaryForm(a, b, c)
+    assert is_reduced(g)
+    return g
 
 
 def inverse_rep(f: BinaryForm) -> BinaryForm:
     """Reduced representative of the inverse class (mirror form [a,-b,c], reduced)."""
-    return reduce(BinaryForm(f.a, -f.b, f.c)).form
+    return reduce(BinaryForm(f.a, -f.b, f.c))
 
 
 def is_ambiguous(f: BinaryForm) -> bool:

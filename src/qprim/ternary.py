@@ -19,6 +19,11 @@ from .intarith import ceil_div
 
 Vec3 = tuple[int, int, int]
 
+#: largest |entry| of a change of basis tried by unimodular_match
+ENTRY_BOUND = 3
+#: theta series of tilde_f_1 and the reduced shape compared up to this value
+THETA_BOUND = 200
+
 
 @dataclass(frozen=True, order=True)
 class TernaryForm:
@@ -149,15 +154,15 @@ def ternary_spectrum(f: TernaryForm, bound: int) -> list[int]:
 
 
 def unimodular_match(
-    f: TernaryForm, g: TernaryForm, entry_bound: int = 3
+    f: TernaryForm, g: TernaryForm
 ) -> tuple[tuple[tuple[int, int, int], ...], int] | None:
-    """Search for U (entries bounded, det +-1) with f o U = g.
+    """Search for U (entries within ENTRY_BOUND, det +-1) with f o U = g.
 
     Returns (rows of U, det U) for the first match in a deterministic
     scan order, or None.  Columns are drawn from the bounded vectors
     whose f-values hit g's diagonal.
     """
-    span = range(-entry_bound, entry_bound + 1)
+    span = range(-ENTRY_BOUND, ENTRY_BOUND + 1)
     buckets: dict[int, list[Vec3]] = {g.xx: [], g.yy: [], g.zz: []}
     for v in ((x, y, z) for x in span for y in span for z in span):
         val = f.evaluate(*v)
@@ -186,13 +191,14 @@ class SpectrumIdentityReport:
 
     sets_match: (values of f_1 in 1 mod 3, minus {1}) equals
     (values of tilde_f_1 in 1 mod 3), both up to `bound`.
+    theta_match: tilde_f_1 and the reduced shape have the same
+    representation counts up to THETA_BOUND.
     """
 
     bound: int
     sets_match: bool
     sym_diff: tuple[int, ...]
     theta_match: bool
-    theta_bound: int
     gram_dets: tuple[Fraction, Fraction]
     change_of_basis: tuple[tuple[int, int, int], ...] | None
     change_det: int | None
@@ -213,7 +219,7 @@ class SpectrumIdentityReport:
             "gram_dets": [_frac_json(d) for d in self.gram_dets],
             "sets_match": self.sets_match,
             "sym_diff": list(self.sym_diff),
-            "theta_bound": self.theta_bound,
+            "theta_bound": THETA_BOUND,
             "theta_match": self.theta_match,
         }
 
@@ -226,9 +232,7 @@ def _frac_json(x: Fraction):
 REDUCED_SHAPE = (4, 6, 7, 6, 2, 0)
 
 
-def spectrum_identity_report(
-    bound: int = 1000, theta_bound: int = 200, entry_bound: int = 3
-) -> SpectrumIdentityReport:
+def spectrum_identity_report(bound: int = 1000) -> SpectrumIdentityReport:
     """Compare the 1 mod 3 values of f_1 and tilde_f_1 up to `bound` and
     cross-check tilde_f_1 against the reduced shape [4,6,7,yz=6,zx=2,xy=0]
     by theta prefix, Gram determinant, and a bounded unimodular search."""
@@ -241,17 +245,16 @@ def spectrum_identity_report(
     rhs = {n for n in ternary_spectrum(tf1, bound) if n % 3 == 1}
     sym_diff = tuple(sorted(lhs ^ rhs))
     sets_match = (lhs - {1}) == rhs
-    theta_match = rep_count_table(tf1, theta_bound) == rep_count_table(
-        target, theta_bound
+    theta_match = rep_count_table(tf1, THETA_BOUND) == rep_count_table(
+        target, THETA_BOUND
     )
-    match = unimodular_match(tf1, target, entry_bound)
+    match = unimodular_match(tf1, target)
     rows, det = match if match is not None else (None, None)
     return SpectrumIdentityReport(
         bound,
         sets_match,
         sym_diff,
         theta_match,
-        theta_bound,
         (tf1.gram_det(), target.gram_det()),
         rows,
         det,

@@ -2,6 +2,7 @@
 
 from functools import lru_cache
 
+from qprim.classgroup import ClassGroup, compose
 from qprim.intarith import is_prime
 from qprim.oracle import STATUS_NO_WITNESS, STATUS_WITNESS, BruteVerdict
 from qprim.qform import BinaryForm
@@ -15,6 +16,12 @@ def raw_form(a: int, b: int, c: int) -> BinaryForm:
     object.__setattr__(f, "b", b)
     object.__setattr__(f, "c", c)
     return f
+
+
+def composition_table(group: ClassGroup) -> list[list[int]]:
+    """h x h table of class indices under composition, in `group.classes` order."""
+    index = {c: i for i, c in enumerate(group.classes)}
+    return [[index[compose(x, y)] for y in group.classes] for x in group.classes]
 
 
 def brute_force_cpp_full_sweep(f: BinaryForm, p: int, bound: int) -> BruteVerdict:

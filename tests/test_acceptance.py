@@ -195,7 +195,7 @@ def test_criterion_6():
             for q in (3, 5, 7, 11, 13):
                 if D % q == 0:
                     continue
-                assert verify_reflection_parity(f, q, sample_bound=15), (f, q)
+                assert verify_reflection_parity(f, q), (f, q)
                 checked += 1
     assert checked > 1000
 
