@@ -6,7 +6,6 @@ from .classgroup import (
     ProperClass,
     ambiguous_classes,
     compose,
-    compose_forms,
     element_order,
     enumerate_classes,
     identity_form,
@@ -27,7 +26,6 @@ from .qform import (
     IntMap2,
     apply_map,
     improper_automorph,
-    inverse_rep,
     is_ambiguous,
     is_reduced,
     omega,
@@ -61,7 +59,6 @@ __all__ = [
     "classify",
     "classify_all",
     "compose",
-    "compose_forms",
     "divisors",
     "element_order",
     "enumerate_classes",
@@ -69,7 +66,6 @@ __all__ = [
     "identity_form",
     "improper_automorph",
     "inverse_class",
-    "inverse_rep",
     "is_ambiguous",
     "is_reduced",
     "kronecker",

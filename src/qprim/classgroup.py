@@ -8,7 +8,7 @@ from functools import cached_property, lru_cache
 
 from . import qform
 from .intarith import ext_gcd
-from .qform import BinaryForm, is_ambiguous, is_discriminant
+from .qform import BinaryForm, check_discriminant, is_ambiguous
 
 
 @dataclass(frozen=True, order=True)
@@ -57,8 +57,7 @@ class ClassGroup:
 @lru_cache(maxsize=None)
 def identity_form(D: int) -> ProperClass:
     """Principal class: [1,0,-D/4] for even D, [1,1,(1-D)/4] for odd D."""
-    if not is_discriminant(D):
-        raise ValueError(f"{D} is not a valid negative discriminant")
+    check_discriminant(D)
     if D % 2 == 0:
         f = BinaryForm(1, 0, -D // 4)
     else:
@@ -69,8 +68,7 @@ def identity_form(D: int) -> ProperClass:
 @lru_cache(maxsize=None)
 def enumerate_classes(D: int) -> ClassGroup:
     """Census of reduced forms: a <= sqrt(|D|/3), b = D (mod 2), 4a | b^2 - D."""
-    if not is_discriminant(D):
-        raise ValueError(f"{D} is not a valid negative discriminant")
+    check_discriminant(D)
     forms = []
     for a in range(1, math.isqrt(-D // 3) + 1):
         for b in range(-a, a + 1):
@@ -94,18 +92,19 @@ def enumerate_classes(D: int) -> ClassGroup:
     return ClassGroup(D, classes, ident)
 
 
-def compose_forms(f: BinaryForm, g: BinaryForm) -> BinaryForm:
-    """Dirichlet composition, returned reduced.
+def compose(x: ProperClass, z: ProperClass) -> ProperClass:
+    """Dirichlet composition of the representatives, returned reduced.
 
     With e = gcd(a1, a2, (b1+b2)/2), a solution B of
 
         B = b1 (mod 2*a1/e),  B = b2 (mod 2*a2/e),  B^2 = D (mod 4*a1*a2/e^2)
 
     always exists; the composite is [a1*a2/e^2, B, e^2*(B^2-D)/(4*a1*a2)].
-    B is obtained from a Bezout identity x*a1 + y*a2 + z*(b1+b2)/2 = e and
+    B is obtained from a Bezout identity u*a1 + v*a2 + w*(b1+b2)/2 = e and
     taken as the smallest nonnegative solution; any other solution yields
     the same class.
     """
+    f, g = x.rep, z.rep
     D = f.D
     if g.D != D:
         raise ValueError(f"discriminant mismatch: {f.D} vs {g.D}")
@@ -113,10 +112,10 @@ def compose_forms(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     a2, b2 = g.a, g.b
     beta = (b1 + b2) // 2
     g1, x1, y1 = ext_gcd(a1, a2)
-    e, t, z = ext_gcd(g1, beta)
-    x, y = x1 * t, y1 * t  # now a1*x + a2*y + beta*z = e
+    e, t, w = ext_gcd(g1, beta)
+    u, v = x1 * t, y1 * t  # now a1*u + a2*v + beta*w = e
     A = (a1 // e) * (a2 // e)
-    num = b2 * x * a1 + b1 * y * a2 + z * (b1 * b2 + D) // 2
+    num = b2 * u * a1 + b1 * v * a2 + w * (b1 * b2 + D) // 2
     assert num % e == 0
     B = (num // e) % (2 * A)
     # the defining congruences must hold; never fail silently
@@ -124,15 +123,13 @@ def compose_forms(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     assert (B - b2) % (2 * a2 // e) == 0
     assert (B * B - D) % (4 * A) == 0
     C = (B * B - D) // (4 * A)
-    return qform.reduce(BinaryForm(A, B, C))
-
-
-def compose(x: ProperClass, z: ProperClass) -> ProperClass:
-    return ProperClass(compose_forms(x.rep, z.rep))
+    return ProperClass(qform.reduce(BinaryForm(A, B, C)))
 
 
 def inverse_class(x: ProperClass) -> ProperClass:
-    return ProperClass(qform.inverse_rep(x.rep))
+    """Inverse class: the mirror form [a,-b,c] of the representative, reduced."""
+    f = x.rep
+    return ProperClass(qform.reduce(BinaryForm(f.a, -f.b, f.c)))
 
 
 def element_order(x: ProperClass) -> int:

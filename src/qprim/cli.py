@@ -2,17 +2,16 @@
 
 stdout carries data (JSON with alphabetically ordered keys by default);
 stderr carries diagnostics.  Exit codes: 0 success, 1 a verification
-sweep found a contradiction, 2 usage or precondition error.  The
-QPRIM_THREADS environment variable asks `verify` for that many worker
-processes; the sweep uses at most one per CPU and one per discriminant.
+sweep found a contradiction, 2 usage or precondition error.  `verify`
+runs its whole grid in this one process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from collections.abc import Iterable
 
 from . import oracle, pprim, repcount, ternary
 from .classgroup import ambiguous_classes, element_order, enumerate_classes
@@ -25,6 +24,14 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
+def _print_table(fmt: str, header: tuple[str, ...], rows: Iterable[tuple]) -> None:
+    """The header and rows as `text` (two-space separated) or `tsv` lines;
+    booleans print as true/false."""
+    sep = "\t" if fmt == "tsv" else "  "
+    for row in (header, *rows):
+        print(sep.join(str(v).lower() if isinstance(v, bool) else str(v) for v in row))
+
+
 def _parse_form(text: str, D: int) -> BinaryForm:
     try:
         a, b, c = (int(t) for t in text.split(","))
@@ -34,15 +41,6 @@ def _parse_form(text: str, D: int) -> BinaryForm:
     if f.D != D:
         raise ValueError(f"form {f} has discriminant {f.D}, not {D}")
     return f
-
-
-def _workers_from_env() -> int:
-    raw = os.environ.get("QPRIM_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"QPRIM_THREADS must be an integer, got {raw!r}")
-    return max(n, 1)
 
 
 def _cmd_classgroup(args: argparse.Namespace) -> int:
@@ -67,11 +65,9 @@ def _cmd_classgroup(args: argparse.Namespace) -> int:
             }
         )
     else:
-        sep = "\t" if args.fmt == "tsv" else "  "
-        print(sep.join(("D", "form", "order", "ambiguous")))
-        for cls, row in zip(group.classes, rows):
-            print(sep.join((str(args.D), str(cls.rep), str(row["order"]),
-                            str(row["ambiguous"]).lower())))
+        _print_table(args.fmt, ("D", "form", "order", "ambiguous"),
+                     ((args.D, cls.rep, row["order"], row["ambiguous"])
+                      for cls, row in zip(group.classes, rows)))
     return 0
 
 
@@ -80,11 +76,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.fmt == "json":
         _emit({"D": args.D, "p": args.p, "verdicts": [v.to_json() for v in verdicts]})
     else:
-        sep = "\t" if args.fmt == "tsv" else "  "
-        print(sep.join(("form", "p", "cpp", "route")))
-        for v in verdicts:
-            print(sep.join((str(v.cls.rep), str(v.p),
-                            str(v.completely_p_primitive).lower(), v.route)))
+        _print_table(args.fmt, ("form", "p", "cpp", "route"),
+                     ((v.cls.rep, v.p, v.completely_p_primitive, v.route)
+                      for v in verdicts))
     return 0
 
 
@@ -114,11 +108,9 @@ def _cmd_represent(args: argparse.Namespace) -> int:
     if args.fmt == "json":
         _emit({"D": args.D, "n": args.n, "p": args.p, "records": records})
     else:
-        sep = "\t" if args.fmt == "tsv" else "  "
-        print(sep.join(("form", "r", "r_star_p", "r_flat_p")))
-        for rec in records:
-            print(sep.join((str(BinaryForm(*rec["form"])), str(rec["r"]),
-                            str(rec["r_star_p"]), str(rec["r_flat_p"]))))
+        _print_table(args.fmt, ("form", "r", "r_star_p", "r_flat_p"),
+                     ((cls.rep, rec["r"], rec["r_star_p"], rec["r_flat_p"])
+                      for cls, rec in zip(group.classes, records)))
     return 0
 
 
@@ -178,7 +170,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         dmax=args.dmax,
         pmax=args.pmax,
         bound=args.bound,
-        workers=args.workers,
     )
     _emit(report.summary_json())
     if args.json:
@@ -259,8 +250,6 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse handles usage errors and --help
         return 0 if exc.code in (0, None) else 2
     try:
-        if args.func is _cmd_verify:
-            args.workers = _workers_from_env()
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

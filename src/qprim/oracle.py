@@ -17,12 +17,8 @@ a ceiling that defaults to 50x, and re-derives every verdict's evidence.
 from __future__ import annotations
 
 import math
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import repeat
 
 from . import pprim
 from .classgroup import (
@@ -304,15 +300,33 @@ def _escalation_ladder(bound: int, ceiling: int) -> list[int]:
     return sorted({b for b in (min(bound * 10, ceiling), ceiling) if b > bound})
 
 
-def _grid_discriminant(D: int, primes: list[int], bound: int, ceiling: int) -> list[GridCell]:
-    """Cells for a single discriminant.  A positive verdict is searched up to
-    the bound, a negative one up the ladder until a witness turns up; a
-    verdict whose evidence does not re-derive is a contradiction."""
+def verify_classification_grid(
+    dmin: int = -400,
+    dmax: int = -3,
+    pmax: int = 23,
+    bound: int = 5000,
+    ceiling: int | None = None,
+) -> GridReport:
+    """Classify every (D, p, class) cell in the window and re-check it by
+    exhaustive witness searches and by re-deriving its evidence.
+
+    Positive verdicts must show no witness <= bound.  Negative verdicts
+    must produce a witness; the search escalates to 10x bound, then to
+    `ceiling` (default 50x bound), and cells still lacking one are
+    reported as unconfirmed rather than contradictions.  A verdict whose
+    evidence fails `revalidate_verdict` is a contradiction.  A window with no
+    (D, p) cell raises ValueError.  The cells are checked one after another
+    in this process.
+    """
+    if ceiling is None:
+        ceiling = bound * 50
+    primes = primes_up_to(pmax)
+    pairs = [(D, p) for D in discriminants_in(dmin, dmax) for p in primes if D % p]
+    if not pairs:
+        raise ValueError(f"no (D, p) cell with D in [{dmin}, {dmax}] and p <= {pmax}")
     rungs = [bound] + _escalation_ladder(bound, ceiling)
     cells = []
-    for p in primes:
-        if D % p == 0:
-            continue
+    for D, p in pairs:
         for v in pprim.classify_all(D, p):
             f = v.cls.rep
             for used in [bound] if v.completely_p_primitive else rungs:
@@ -328,44 +342,7 @@ def _grid_discriminant(D: int, primes: list[int], bound: int, ceiling: int) -> l
             cells.append(
                 GridCell(D, p, f, v.completely_p_primitive, v.route, status, witness, used)
             )
-    return cells
-
-
-def verify_classification_grid(
-    dmin: int = -400,
-    dmax: int = -3,
-    pmax: int = 23,
-    bound: int = 5000,
-    ceiling: int | None = None,
-    workers: int | None = None,
-) -> GridReport:
-    """Classify every (D, p, class) cell in the window and re-check it by
-    exhaustive witness searches and by re-deriving its evidence.
-
-    Positive verdicts must show no witness <= bound.  Negative verdicts
-    must produce a witness; the search escalates to 10x bound, then to
-    `ceiling` (default 50x bound), and cells still lacking one are
-    reported as unconfirmed rather than contradictions.  A verdict whose
-    evidence fails `revalidate_verdict` is a contradiction.  A window with no
-    (D, p) cell raises ValueError.  `workers` > 1 fans the discriminants
-    out over at most min(workers, cpu count, discriminants) processes;
-    results are identical to the serial run.
-    """
-    if ceiling is None:
-        ceiling = bound * 50
-    ds = discriminants_in(dmin, dmax)
-    primes = primes_up_to(pmax)
-    if not any(D % p for D in ds for p in primes):
-        raise ValueError(f"no (D, p) cell with D in [{dmin}, {dmax}] and p <= {pmax}")
-    workers = min(workers or 1, os.cpu_count() or 1, len(ds))
-    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        parts = (pool.map if pool else map)(
-            _grid_discriminant, ds, repeat(primes), repeat(bound), repeat(ceiling)
-        )
-        cells = sorted(
-            (cell for part in parts for cell in part),
-            key=lambda cell: (cell.D, cell.p, cell.form),
-        )
+    cells.sort(key=lambda cell: (cell.D, cell.p, cell.form))
     return GridReport(dmin, dmax, pmax, bound, ceiling, tuple(cells))
 
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .classgroup import ProperClass, compose, element_order, enumerate_classes
 from .intarith import check_prime_not_dividing, kronecker
-from .qform import BinaryForm, IntMap2, is_discriminant, transformed_coefficients
+from .qform import BinaryForm, IntMap2, check_discriminant, transformed_coefficients
 from .repcount import rep_counts
 
 ROUTE_SYMBOL_MINUS_ONE = "symbol_minus_one"
@@ -55,8 +55,7 @@ def solve_two_square(D: int, p: int) -> list[TwoSquareSolution]:
     solution with p not | n makes D a square mod p (mod 8 for p = 2), and
     p | n forces p | m.
     """
-    if not is_discriminant(D):
-        raise ValueError(f"{D} is not a valid negative discriminant")
+    check_discriminant(D)
     check_prime_not_dividing(p, D)
     abs_d = -D
     four_p2 = 4 * p * p

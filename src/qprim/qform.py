@@ -74,6 +74,12 @@ def is_discriminant(D: int) -> bool:
     return D < 0 and D % 4 in (0, 1)
 
 
+def check_discriminant(D: int) -> None:
+    """Raise ValueError unless D is a valid negative discriminant."""
+    if not is_discriminant(D):
+        raise ValueError(f"{D} is not a valid negative discriminant")
+
+
 def discriminants_in(dmin: int, dmax: int) -> list[int]:
     """Valid negative discriminants in [dmin, dmax], ascending."""
     return [D for D in range(dmin, min(dmax, -3) + 1) if is_discriminant(D)]
@@ -134,11 +140,6 @@ def reduce(f: BinaryForm) -> BinaryForm:
     return g
 
 
-def inverse_rep(f: BinaryForm) -> BinaryForm:
-    """Reduced representative of the inverse class (mirror form [a,-b,c], reduced)."""
-    return reduce(BinaryForm(f.a, -f.b, f.c))
-
-
 def is_ambiguous(f: BinaryForm) -> bool:
     """For a reduced form: class has order <= 2, i.e. b = 0, a = b or a = c."""
     if not is_reduced(f):
@@ -148,8 +149,7 @@ def is_ambiguous(f: BinaryForm) -> bool:
 
 def omega(D: int) -> int:
     """Number of automorphs: 6 for D = -3, 4 for D = -4, else 2."""
-    if not is_discriminant(D):
-        raise ValueError(f"{D} is not a valid negative discriminant")
+    check_discriminant(D)
     if D == -3:
         return 6
     if D == -4:

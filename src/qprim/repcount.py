@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .intarith import ceil_div, divisors, is_prime, kronecker
-from .qform import BinaryForm, is_discriminant, omega
+from .qform import BinaryForm, check_discriminant, omega
 
 
 def enumerate_solutions(f: BinaryForm, n: int) -> list[tuple[int, int]]:
@@ -126,6 +126,5 @@ def mass(n: int, D: int) -> int:
     over all classes of discriminant D, valid whenever gcd(n, D) = 1."""
     if n < 1:
         raise ValueError(f"mass requires n >= 1, got {n}")
-    if not is_discriminant(D):
-        raise ValueError(f"{D} is not a valid negative discriminant")
+    check_discriminant(D)
     return omega(D) * sum(kronecker(D, k) for k in divisors(n))

@@ -148,11 +148,6 @@ def rep_count_table(f: TernaryForm, bound: int) -> dict[int, int]:
     return counts
 
 
-def ternary_spectrum(f: TernaryForm, bound: int) -> list[int]:
-    """Sorted values 1 <= n <= bound represented by f."""
-    return sorted(rep_count_table(f, bound))
-
-
 def unimodular_match(
     f: TernaryForm, g: TernaryForm
 ) -> tuple[tuple[tuple[int, int, int], ...], int] | None:
@@ -241,8 +236,8 @@ def spectrum_identity_report(bound: int = 1000) -> SpectrumIdentityReport:
     f1 = build_fm(1)
     tf1 = build_tilde_fm(1)
     target = TernaryForm(*REDUCED_SHAPE)
-    lhs = {n for n in ternary_spectrum(f1, bound) if n % 3 == 1}
-    rhs = {n for n in ternary_spectrum(tf1, bound) if n % 3 == 1}
+    lhs = {n for n in rep_count_table(f1, bound) if n % 3 == 1}
+    rhs = {n for n in rep_count_table(tf1, bound) if n % 3 == 1}
     sym_diff = tuple(sorted(lhs ^ rhs))
     sets_match = (lhs - {1}) == rhs
     theta_match = rep_count_table(tf1, THETA_BOUND) == rep_count_table(

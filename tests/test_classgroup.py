@@ -10,7 +10,6 @@ from qprim.classgroup import (
     ProperClass,
     ambiguous_classes,
     compose,
-    compose_forms,
     element_order,
     enumerate_classes,
     identity_form,
@@ -44,10 +43,9 @@ def test_identity_form():
     assert identity_form(-23).rep == BinaryForm(1, 1, 6)
     assert identity_form(-3).rep == BinaryForm(1, 1, 1)
     assert identity_form(-7).rep == BinaryForm(1, 1, 2)
-    with pytest.raises(ValueError):
-        identity_form(-5)
-    with pytest.raises(ValueError):
-        identity_form(8)
+    for D in (-5, 0, 8):
+        with pytest.raises(ValueError, match="not a valid negative discriminant"):
+            identity_form(D)
 
 
 def test_enumerate_classes_examples():
@@ -70,6 +68,9 @@ def test_enumerate_classes_examples():
     assert enumerate_classes(-4).h == 1
     assert enumerate_classes(-47).h == 5
     assert enumerate_classes(-163).h == 1
+    for D in (-5, 0, 8):
+        with pytest.raises(ValueError, match="not a valid negative discriminant"):
+            enumerate_classes(D)
 
 
 def test_enumerate_classes_wellformed():
@@ -100,17 +101,20 @@ def test_census_complete_under_reduction():
 
 
 def test_compose_examples():
+    def rep(f, g):
+        return compose(ProperClass(f), ProperClass(g)).rep
+
     f = BinaryForm(3, 2, 5)
-    assert compose_forms(f, f) == BinaryForm(2, 0, 7)
-    assert compose_forms(f, BinaryForm(3, -2, 5)) == BinaryForm(1, 0, 14)
-    assert compose_forms(BinaryForm(2, 0, 7), BinaryForm(2, 0, 7)) == BinaryForm(1, 0, 14)
-    assert compose_forms(BinaryForm(2, 0, 7), f) == BinaryForm(3, -2, 5)
-    assert compose_forms(BinaryForm(2, 1, 3), BinaryForm(2, 1, 3)) == BinaryForm(2, -1, 3)
+    assert rep(f, f) == BinaryForm(2, 0, 7)
+    assert rep(f, BinaryForm(3, -2, 5)) == BinaryForm(1, 0, 14)
+    assert rep(BinaryForm(2, 0, 7), BinaryForm(2, 0, 7)) == BinaryForm(1, 0, 14)
+    assert rep(BinaryForm(2, 0, 7), f) == BinaryForm(3, -2, 5)
+    assert rep(BinaryForm(2, 1, 3), BinaryForm(2, 1, 3)) == BinaryForm(2, -1, 3)
 
 
 def test_compose_rejects_mixed_discriminants():
     with pytest.raises(ValueError):
-        compose_forms(BinaryForm(1, 0, 14), BinaryForm(1, 1, 6))
+        compose(ProperClass(BinaryForm(1, 0, 14)), ProperClass(BinaryForm(1, 1, 6)))
 
 
 def test_compose_matches_congruence_scan():
@@ -119,7 +123,7 @@ def test_compose_matches_congruence_scan():
         group = enumerate_classes(D)
         for x in group.classes:
             for y in group.classes:
-                expected = compose_forms(x.rep, y.rep)
+                expected = compose(x, y).rep
                 scanned = brute_compose(x.rep, y.rep)
                 assert scanned == {expected}
 

@@ -1,11 +1,14 @@
-"""End-to-end CLI behavior: JSON payloads, formats, exit codes, env knobs."""
+"""End-to-end CLI behavior: JSON payloads, formats, exit codes."""
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qprim import cli, oracle
+from qprim import cli
 from qprim.classgroup import element_order, enumerate_classes
 from qprim.pprim import ROUTE_PRINCIPAL_SQUARE, Verdict, classify_all
 from qprim.repcount import rep_counts, spectrum
@@ -200,53 +203,6 @@ def test_verify_detects_corruption(capsys, monkeypatch):
     assert payload["contradictions"]
 
 
-def test_verify_honors_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("QPRIM_THREADS", "2")
-    code, parallel, _ = run_json(
-        capsys,
-        ["verify", "--dmin", "-40", "--dmax", "-3", "--pmax", "5", "--bound", "300"],
-    )
-    monkeypatch.setenv("QPRIM_THREADS", "1")
-    code2, serial, _ = run_json(
-        capsys,
-        ["verify", "--dmin", "-40", "--dmax", "-3", "--pmax", "5", "--bound", "300"],
-    )
-    assert code == code2 == 0
-    assert parallel == serial
-
-
-def test_verify_caps_thread_env(capsys, monkeypatch):
-    requested = []
-
-    class RecordingPool:
-        """Stands in for the process pool: records its size, maps in-process."""
-
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setenv("QPRIM_THREADS", "100000")
-    argv = ["verify", "--dmin", "-40", "--dmax", "-3", "--pmax", "5", "--bound", "300"]
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert run_json(capsys, argv)[0] == 0
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert run_json(capsys, argv)[0] == 0
-    assert requested == [3, 20]  # the CPU count, then the 20 discriminants
-    # a single discriminant runs serially and never builds a pool
-    argv = ["verify", "--dmin", "-56", "--dmax", "-56", "--pmax", "5", "--bound", "300"]
-    assert run_json(capsys, argv)[0] == 0
-    assert requested == [3, 20]
-
-
 @pytest.mark.parametrize(
     "window", [["--dmin", "-3", "--dmax", "-20"], ["--pmax", "1"]]
 )
@@ -258,11 +214,22 @@ def test_verify_rejects_window_without_cells(capsys, window):
     assert "no (D, p) cell" in captured.err
 
 
-def test_verify_rejects_bad_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("QPRIM_THREADS", "many")
-    code = cli.run(["verify", "--dmin", "-4", "--dmax", "-3", "--pmax", "3"])
-    assert code == 2
-    assert "QPRIM_THREADS" in capsys.readouterr().err
+def test_imports_start_no_process_pool():
+    # verify runs in one process, so no import pulls in the pool machinery
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys, qprim, qprim.cli, qprim.oracle; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_ternary_demo(capsys):

@@ -33,6 +33,8 @@ STDOUT_CASES = {
     "isometry_-56_3.json": ["isometry", "-56", "3", "--form", "1,0,14"],
     "isometry_-3_7.json": ["isometry", "-3", "7", "--form", "1,1,1"],
     "represent_-56_9_3.json": ["represent", "-56", "9", "--p", "3"],
+    "represent_-56_9_3.txt": ["represent", "-56", "9", "--p", "3", "--format", "text"],
+    "represent_-56_9_3.tsv": ["represent", "-56", "9", "--p", "3", "--format", "tsv"],
     "spectrum_-56_3_2_5.json": ["spectrum", "-56", "--form", "3,2,5", "--bound", "200",
                                 "--p", "3"],
     "ternary-demo_1000.json": ["ternary-demo", "--bound", "1000"],

@@ -262,12 +262,6 @@ def test_grid_rejects_window_without_cells():
         verify_classification_grid(-4, -4, 2, 100)  # the only prime divides D
 
 
-def test_grid_parallel_matches_serial():
-    serial = verify_classification_grid(-60, -3, 7, 500)
-    parallel = verify_classification_grid(-60, -3, 7, 500, workers=2)
-    assert serial.cells == parallel.cells
-
-
 def test_raw_form_is_unchecked():
     g = raw_form(2, 0, 2)
     assert g.a == 2 and g.b == 0 and g.c == 2

@@ -59,8 +59,9 @@ def test_solve_two_square_preconditions():
     assert solve_two_square(-56, 11) == []  # inert: no solution, no error
     with pytest.raises(ValueError):
         solve_two_square(-56, 4)  # not prime
-    with pytest.raises(ValueError):
-        solve_two_square(-5, 3)  # not a discriminant
+    for D in (-5, 0, 8):
+        with pytest.raises(ValueError, match="not a valid negative discriminant"):
+            solve_two_square(D, 3)
 
 
 def test_solve_two_square_matches_box_scan():

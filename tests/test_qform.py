@@ -5,14 +5,13 @@ import random
 import pytest
 
 from helpers import raw_form
-from qprim.classgroup import enumerate_classes
+from qprim.classgroup import ProperClass, enumerate_classes, inverse_class
 from qprim.qform import (
     BinaryForm,
     IntMap2,
     apply_map,
     discriminants_in,
     improper_automorph,
-    inverse_rep,
     is_ambiguous,
     is_discriminant,
     is_reduced,
@@ -167,15 +166,18 @@ def test_reduced_coefficient_bound():
 
 
 def test_inverse_rep():
-    assert inverse_rep(BinaryForm(3, 2, 5)) == BinaryForm(3, -2, 5)
-    assert inverse_rep(BinaryForm(3, -2, 5)) == BinaryForm(3, 2, 5)
-    assert inverse_rep(BinaryForm(2, 0, 7)) == BinaryForm(2, 0, 7)
-    assert inverse_rep(BinaryForm(1, 1, 6)) == BinaryForm(1, 1, 6)
-    assert inverse_rep(BinaryForm(2, 1, 3)) == BinaryForm(2, -1, 3)
+    def inv(f):
+        return inverse_class(ProperClass(f)).rep
+
+    assert inv(BinaryForm(3, 2, 5)) == BinaryForm(3, -2, 5)
+    assert inv(BinaryForm(3, -2, 5)) == BinaryForm(3, 2, 5)
+    assert inv(BinaryForm(2, 0, 7)) == BinaryForm(2, 0, 7)
+    assert inv(BinaryForm(1, 1, 6)) == BinaryForm(1, 1, 6)
+    assert inv(BinaryForm(2, 1, 3)) == BinaryForm(2, -1, 3)
     # involution
     for D in discriminants_in(-500, -3):
         for cls in enumerate_classes(D).classes:
-            assert inverse_rep(inverse_rep(cls.rep)) == cls.rep
+            assert inverse_class(inverse_class(cls)) == cls
 
 
 def test_is_ambiguous():
@@ -194,10 +196,9 @@ def test_omega():
     assert omega(-4) == 4
     assert omega(-7) == 2
     assert omega(-56) == 2
-    with pytest.raises(ValueError):
-        omega(-5)
-    with pytest.raises(ValueError):
-        omega(4)
+    for D in (-5, 0, 4, 8):
+        with pytest.raises(ValueError, match="not a valid negative discriminant"):
+            omega(D)
 
 
 def test_improper_automorph_examples():

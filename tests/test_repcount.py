@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from qprim.classgroup import enumerate_classes
-from qprim.qform import BinaryForm, inverse_rep
+from qprim.classgroup import enumerate_classes, inverse_class
+from qprim.qform import BinaryForm
 from qprim.repcount import (
     RepRecord,
     enumerate_solutions,
@@ -96,7 +96,7 @@ def test_rep_counts_symmetric_under_inverse():
     for D in (-23, -31, -56):
         for cls in enumerate_classes(D).classes:
             f = cls.rep
-            g = inverse_rep(f)
+            g = inverse_class(cls).rep
             for p in (2, 3, 5):
                 for n in range(1, 500, 7):
                     rf = rep_counts(f, n, p)
@@ -162,8 +162,9 @@ def test_mass_examples():
     assert mass(1, -4) == 4
     with pytest.raises(ValueError):
         mass(0, -56)
-    with pytest.raises(ValueError):
-        mass(5, -5)
+    for D in (-5, 0, 8):
+        with pytest.raises(ValueError, match="not a valid negative discriminant"):
+            mass(5, D)
 
 
 def test_mass_identity_sweep():

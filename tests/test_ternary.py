@@ -13,7 +13,6 @@ from qprim.ternary import (
     rep_count_table,
     spectrum_identity_report,
     substitute,
-    ternary_spectrum,
     unimodular_match,
 )
 
@@ -140,12 +139,10 @@ def test_rep_count_table_matches_box_scan():
 
 def test_ternary_spectrum_basics():
     f1 = build_fm(1)
-    spec = ternary_spectrum(f1, 50)
-    assert spec == sorted(spec)
-    assert {1, 3, 4, 5, 9, 16, 25, 49} <= set(spec)
+    assert {1, 3, 4, 5, 9, 16, 25, 49} <= rep_count_table(f1, 50).keys()
     tilde = build_tilde_fm(1)
-    assert min(ternary_spectrum(tilde, 50)) == 4
-    assert 1 not in ternary_spectrum(tilde, 50)
+    assert min(rep_count_table(tilde, 50)) == 4
+    assert 1 not in rep_count_table(tilde, 50)
 
 
 def test_unimodular_match_finds_change_of_basis():
@@ -190,8 +187,8 @@ def test_spectrum_identity_report():
 def test_spectrum_identity_lhs_rhs_congruent():
     # each compared value really is 1 mod 3, and 1 itself only appears left
     report = spectrum_identity_report(200)
-    f1_vals = {n for n in ternary_spectrum(build_fm(1), 200) if n % 3 == 1}
-    tilde_vals = {n for n in ternary_spectrum(build_tilde_fm(1), 200) if n % 3 == 1}
+    f1_vals = {n for n in rep_count_table(build_fm(1), 200) if n % 3 == 1}
+    tilde_vals = {n for n in rep_count_table(build_tilde_fm(1), 200) if n % 3 == 1}
     assert 1 in f1_vals and 1 not in tilde_vals
     assert f1_vals - {1} == tilde_vals
     assert report.sets_match
