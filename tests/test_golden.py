@@ -25,6 +25,10 @@ STDOUT_CASES = {
     "classgroup_-56.txt": ["classgroup", "-56", "--format", "text"],
     "classgroup_-56.tsv": ["classgroup", "-56", "--format", "tsv"],
     "classify_-56_3.json": ["classify", "-56", "3"],
+    # 11 is inert in -56: no class qualifies
+    "classify_-56_11.json": ["classify", "-56", "11"],
+    # 4 * 23^2 = 10^2 + 56 * 6^2: every class qualifies
+    "classify_-56_23.json": ["classify", "-56", "23"],
     # route 3 with both outcomes
     "classify_-2604_11.json": ["classify", "-2604", "11"],
     "classify_-2604_11.txt": ["classify", "-2604", "11", "--format", "text"],
