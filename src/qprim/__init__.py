@@ -16,7 +16,6 @@ from .pprim import (
     TwoSquareSolution,
     Verdict,
     build_isometry,
-    classify,
     classify_all,
     p_square_in_class,
     solve_two_square,
@@ -56,7 +55,6 @@ __all__ = [
     "ambiguous_classes",
     "apply_map",
     "build_isometry",
-    "classify",
     "classify_all",
     "compose",
     "divisors",

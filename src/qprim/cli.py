@@ -2,7 +2,7 @@
 
 stdout carries data (JSON with alphabetically ordered keys by default);
 stderr carries diagnostics.  Exit codes: 0 success, 1 a verification
-sweep found a contradiction, 2 usage or precondition error.  `verify`
+sweep found a contradiction, 2 usage, precondition or file error.  `verify`
 runs its whole grid in this one process.
 """
 
@@ -251,7 +251,7 @@ def run(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,10 @@ D < 0 and a prime p not dividing D the decision runs in three routes:
   3. otherwise: a class qualifies iff it has order 4 and its square
      p-primitively represents p^2.
 
-Each verdict carries machine-checkable evidence for its route.
+Routes 1 and 2 are facts about (D, p), so `classify_all` decides them once
+for the whole group and only route 3 looks at each class; there is no
+per-class entry point.  Each verdict carries machine-checkable evidence
+for its route.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .classgroup import ProperClass, compose, element_order, enumerate_classes
+from .classgroup import ProperClass, compose, enumerate_classes
 from .intarith import check_prime_not_dividing, kronecker
 from .qform import BinaryForm, IntMap2, check_discriminant, transformed_coefficients
 from .repcount import rep_counts
@@ -126,48 +129,36 @@ class Verdict:
         }
 
 
-def classify(x: ProperClass, p: int) -> Verdict:
-    """Decide whether the class x is completely p-primitive (p prime, p not | D)."""
-    D = x.D
+def classify_all(D: int, p: int) -> list[Verdict]:
+    """Verdicts for every class of discriminant D, in representative order.
+
+    Requires p prime, p not | D.  Routes 1 and 2 depend only on (D, p) and
+    settle the whole group; route 3 tests each distinct square class once.
+    """
+    group = enumerate_classes(D)
     check_prime_not_dividing(p, D)
     if kronecker(D, p) == -1:
         # every solution of f = p^2*a has both coordinates divisible by p
-        return Verdict(
-            x, p, False, ROUTE_SYMBOL_MINUS_ONE, {"witness": p * p * x.rep.a}
-        )
+        return [Verdict(x, p, False, ROUTE_SYMBOL_MINUS_ONE, {"witness": p * p * x.rep.a})
+                for x in group.classes]
     sols = solve_two_square(D, p)
     if sols:
         m, n, _ = sols[0]
-        return Verdict(x, p, True, ROUTE_PRINCIPAL_SQUARE, {"m": m, "n": n})
-    order = element_order(x)
-    square = compose(x, x)
-    has_sq, xy = p_square_in_class(square, p)
-    if order == 4 and has_sq:
-        assert xy is not None
-        return Verdict(
-            x,
-            p,
-            True,
-            ROUTE_ORDER_FOUR_SQUARE,
-            {
-                "order": 4,
-                "solution": list(xy),
-                "square_form": list(square.rep.triple()),
-            },
-        )
-    return Verdict(
-        x,
-        p,
-        False,
-        ROUTE_ORDER_FOUR_SQUARE_FAILED,
-        {
-            "order": order,
-            "square_form": list(square.rep.triple()),
-            "square_has_p_square": has_sq,
-        },
-    )
-
-
-def classify_all(D: int, p: int) -> list[Verdict]:
-    """Verdicts for every class of discriminant D, in representative order."""
-    return [classify(x, p) for x in enumerate_classes(D).classes]
+        return [Verdict(x, p, True, ROUTE_PRINCIPAL_SQUARE, {"m": m, "n": n})
+                for x in group.classes]
+    square_tests: dict[ProperClass, tuple[bool, tuple[int, int] | None]] = {}
+    verdicts = []
+    for x in group.classes:
+        order = group.orders[x]
+        square = compose(x, x)
+        if square not in square_tests:
+            square_tests[square] = p_square_in_class(square, p)
+        has_sq, xy = square_tests[square]
+        square_form = list(square.rep.triple())
+        if order == 4 and has_sq:
+            verdicts.append(Verdict(x, p, True, ROUTE_ORDER_FOUR_SQUARE, {
+                "order": 4, "solution": list(xy), "square_form": square_form}))
+        else:
+            verdicts.append(Verdict(x, p, False, ROUTE_ORDER_FOUR_SQUARE_FAILED, {
+                "order": order, "square_form": square_form, "square_has_p_square": has_sq}))
+    return verdicts

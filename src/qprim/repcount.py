@@ -59,10 +59,9 @@ def rep_counts(f: BinaryForm, n: int, p: int) -> RepRecord:
 
 
 class ValueStats(NamedTuple):
-    """Per-value stats from a sweep: solution count, gcd over all solution
-    gcd(x, y) values, and whether a primitive solution exists."""
+    """Per-value stats from a sweep: gcd over all solution gcd(x, y) values,
+    and whether a primitive solution exists."""
 
-    count: int
     gcd_all: int
     primitive: bool
 
@@ -94,12 +93,11 @@ def rep_profile(f: BinaryForm, bound: int) -> dict[int, ValueStats]:
             g = gcd(x, y)
             st = raw.get(v)
             if st is None:
-                raw[v] = [1, g, g == 1]
+                raw[v] = [g, g == 1]
             else:
-                st[0] += 1
-                st[1] = gcd(st[1], g)
-                st[2] = st[2] or g == 1
-    return {n: ValueStats(cnt, g, prim) for n, (cnt, g, prim) in raw.items()}
+                st[0] = gcd(st[0], g)
+                st[1] = st[1] or g == 1
+    return {n: ValueStats(g, prim) for n, (g, prim) in raw.items()}
 
 
 class Spectrum(NamedTuple):

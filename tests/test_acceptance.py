@@ -38,7 +38,7 @@ from qprim.qform import (
     is_ambiguous,
     transformed_coefficients,
 )
-from qprim.repcount import mass, rep_counts, rep_profile
+from qprim.repcount import enumerate_solutions, mass, rep_counts
 from qprim.ternary import spectrum_identity_report
 
 
@@ -135,11 +135,11 @@ def test_criterion_3():
 def test_criterion_4():
     bound = 500
     for D in (-3, -4, -23, -31, -56):
-        profiles = [rep_profile(c.rep, bound) for c in enumerate_classes(D).classes]
+        classes = enumerate_classes(D).classes
         for n in range(1, bound + 1):
             if math.gcd(n, D) != 1:
                 continue
-            total = sum(prof[n].count for prof in profiles if n in prof)
+            total = sum(len(enumerate_solutions(c.rep, n)) for c in classes)
             assert total == mass(n, D), (D, n)
     # spot values, both sides computed independently
     def total_reps(n, D):

@@ -184,6 +184,22 @@ def test_verify_writes_full_report(capsys, tmp_path):
     assert str(path) in captured.err
 
 
+def test_verify_report_path_error_is_not_a_contradiction(capsys, tmp_path):
+    # exit 1 means "contradiction found"; an unwritable report path is exit 2
+    path = tmp_path / "missing" / "report.json"
+    code = cli.run(
+        ["verify", "--dmin", "-56", "--dmax", "-56", "--pmax", "5",
+         "--bound", "500", "--json", str(path)]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["ok"] is True
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(path) in err[0]
+    assert not path.parent.exists()
+
+
 def test_verify_detects_corruption(capsys, monkeypatch):
     from qprim import pprim as pprim_module
 

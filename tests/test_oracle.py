@@ -7,8 +7,8 @@ import pytest
 
 from helpers import brute_force_cpp_full_sweep, raw_form
 from qprim import pprim
-from qprim.classgroup import ProperClass, enumerate_classes
-from qprim.intarith import kronecker, primes_up_to
+from qprim.classgroup import enumerate_classes
+from qprim.intarith import primes_up_to
 from qprim.oracle import (
     STATUS_AGREES,
     STATUS_CONTRADICTION,

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from qprim import pprim
 from qprim.classgroup import (
     ProperClass,
     element_order,
@@ -19,7 +20,6 @@ from qprim.pprim import (
     ROUTES,
     TwoSquareSolution,
     build_isometry,
-    classify,
     classify_all,
     p_square_in_class,
     solve_two_square,
@@ -198,7 +198,30 @@ def test_classify_preconditions():
     with pytest.raises(ValueError):
         classify_all(-56, 4)  # not prime
     with pytest.raises(ValueError):
-        classify(ProperClass(BinaryForm(1, 0, 14)), 1)
+        classify_all(-56, 1)  # not prime
+
+
+@pytest.mark.parametrize(
+    "D, p, route",
+    [
+        (-56, 11, ROUTE_SYMBOL_MINUS_ONE),  # inert
+        (-56, 23, ROUTE_PRINCIPAL_SQUARE),  # 4 * 23^2 = 10^2 + 56 * 6^2
+        (-2604, 11, ROUTE_ORDER_FOUR_SQUARE_FAILED),  # route 3, h = 24
+    ],
+)
+def test_classify_all_settles_pair_facts_once(monkeypatch, D, p, route):
+    # (D/p) and the two-square equation depend on (D, p), not on the class
+    calls = {"kronecker": 0, "solve_two_square": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(pprim, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(pprim, name, counting)
+    verdicts = classify_all(D, p)
+    assert len(verdicts) == enumerate_classes(D).h
+    assert route in {v.route for v in verdicts}
+    assert calls["kronecker"] <= 1 and calls["solve_two_square"] <= 1
 
 
 def test_routes_are_exhaustive():
