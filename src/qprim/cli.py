@@ -2,8 +2,10 @@
 
 stdout carries data (JSON with alphabetically ordered keys by default);
 stderr carries diagnostics.  Exit codes: 0 success, 1 a verification
-sweep found a contradiction, 2 usage, precondition or file error.  `verify`
-runs its whole grid in this one process.
+sweep found a contradiction or the ternary identity report failed, 2 usage,
+precondition or file error (a `ternary-demo --bound` above
+`ternary.MAX_BOUND` included).  `verify` runs its whole grid in this one
+process.
 """
 
 from __future__ import annotations
@@ -182,7 +184,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_ternary_demo(args: argparse.Namespace) -> int:
     report = ternary.spectrum_identity_report(args.bound)
     _emit(report.to_json())
-    return 0
+    return 0 if report.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,10 +3,18 @@
 The family f_m = m^2 x^2 + 3y^2 + 2yz + 5z^2 (m not divisible by 3) and
 its index-3 restriction tilde_f_m = f_m(3x + y - z, y, z) share, for
 m = 1, the same represented values in the residue class 1 mod 3 except
-for the single value 1.  Everything here is verified by exhaustive
-lattice-point enumeration; the equivalence of tilde_f_1 with the shape
-[4, 6, 7, yz=6, zx=2, xy=0] is additionally searched for over bounded
-unimodular changes of basis.
+for the single value 1.
+
+Both value sets come from one sweep of a binary form.  f_1 = t^2 + g(y, z)
+with g = [3, 2, 5] of discriminant -56, and tilde_f_1 is the same sum
+with t = 3x + y - z, that is t = y - z (mod 3).  So n is a value of f_1
+iff n - t^2 is a value of g for some t >= 0, and a value of tilde_f_1
+iff n - t^2 = g(y, z) for some t >= 0 and (y, z) with y - z = +-t
+(mod 3); g(0, 0) = 0 supplies the squares.  The sweep of g is exhaustive,
+as is `rep_count_table`, the lattice-point count that checks the theta
+prefix and serves the tests as the reference.  The equivalence of
+tilde_f_1 with the shape [4, 6, 7, yz=6, zx=2, xy=0] is additionally
+searched for over bounded unimodular changes of basis.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ Vec3 = tuple[int, int, int]
 ENTRY_BOUND = 3
 #: theta series of tilde_f_1 and the reduced shape compared up to this value
 THETA_BOUND = 200
+#: largest bound spectrum_identity_report accepts (about 0.5 s of work)
+MAX_BOUND = 10**6
 
 
 @dataclass(frozen=True, order=True)
@@ -180,12 +190,50 @@ def unimodular_match(
     return None
 
 
+def one_mod_three_values(bound: int) -> tuple[set[int], set[int]]:
+    """The values n <= bound, n = 1 mod 3, of f_1 and of tilde_f_1.
+
+    One sweep of g = [3, 2, 5] over 3g = (3y + z)^2 + 14z^2 <= 3 bound
+    splits its values by whether y = z (mod 3); (-y, -z) gives the same
+    value and split, so z >= 0 suffices.  Since {t, -t} mod 3 is {0} or
+    {1, 2}, tilde_f_1 takes t^2 + g(y, z) for 3 | t with y = z and for
+    3 not | t with y != z (mod 3), while f_1 takes every t with every
+    (y, z).  Each set is a bitset in an int, shifted by t^2 per t.
+    """
+    limit = 3 * bound
+    one = ord("1")
+    same = bytearray(b"0") * (bound + 1)
+    other = bytearray(b"0") * (bound + 1)
+    for z in range(math.isqrt(limit // 14) + 1):
+        s = math.isqrt(limit - 14 * z * z)
+        for y in range(-((s + z) // 3), (s - z) // 3 + 1):
+            u = 3 * y + z
+            (other if (y - z) % 3 else same)[(u * u + 14 * z * z) // 3] = one
+    g_same = int(same[::-1], 2)
+    g_other = int(other[::-1], 2)
+    g_all = g_same | g_other
+    f1 = tf1 = 0
+    for t in range(math.isqrt(bound) + 1):
+        f1 |= g_all << t * t
+        tf1 |= (g_other if t % 3 else g_same) << t * t
+    return _one_mod_three_bits(f1, bound), _one_mod_three_bits(tf1, bound)
+
+
+def _one_mod_three_bits(bits: int, bound: int) -> set[int]:
+    # one bin() pass: testing bits >> n & 1 for each n is quadratic
+    digits = bin(bits)[:1:-1]
+    return {n for n in range(1, min(len(digits), bound + 1), 3) if digits[n] == "1"}
+
+
 @dataclass(frozen=True)
 class SpectrumIdentityReport:
     """Exhaustive comparison of f_1 and tilde_f_1 on the class 1 mod 3.
 
     sets_match: (values of f_1 in 1 mod 3, minus {1}) equals
-    (values of tilde_f_1 in 1 mod 3), both up to `bound`.
+    (values of tilde_f_1 in 1 mod 3), both up to `bound`.  Both sets
+    come from one sweep of g = [3, 2, 5], because f_1 = t^2 + g(y, z) and
+    tilde_f_1 is the same sum with t = y - z (mod 3); see
+    `one_mod_three_values`.
     theta_match: tilde_f_1 and the reduced shape have the same
     representation counts up to THETA_BOUND.
     """
@@ -230,14 +278,13 @@ REDUCED_SHAPE = (4, 6, 7, 6, 2, 0)
 def spectrum_identity_report(bound: int = 1000) -> SpectrumIdentityReport:
     """Compare the 1 mod 3 values of f_1 and tilde_f_1 up to `bound` and
     cross-check tilde_f_1 against the reduced shape [4,6,7,yz=6,zx=2,xy=0]
-    by theta prefix, Gram determinant, and a bounded unimodular search."""
-    if bound < 10:
-        raise ValueError(f"bound must be >= 10, got {bound}")
-    f1 = build_fm(1)
+    by theta prefix, Gram determinant, and a bounded unimodular search.
+    A bound below 10 or above MAX_BOUND raises ValueError."""
+    if not 10 <= bound <= MAX_BOUND:
+        raise ValueError(f"bound must be in [10, {MAX_BOUND}], got {bound}")
     tf1 = build_tilde_fm(1)
     target = TernaryForm(*REDUCED_SHAPE)
-    lhs = {n for n in rep_count_table(f1, bound) if n % 3 == 1}
-    rhs = {n for n in rep_count_table(tf1, bound) if n % 3 == 1}
+    lhs, rhs = one_mod_three_values(bound)
     sym_diff = tuple(sorted(lhs ^ rhs))
     sets_match = (lhs - {1}) == rhs
     theta_match = rep_count_table(tf1, THETA_BOUND) == rep_count_table(

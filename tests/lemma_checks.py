@@ -1,0 +1,146 @@
+"""Brute-force checks of the lemmas the classifier rests on.
+
+Only the tests run these: a matrix search for scaling isometries,
+reflection parity of ambiguous forms, sampled product membership, and
+the sums-of-two-squares witness search.  `qprim verify` re-checks each
+cell by its witness search and `oracle.revalidate_verdict` instead.
+"""
+
+import math
+import random
+
+from qprim.classgroup import compose, enumerate_classes, identity_form, inverse_class
+from qprim.intarith import check_prime_not_dividing, is_prime, valuation
+from qprim.oracle import BruteVerdict, brute_force_cpp
+from qprim.pprim import build_isometry, solve_two_square
+from qprim.qform import BinaryForm, IntMap2, improper_automorph, transformed_coefficients
+from qprim.repcount import enumerate_solutions, rep_counts, spectrum
+
+#: coordinate bound of the vectors verify_reflection_parity checks
+REFLECTION_SAMPLE_BOUND = 15
+#: trials of verify_product_membership, and the largest value it samples
+PRODUCT_TRIALS = 40
+PRODUCT_VALUE_CAP = 200
+
+
+def _matrix_search(f: BinaryForm, p: int, entry_bound: int) -> list[IntMap2]:
+    """All T with f o T = p^2 f, det T = p^2, T != 0 mod p, entries within bound.
+
+    The first column (u, v) must satisfy f(u, v) = p^2 a (the x^2
+    coefficient of f o T), and for fixed (u, v) the cross-coefficient and
+    determinant equations form a linear system in the second column with
+    determinant 2p^2a != 0, so (r, s) = (-cv/a, u + bv/a) is forced.  The
+    enumeration is therefore exhaustive; every candidate is still checked
+    against the defining equations directly.
+    """
+    a, b, c = f.a, f.b, f.c
+    p2 = p * p
+    target = (p2 * a, p2 * b, p2 * c)
+    found = []
+    for u, v in enumerate_solutions(f, p2 * a):
+        if max(abs(u), abs(v)) > entry_bound:
+            continue
+        if (c * v) % a != 0 or (b * v) % a != 0:
+            continue
+        r = -(c * v) // a
+        s = u + (b * v) // a
+        if max(abs(r), abs(s)) > entry_bound:
+            continue
+        if u % p == 0 and v % p == 0 and r % p == 0 and s % p == 0:
+            continue
+        t = IntMap2(u, r, v, s)
+        if t.det != p2:
+            continue
+        if transformed_coefficients(f, t) != target:
+            continue
+        found.append(t)
+    return found
+
+
+def verify_isometry_matrix_search(D: int, p: int) -> bool:
+    """Matrix-level oracle: a scaling isometry of the principal form exists
+    iff the two-square equation 4p^2 = m^2 + |D|n^2 has a p-primitive
+    solution.  Entries up to 2p*sqrt(max(a, c)) suffice; the constructed
+    isometry must itself land inside that box.
+    """
+    check_prime_not_dividing(p, D)
+    f = identity_form(D).rep
+    entry_bound = 2 * p * (math.isqrt(max(f.a, f.c)) + 1)
+    found = _matrix_search(f, p, entry_bound)
+    sols = solve_two_square(D, p)
+    if not sols:
+        return not found
+    t = build_isometry(f, sols[0])
+    inside = all(abs(e) <= entry_bound for e in (t.m11, t.m12, t.m21, t.m22))
+    return bool(found) and inside and t in found
+
+
+def verify_reflection_parity(f: BinaryForm, q: int) -> bool:
+    """For the reflection sigma of an ambiguous reduced form and q not | D:
+    ord_q f(v +- sigma v) is even whenever the value is nonzero, and a
+    vector outside qZ^2 whose value q divides is never fixed up to sign.
+    Checked on every v with coordinates in [-REFLECTION_SAMPLE_BOUND,
+    REFLECTION_SAMPLE_BOUND].
+    """
+    check_prime_not_dividing(q, f.D)
+    sigma = improper_automorph(f)  # raises for non-ambiguous forms
+    span = range(-REFLECTION_SAMPLE_BOUND, REFLECTION_SAMPLE_BOUND + 1)
+    for x in span:
+        for y in span:
+            sx, sy = sigma(x, y)
+            for wx, wy in ((x - sx, y - sy), (x + sx, y + sy)):
+                val = f.evaluate(wx, wy)
+                if val != 0 and valuation(q, val) % 2 != 0:
+                    return False
+            if (x % q, y % q) != (0, 0) and f.evaluate(x, y) % q == 0:
+                if (sx, sy) in ((x, y), (-x, -y)):
+                    return False
+    return True
+
+
+def verify_product_membership(D: int, p: int) -> bool:
+    """Sampled product check: for a p-primitively represented by class X and
+    alpha by class Z with gcd(a, alpha, D) = 1, the product a*alpha is
+    p-primitively represented by X*Z or by X*Z^-1.
+
+    Sampling is deterministic (seeded by D and p): PRODUCT_TRIALS pairs
+    with a, alpha <= PRODUCT_VALUE_CAP, in at most 50 attempts per trial.
+    Returns True only if every performed trial succeeds and at least one
+    trial ran.
+    """
+    check_prime_not_dividing(p, D)
+    rng = random.Random(f"product:{D}:{p}")
+    group = enumerate_classes(D)
+    pools = {x: spectrum(x.rep, PRODUCT_VALUE_CAP, p).qp_star for x in group.classes}
+    checked = 0
+    attempts = 0
+    while checked < PRODUCT_TRIALS and attempts < PRODUCT_TRIALS * 50:
+        attempts += 1
+        x = rng.choice(group.classes)
+        z = rng.choice(group.classes)
+        if not pools[x] or not pools[z]:
+            continue
+        a = rng.choice(pools[x])
+        alpha = rng.choice(pools[z])
+        if math.gcd(math.gcd(a, alpha), D) != 1:
+            continue
+        n = a * alpha
+        xz = compose(x, z)
+        xz_inv = compose(x, inverse_class(z))
+        if rep_counts(xz.rep, n, p).r_star_p == 0 and rep_counts(xz_inv.rep, n, p).r_star_p == 0:
+            return False
+        checked += 1
+    return checked > 0
+
+
+def verify_jones(k: int, p: int, bound: int) -> BruteVerdict:
+    """Witness search for x^2 + k*y^2 at an odd prime p it represents,
+    with gcd(p, 2k) = 1; the classical criterion predicts no witness."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not is_prime(p) or p == 2 or math.gcd(p, 2 * k) != 1:
+        raise ValueError(f"p must be an odd prime coprime to 2k, got p = {p}, k = {k}")
+    f = BinaryForm(1, 0, k)
+    if not enumerate_solutions(f, p):
+        raise ValueError(f"hypothesis not met: {p} is not represented by {f}")
+    return brute_force_cpp(f, p, bound)

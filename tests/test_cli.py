@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from qprim import cli
+from qprim import cli, ternary
 from qprim.classgroup import element_order, enumerate_classes
 from qprim.pprim import ROUTE_PRINCIPAL_SQUARE, Verdict, classify_all
 from qprim.repcount import rep_counts, spectrum
@@ -258,6 +259,18 @@ def test_ternary_demo(capsys):
     assert payload["change_det"] in (1, -1)
 
 
+def test_ternary_demo_failing_report_exits_1(capsys, monkeypatch):
+    real = ternary.spectrum_identity_report
+    monkeypatch.setattr(
+        ternary,
+        "spectrum_identity_report",
+        lambda bound: replace(real(bound), sets_match=False),
+    )
+    code, payload, _ = run_json(capsys, ["ternary-demo", "--bound", "120"])
+    assert code == 1
+    assert payload["sets_match"] is False
+
+
 def test_usage_errors(capsys):
     assert cli.run([]) == 2
     capsys.readouterr()
@@ -269,6 +282,9 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert cli.run(["classify", "-56", "3", "--json"]) == 2  # JSON is the default
     capsys.readouterr()
+    # above the limit, rejected before any work
+    assert cli.run(["ternary-demo", "--bound", str(ternary.MAX_BOUND + 1)]) == 2
+    assert "bound must be in" in capsys.readouterr().err
     assert cli.run(["--help"]) == 0
     capsys.readouterr()
 

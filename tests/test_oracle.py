@@ -6,6 +6,12 @@ from dataclasses import replace
 import pytest
 
 from helpers import brute_force_cpp_full_sweep, raw_form
+from lemma_checks import (
+    verify_isometry_matrix_search,
+    verify_jones,
+    verify_product_membership,
+    verify_reflection_parity,
+)
 from qprim import pprim
 from qprim.classgroup import enumerate_classes
 from qprim.intarith import primes_up_to
@@ -19,10 +25,6 @@ from qprim.oracle import (
     brute_force_cpp,
     revalidate_verdict,
     verify_classification_grid,
-    verify_isometry_matrix_search,
-    verify_jones,
-    verify_product_membership,
-    verify_reflection_parity,
 )
 from qprim.pprim import ROUTE_PRINCIPAL_SQUARE, Verdict, classify_all
 from qprim.qform import BinaryForm, discriminants_in, is_ambiguous

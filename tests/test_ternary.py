@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from qprim.ternary import (
+    MAX_BOUND,
     REDUCED_SHAPE,
     TernaryForm,
     build_fm,
     build_tilde_fm,
+    one_mod_three_values,
     rep_count_table,
     spectrum_identity_report,
     substitute,
@@ -182,6 +184,28 @@ def test_spectrum_identity_report():
     assert payload["sets_match"] is True
     with pytest.raises(ValueError):
         spectrum_identity_report(5)
+    # the limit is checked before any work, so MAX_BOUND + 1 costs nothing
+    with pytest.raises(ValueError, match="bound must be in"):
+        spectrum_identity_report(MAX_BOUND + 1)
+
+
+def one_mod_three_keys(table, bound):
+    return {n for n in table if n % 3 == 1 and n <= bound}
+
+
+def test_one_mod_three_values_match_lattice_count():
+    # every bound from 10 to 600 (each residue of the bound mod 3, and the
+    # top bit of the bitset) and 5000; rep_count_table(f, 600) restricted
+    # to n <= bound is rep_count_table(f, bound)
+    forms = (build_fm(1), build_tilde_fm(1))
+    tables = [rep_count_table(f, 600) for f in forms]
+    for bound in range(10, 601):
+        assert one_mod_three_values(bound) == tuple(
+            one_mod_three_keys(t, bound) for t in tables
+        ), bound
+    assert one_mod_three_values(5000) == tuple(
+        one_mod_three_keys(rep_count_table(f, 5000), 5000) for f in forms
+    )
 
 
 def test_spectrum_identity_lhs_rhs_congruent():
