@@ -17,7 +17,6 @@ from .pprim import (
     Verdict,
     build_isometry,
     classify_all,
-    p_square_in_class,
     solve_two_square,
 )
 from .qform import (
@@ -69,7 +68,6 @@ __all__ = [
     "kronecker",
     "mass",
     "omega",
-    "p_square_in_class",
     "rep_counts",
     "rep_profile",
     "reduce",

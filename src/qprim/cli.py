@@ -90,23 +90,17 @@ def _cmd_represent(args: argparse.Namespace) -> int:
     for cls in group.classes:
         if args.p is None:
             sols = repcount.enumerate_solutions(cls.rep, args.n)
-            rec = {
-                "form": list(cls.rep.triple()),
-                "r": len(sols),
-                "r_flat_p": None,
-                "r_star_p": None,
-                "solutions": [list(s) for s in sols],
-            }
+            r_star_p = r_flat_p = None
         else:
             full = repcount.rep_counts(cls.rep, args.n, args.p)
-            rec = {
-                "form": list(cls.rep.triple()),
-                "r": full.r,
-                "r_flat_p": full.r_flat_p,
-                "r_star_p": full.r_star_p,
-                "solutions": [list(s) for s in full.solutions],
-            }
-        records.append(rec)
+            sols, r_star_p, r_flat_p = full.solutions, full.r_star_p, full.r_flat_p
+        records.append({
+            "form": list(cls.rep.triple()),
+            "r": len(sols),
+            "r_flat_p": r_flat_p,
+            "r_star_p": r_star_p,
+            "solutions": [list(s) for s in sols],
+        })
     if args.fmt == "json":
         _emit({"D": args.D, "n": args.n, "p": args.p, "records": records})
     else:

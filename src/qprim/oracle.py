@@ -11,6 +11,9 @@ f up to N/p^2 and checks each candidate p^2 m by enumerating its
 solutions.  The classification grid runs that search at the sweep bound,
 escalates a negative verdict without a witness to 10x the bound, then to
 a ceiling that defaults to 50x, and re-derives every verdict's evidence.
+Route-3 evidence is compared as a whole, key for key, against a fresh
+derivation (composition, element order, one solution count of p^2) that
+calls no classifier helper.
 """
 
 from __future__ import annotations
@@ -28,12 +31,8 @@ from .pprim import (
     ROUTE_PRINCIPAL_SQUARE,
     ROUTE_SYMBOL_MINUS_ONE,
     Verdict,
-    p_square_in_class,
 )
 from .repcount import enumerate_solutions, rep_counts, rep_profile
-
-STATUS_WITNESS = "witness_found"
-STATUS_NO_WITNESS = "no_witness_up_to_bound"
 
 STATUS_AGREES = "agrees"
 STATUS_CONTRADICTION = "contradiction"
@@ -42,22 +41,13 @@ STATUS_UNCONFIRMED = "unconfirmed"
 
 @dataclass(frozen=True)
 class BruteVerdict:
-    """Result of an exhaustive witness search up to a bound."""
+    """Result of an exhaustive witness search up to a bound; `witness` is
+    None when no witness lies at or below it."""
 
     form: BinaryForm
     p: int
     bound: int
     witness: int | None
-    status: str
-
-    def to_json(self) -> dict:
-        return {
-            "bound": self.bound,
-            "form": list(self.form.triple()),
-            "p": self.p,
-            "status": self.status,
-            "witness": self.witness,
-        }
 
 
 def brute_force_cpp(f: BinaryForm, p: int, bound: int) -> BruteVerdict:
@@ -77,8 +67,8 @@ def brute_force_cpp(f: BinaryForm, p: int, bound: int) -> BruteVerdict:
         for m in sorted(rep_profile(f, bound // p2)):
             n = p2 * m
             if all(x % p == 0 and y % p == 0 for x, y in enumerate_solutions(f, n)):
-                return BruteVerdict(f, p, bound, n, STATUS_WITNESS)
-    return BruteVerdict(f, p, bound, None, STATUS_NO_WITNESS)
+                return BruteVerdict(f, p, bound, n)
+    return BruteVerdict(f, p, bound, None)
 
 
 @dataclass(frozen=True)
@@ -156,11 +146,7 @@ def _escalation_ladder(bound: int, ceiling: int) -> list[int]:
 
 
 def verify_classification_grid(
-    dmin: int = -400,
-    dmax: int = -3,
-    pmax: int = 23,
-    bound: int = 5000,
-    ceiling: int | None = None,
+    dmin: int, dmax: int, pmax: int, bound: int, ceiling: int | None = None
 ) -> GridReport:
     """Classify every (D, p, class) cell in the window and re-check it by
     exhaustive witness searches and by re-deriving its evidence.
@@ -169,12 +155,14 @@ def verify_classification_grid(
     must produce a witness; the search escalates to 10x bound, then to
     `ceiling` (default 50x bound), and cells still lacking one are
     reported as unconfirmed rather than contradictions.  A verdict whose
-    evidence fails `revalidate_verdict` is a contradiction.  A window with no
-    (D, p) cell raises ValueError.  The cells are checked one after another
-    in this process.
+    evidence fails `revalidate_verdict` is a contradiction.  A ceiling below
+    the bound, or a window with no (D, p) cell, raises ValueError.  The
+    cells are checked one after another in this process.
     """
     if ceiling is None:
         ceiling = bound * 50
+    if ceiling < bound:
+        raise ValueError(f"ceiling {ceiling} is below the bound {bound}")
     primes = primes_up_to(pmax)
     pairs = [(D, p) for D in discriminants_in(dmin, dmax) for p in primes if D % p]
     if not pairs:
@@ -202,7 +190,11 @@ def verify_classification_grid(
 
 
 def revalidate_verdict(v: Verdict) -> bool:
-    """Re-derive from scratch every fact a verdict's evidence claims."""
+    """Re-derive from scratch every fact a verdict's evidence claims.
+
+    Route-3 evidence must equal the re-derived facts key for key; a passing
+    verdict's solution is checked by evaluating the square class at it.
+    """
     f = v.cls.rep
     p = v.p
     if v.route == ROUTE_SYMBOL_MINUS_ONE:
@@ -216,22 +208,21 @@ def revalidate_verdict(v: Verdict) -> bool:
             and math.gcd(math.gcd(m, n), p) == 1
         )
     square = compose(v.cls, v.cls)
+    facts = {"order": element_order(v.cls), "square_form": list(square.rep.triple())}
     if v.route == ROUTE_ORDER_FOUR_SQUARE:
-        x, y = v.evidence["solution"]
+        xy = v.evidence.get("solution")
         return (
             v.completely_p_primitive
-            and v.evidence["square_form"] == list(square.rep.triple())
-            and square.rep.evaluate(x, y) == p * p
-            and math.gcd(math.gcd(x, y), p) == 1
-            and element_order(v.cls) == 4
+            and facts["order"] == 4
+            and v.evidence == {**facts, "solution": xy}
+            and square.rep.evaluate(*xy) == p * p
+            and math.gcd(*xy) % p != 0
         )
     if v.route == ROUTE_ORDER_FOUR_SQUARE_FAILED:
-        has_sq, _ = p_square_in_class(square, p)
-        order = v.evidence["order"]
+        has_sq = rep_counts(square.rep, p * p, p).r_star_p > 0
         return (
             not v.completely_p_primitive
-            and v.evidence["square_has_p_square"] == has_sq
-            and element_order(v.cls) == order
-            and (order != 4 or not has_sq)
+            and (facts["order"] != 4 or not has_sq)
+            and v.evidence == {**facts, "square_has_p_square": has_sq}
         )
     return False

@@ -13,9 +13,8 @@ D < 0 and a prime p not dividing D the decision runs in three routes:
      p-primitively represents p^2.
 
 Routes 1 and 2 are facts about (D, p), so `classify_all` decides them once
-for the whole group and only route 3 looks at each class; there is no
-per-class entry point.  Each verdict carries machine-checkable evidence
-for its route.
+for the whole group and only route 3 looks at each class.  Each verdict
+carries machine-checkable evidence for its route.
 """
 
 from __future__ import annotations
@@ -93,15 +92,6 @@ def build_isometry(f: BinaryForm, sol: TwoSquareSolution) -> IntMap2:
     return t
 
 
-def p_square_in_class(x: ProperClass, p: int) -> tuple[bool, tuple[int, int] | None]:
-    """Whether p^2 is p-primitively represented by x's reduced form, with witness."""
-    rec = rep_counts(x.rep, p * p, p)
-    for sx, sy in rec.solutions:
-        if math.gcd(sx, sy) % p != 0:
-            return True, (sx, sy)
-    return False, None
-
-
 @dataclass(frozen=True)
 class Verdict:
     """Decision for one (class, p) pair with machine-checkable evidence.
@@ -146,19 +136,23 @@ def classify_all(D: int, p: int) -> list[Verdict]:
         m, n, _ = sols[0]
         return [Verdict(x, p, True, ROUTE_PRINCIPAL_SQUARE, {"m": m, "n": n})
                 for x in group.classes]
-    square_tests: dict[ProperClass, tuple[bool, tuple[int, int] | None]] = {}
+    # first p-primitive solution of p^2 by each distinct square class, or None
+    square_solutions: dict[ProperClass, tuple[int, int] | None] = {}
     verdicts = []
     for x in group.classes:
         order = group.orders[x]
         square = compose(x, x)
-        if square not in square_tests:
-            square_tests[square] = p_square_in_class(square, p)
-        has_sq, xy = square_tests[square]
+        if square not in square_solutions:
+            square_solutions[square] = next(
+                (xy for xy in rep_counts(square.rep, p * p, p).solutions
+                 if math.gcd(*xy) % p != 0), None)
+        xy = square_solutions[square]
         square_form = list(square.rep.triple())
-        if order == 4 and has_sq:
+        if order == 4 and xy is not None:
             verdicts.append(Verdict(x, p, True, ROUTE_ORDER_FOUR_SQUARE, {
                 "order": 4, "solution": list(xy), "square_form": square_form}))
         else:
             verdicts.append(Verdict(x, p, False, ROUTE_ORDER_FOUR_SQUARE_FAILED, {
-                "order": order, "square_form": square_form, "square_has_p_square": has_sq}))
+                "order": order, "square_form": square_form,
+                "square_has_p_square": xy is not None}))
     return verdicts

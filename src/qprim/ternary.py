@@ -275,7 +275,7 @@ def _frac_json(x: Fraction):
 REDUCED_SHAPE = (4, 6, 7, 6, 2, 0)
 
 
-def spectrum_identity_report(bound: int = 1000) -> SpectrumIdentityReport:
+def spectrum_identity_report(bound: int) -> SpectrumIdentityReport:
     """Compare the 1 mod 3 values of f_1 and tilde_f_1 up to `bound` and
     cross-check tilde_f_1 against the reduced shape [4,6,7,yz=6,zx=2,xy=0]
     by theta prefix, Gram determinant, and a bounded unimodular search.

@@ -4,7 +4,7 @@ from functools import lru_cache
 
 from qprim.classgroup import ClassGroup, compose
 from qprim.intarith import is_prime
-from qprim.oracle import STATUS_NO_WITNESS, STATUS_WITNESS, BruteVerdict
+from qprim.oracle import BruteVerdict
 from qprim.qform import BinaryForm
 from qprim.repcount import rep_profile
 
@@ -34,8 +34,8 @@ def brute_force_cpp_full_sweep(f: BinaryForm, p: int, bound: int) -> BruteVerdic
         raise ValueError(f"p = {p} divides the discriminant {f.D}")
     for n, gcd_all in _sorted_profile(f, bound):
         if gcd_all % p == 0:
-            return BruteVerdict(f, p, bound, n, STATUS_WITNESS)
-    return BruteVerdict(f, p, bound, None, STATUS_NO_WITNESS)
+            return BruteVerdict(f, p, bound, n)
+    return BruteVerdict(f, p, bound, None)
 
 
 @lru_cache(maxsize=8)

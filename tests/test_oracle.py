@@ -18,9 +18,7 @@ from qprim.intarith import primes_up_to
 from qprim.oracle import (
     STATUS_AGREES,
     STATUS_CONTRADICTION,
-    STATUS_NO_WITNESS,
     STATUS_UNCONFIRMED,
-    STATUS_WITNESS,
     _escalation_ladder,
     brute_force_cpp,
     revalidate_verdict,
@@ -32,13 +30,12 @@ from qprim.qform import BinaryForm, discriminants_in, is_ambiguous
 
 def test_brute_force_cpp_witnesses():
     v = brute_force_cpp(BinaryForm(1, 0, 14), 3, 5000)
-    assert v.status == STATUS_WITNESS and v.witness == 9
+    assert v.witness == 9
     v = brute_force_cpp(BinaryForm(2, 0, 7), 3, 5000)
-    assert v.status == STATUS_WITNESS and v.witness == 18
+    assert v.witness == 18
     v = brute_force_cpp(BinaryForm(3, 2, 5), 3, 5000)
-    assert v.status == STATUS_NO_WITNESS and v.witness is None
-    payload = v.to_json()
-    assert payload["form"] == [3, 2, 5] and payload["bound"] == 5000
+    assert v.witness is None
+    assert v.form == BinaryForm(3, 2, 5) and v.p == 3 and v.bound == 5000
 
 
 def test_brute_force_cpp_preconditions():
@@ -152,7 +149,7 @@ def test_product_membership():
 def test_verify_jones():
     for k, p in ((1, 5), (2, 3), (5, 29)):
         v = verify_jones(k, p, 2000)
-        assert v.status == STATUS_NO_WITNESS
+        assert v.witness is None
     with pytest.raises(ValueError):
         verify_jones(1, 3, 100)  # 3 is not a sum of two squares
     with pytest.raises(ValueError):
@@ -212,25 +209,37 @@ def test_grid_flags_corrupted_classifier(monkeypatch):
     assert any(c.status == STATUS_CONTRADICTION for c in report.cells)
 
 
-def test_grid_flags_doctored_evidence(monkeypatch):
+@pytest.mark.parametrize(
+    "form, route, doctor",
+    [
+        # a made-up solution of f(x, y) = p^2
+        ((3, 2, 5), pprim.ROUTE_ORDER_FOUR_SQUARE, lambda e: {**e, "solution": [0, 0]}),
+        ((3, 2, 5), pprim.ROUTE_ORDER_FOUR_SQUARE, lambda e: {**e, "order": 7}),
+        ((1, 0, 14), pprim.ROUTE_ORDER_FOUR_SQUARE_FAILED,
+         lambda e: {**e, "square_form": [9, 9, 9]}),
+        ((1, 0, 14), pprim.ROUTE_ORDER_FOUR_SQUARE_FAILED,
+         lambda e: {k: v for k, v in e.items() if k != "square_form"}),
+    ],
+    ids=["solution", "order", "square_form", "square_form_missing"],
+)
+def test_grid_flags_doctored_evidence(monkeypatch, form, route, doctor):
     real = pprim.classify_all
 
     def doctoring_classifier(D, p):
-        # right cpp flags, one made-up solution of f(x, y) = p^2
+        # right cpp flags and route, one doctored evidence dict
         verdicts = real(D, p)
-        v = verdicts[-1]
-        verdicts[-1] = replace(v, evidence={**v.evidence, "solution": [0, 0]})
+        for i, v in enumerate(verdicts):
+            if v.cls.rep.triple() == form:
+                assert v.route == route
+                verdicts[i] = replace(v, evidence=doctor(v.evidence))
         return verdicts
 
     monkeypatch.setattr(pprim, "classify_all", doctoring_classifier)
     report = verify_classification_grid(-56, -56, 3, 5000)
     statuses = {c.form.triple(): c.status for c in report.cells}
-    assert statuses == {
-        (1, 0, 14): STATUS_AGREES,
-        (2, 0, 7): STATUS_AGREES,
-        (3, -2, 5): STATUS_AGREES,
-        (3, 2, 5): STATUS_CONTRADICTION,
-    }
+    expected = dict.fromkeys([(1, 0, 14), (2, 0, 7), (3, -2, 5), (3, 2, 5)], STATUS_AGREES)
+    expected[form] = STATUS_CONTRADICTION
+    assert statuses == expected
     assert not report.ok
 
 
@@ -253,6 +262,15 @@ def test_grid_default_ceiling_confirms_every_cell():
     report = verify_classification_grid(-399, -399, 17, 5000)
     assert report.ceiling == 250000
     assert report.cells and not report.unconfirmed
+
+
+def test_grid_rejects_ceiling_below_bound():
+    # no rung would lie above the bound, so the ceiling would go unused
+    with pytest.raises(ValueError):
+        verify_classification_grid(-20, -3, 3, 5000, ceiling=100)
+    with pytest.raises(ValueError):
+        verify_classification_grid(-20, -3, 3, 5000, ceiling=4999)
+    assert verify_classification_grid(-20, -3, 3, 5000, ceiling=5000).ceiling == 5000
 
 
 def test_grid_rejects_window_without_cells():

@@ -5,12 +5,7 @@ import math
 import pytest
 
 from qprim import pprim
-from qprim.classgroup import (
-    ProperClass,
-    element_order,
-    enumerate_classes,
-    identity_form,
-)
+from qprim.classgroup import element_order, enumerate_classes, identity_form
 from qprim.intarith import kronecker, primes_up_to
 from qprim.pprim import (
     ROUTE_ORDER_FOUR_SQUARE,
@@ -21,7 +16,6 @@ from qprim.pprim import (
     TwoSquareSolution,
     build_isometry,
     classify_all,
-    p_square_in_class,
     solve_two_square,
 )
 from qprim.qform import BinaryForm, IntMap2, discriminants_in, transformed_coefficients
@@ -123,13 +117,18 @@ def test_build_isometry_properties_sweep():
 
 
 def test_p_square_in_class():
-    ok, xy = p_square_in_class(ProperClass(BinaryForm(2, 0, 7)), 3)
-    assert ok and BinaryForm(2, 0, 7).evaluate(*xy) == 9
-    assert math.gcd(*xy) % 3 != 0
-    ok, xy = p_square_in_class(ProperClass(BinaryForm(1, 0, 14)), 3)
-    assert not ok and xy is None
-    ok, _ = p_square_in_class(identity_form(-3), 7)
-    assert ok
+    # route 3 at D = -56, p = 3: the square class [2,0,7] takes 9
+    # 3-primitively, the square class [1,0,14] does not
+    evidence = {v.cls.rep.triple(): v.evidence for v in classify_all(-56, 3)}
+    rec = rep_counts(BinaryForm(2, 0, 7), 9, 3)
+    xy = next(s for s in rec.solutions if math.gcd(*s) % 3 != 0)
+    assert BinaryForm(2, 0, 7).evaluate(*xy) == 9
+    assert evidence[(3, 2, 5)]["square_form"] == [2, 0, 7]
+    assert evidence[(3, 2, 5)]["solution"] == list(xy)  # the first such solution
+    assert rep_counts(BinaryForm(1, 0, 14), 9, 3).r_star_p == 0
+    assert evidence[(2, 0, 7)]["square_form"] == [1, 0, 14]
+    assert evidence[(2, 0, 7)]["square_has_p_square"] is False
+    assert rep_counts(identity_form(-3).rep, 49, 7).r_star_p > 0
 
 
 def test_classify_examples_d56_p3():
@@ -255,7 +254,7 @@ def test_ambiguous_true_forces_principal_square():
             for v in classify_all(D, p):
                 if v.completely_p_primitive and element_order(v.cls) <= 2:
                     assert v.route == ROUTE_PRINCIPAL_SQUARE
-                    assert p_square_in_class(ident, p)[0]
+                    assert rep_counts(ident.rep, p * p, p).r_star_p > 0
 
 
 def test_positive_classes_closed_under_p_squared_scaling():
