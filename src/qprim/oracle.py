@@ -192,15 +192,20 @@ def verify_classification_grid(
 def revalidate_verdict(v: Verdict) -> bool:
     """Re-derive from scratch every fact a verdict's evidence claims.
 
-    Route-3 evidence must equal the re-derived facts key for key; a passing
+    Every route's evidence must carry exactly the route's keys; route-3
+    evidence must equal the re-derived facts key for key; a passing
     verdict's solution is checked by evaluating the square class at it.
     """
     f = v.cls.rep
     p = v.p
     if v.route == ROUTE_SYMBOL_MINUS_ONE:
+        if v.evidence.keys() != {"witness"}:
+            return False
         rec = rep_counts(f, v.evidence["witness"], p)
         return not v.completely_p_primitive and rec.r > 0 and rec.r_star_p == 0
     if v.route == ROUTE_PRINCIPAL_SQUARE:
+        if v.evidence.keys() != {"m", "n"}:
+            return False
         m, n = v.evidence["m"], v.evidence["n"]
         return (
             v.completely_p_primitive

@@ -2,7 +2,9 @@
 
 The key identity 4a*f(x, y) = (2ax + by)^2 + |D|*y^2 bounds |y| by
 sqrt(4an/|D|) for f(x, y) = n, so solution sets are finite and cheap to
-enumerate exactly at desk scale.
+enumerate exactly at desk scale.  Every definite form has the automorph -I,
+so (x, y) and (-x, -y) share value and gcd, and both lattice sweeps walk
+only the half-plane y >= 0.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ from typing import NamedTuple
 from .intarith import ceil_div, divisors, is_prime, kronecker
 from .qform import BinaryForm, check_discriminant, omega
 
+#: largest bound spectrum accepts (about 2 s and 75 MB of work)
+MAX_BOUND = 10**6
+
 
 def enumerate_solutions(f: BinaryForm, n: int) -> list[tuple[int, int]]:
     """All integer (x, y) with f(x, y) = n, sorted lexicographically."""
@@ -23,7 +28,7 @@ def enumerate_solutions(f: BinaryForm, n: int) -> list[tuple[int, int]]:
     abs_d = -f.D
     out = []
     ymax = math.isqrt(4 * a * n // abs_d)
-    for y in range(-ymax, ymax + 1):
+    for y in range(ymax + 1):
         disc = 4 * a * n - abs_d * y * y
         s = math.isqrt(disc)
         if s * s != disc:
@@ -31,7 +36,10 @@ def enumerate_solutions(f: BinaryForm, n: int) -> list[tuple[int, int]]:
         for root in (s, -s) if s else (0,):
             num = -b * y + root
             if num % (2 * a) == 0:
-                out.append((num // (2 * a), y))
+                x = num // (2 * a)
+                out.append((x, y))
+                if y:
+                    out.append((-x, -y))
     out.sort()
     return out
 
@@ -76,20 +84,22 @@ def rep_profile(f: BinaryForm, bound: int) -> dict[int, ValueStats]:
         raise ValueError(f"rep_profile requires bound >= 1, got {bound}")
     a, b, c = f.a, f.b, f.c
     abs_d = -f.D
-    raw: dict[int, list] = {}
+    # the row y = 0 holds (+-x, 0) with value a*x^2 and gcd x
+    raw: dict[int, list] = {
+        a * x * x: [x, x == 1] for x in range(1, math.isqrt(bound // a) + 1)
+    }
     gcd = math.gcd
     ymax = math.isqrt(4 * a * bound // abs_d)
-    for y in range(-ymax, ymax + 1):
+    for y in range(1, ymax + 1):
         disc = 4 * a * bound - abs_d * y * y
         s = math.isqrt(disc)
         xlo = ceil_div(-b * y - s, 2 * a)
         xhi = (-b * y + s) // (2 * a)
         cyy = c * y * y
         by = b * y
+        # |2ax + by| <= s keeps 1 <= v <= bound without a test
         for x in range(xlo, xhi + 1):
             v = (a * x + by) * x + cyy
-            if not 1 <= v <= bound:
-                continue
             g = gcd(x, y)
             st = raw.get(v)
             if st is None:
@@ -109,9 +119,13 @@ class Spectrum(NamedTuple):
 
 
 def spectrum(f: BinaryForm, bound: int, p: int) -> Spectrum:
-    """Sorted value sets Q, Q^*, Q_p^* of f up to bound; Q^* and Q_p^* sit inside Q."""
+    """Sorted value sets Q, Q^*, Q_p^* of f up to bound; Q^* and Q_p^* sit inside Q.
+
+    A bound above MAX_BOUND raises ValueError before any sweep."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    if bound > MAX_BOUND:
+        raise ValueError(f"bound must be at most {MAX_BOUND}, got {bound}")
     prof = rep_profile(f, bound)
     q = sorted(prof)
     q_star = [n for n in q if prof[n].primitive]

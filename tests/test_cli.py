@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qprim import cli, ternary
+from qprim import cli, repcount, ternary
 from qprim.classgroup import element_order, enumerate_classes
 from qprim.pprim import ROUTE_PRINCIPAL_SQUARE, Verdict, classify_all
 from qprim.repcount import rep_counts, spectrum
@@ -285,6 +285,9 @@ def test_usage_errors(capsys):
     # above the limit, rejected before any work
     assert cli.run(["ternary-demo", "--bound", str(ternary.MAX_BOUND + 1)]) == 2
     assert "bound must be in" in capsys.readouterr().err
+    spectrum_args = ["spectrum", "-56", "--form", "1,0,14", "--p", "3"]
+    assert cli.run([*spectrum_args, "--bound", str(repcount.MAX_BOUND + 1)]) == 2
+    assert "bound must be at most" in capsys.readouterr().err
     assert cli.run(["--help"]) == 0
     capsys.readouterr()
 

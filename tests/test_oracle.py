@@ -24,7 +24,12 @@ from qprim.oracle import (
     revalidate_verdict,
     verify_classification_grid,
 )
-from qprim.pprim import ROUTE_PRINCIPAL_SQUARE, Verdict, classify_all
+from qprim.pprim import (
+    ROUTE_PRINCIPAL_SQUARE,
+    ROUTE_SYMBOL_MINUS_ONE,
+    Verdict,
+    classify_all,
+)
 from qprim.qform import BinaryForm, discriminants_in, is_ambiguous
 
 
@@ -95,6 +100,12 @@ def test_revalidate_rejects_doctored_evidence():
     assert not revalidate_verdict(bad)
     unknown = Verdict(good.cls, good.p, True, "no_such_route", {})
     assert not revalidate_verdict(unknown)
+    # routes 1 and 2 take their evidence as a whole: no extra key, none missing
+    for p, route in ((11, ROUTE_SYMBOL_MINUS_ONE), (23, ROUTE_PRINCIPAL_SQUARE)):
+        v = next(v for v in classify_all(-56, p) if v.route == route)
+        assert revalidate_verdict(v)
+        assert not revalidate_verdict(replace(v, evidence={**v.evidence, "bogus": 1}))
+    assert not revalidate_verdict(replace(good, evidence={"m": good.evidence["m"]}))
 
 
 def test_matrix_search_sweep():

@@ -7,6 +7,7 @@ import pytest
 from qprim.classgroup import enumerate_classes, inverse_class
 from qprim.qform import BinaryForm
 from qprim.repcount import (
+    MAX_BOUND,
     RepRecord,
     enumerate_solutions,
     mass,
@@ -36,6 +37,8 @@ SAMPLE_FORMS = [
     BinaryForm(2, 1, 3),
     BinaryForm(1, 1, 1),
     BinaryForm(5, 3, 7),
+    BinaryForm(3, -2, 5),
+    BinaryForm(2, -1, 3),
 ]
 
 
@@ -106,8 +109,10 @@ def test_rep_counts_symmetric_under_inverse():
 
 
 def test_rep_profile_matches_per_value_enumeration():
-    for f in SAMPLE_FORMS:
-        bound = 300
+    # bound 4 < a = 5 leaves the row y = 0 empty; bound 1 keeps only f = 1
+    cases = [(f, 300) for f in SAMPLE_FORMS] + [(BinaryForm(5, 3, 7), 4)]
+    cases += [(f, 1) for f in SAMPLE_FORMS]
+    for f, bound in cases:
         prof = rep_profile(f, bound)
         for n in range(1, bound + 1):
             sols = enumerate_solutions(f, n)
@@ -129,6 +134,9 @@ def test_spectrum_examples():
     assert spec.qp_star == [1, 4, 14, 15]
     with pytest.raises(ValueError):
         spectrum(BinaryForm(1, 0, 14), 15, 6)
+    # the limit is checked before any sweep, so MAX_BOUND + 1 costs nothing
+    with pytest.raises(ValueError, match="bound must be at most"):
+        spectrum(BinaryForm(1, 0, 14), MAX_BOUND + 1, 3)
 
 
 def test_spectrum_containments():
