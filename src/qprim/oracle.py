@@ -7,8 +7,11 @@ A disagreement is reported as a contradiction, never suppressed.
 A witness against complete p-primitivity is an n that f represents only
 with p | x and p | y, so n = p^2 f(x/p, y/p): every witness up to N lies
 in p^2 * Q(f, N/p^2).  The witness search therefore sweeps the values of
-f up to N/p^2 and checks each candidate p^2 m by enumerating its
-solutions.  The classification grid runs that search at the sweep bound,
+f in windows that double from f's first coefficient a up to N/p^2, and
+checks each window's candidates p^2 m in ascending order by enumerating
+their solutions.  It stops at the smallest witness p^2 m, having swept f
+only to below 2m (the least value of a reduced form is a, so m >= a).
+The classification grid runs that search at the sweep bound,
 escalates a negative verdict without a witness to 10x the bound, then to
 a ceiling that defaults to 50x, and re-derives every verdict's evidence.
 Route-3 evidence is compared as a whole, key for key, against a fresh
@@ -54,20 +57,28 @@ def brute_force_cpp(f: BinaryForm, p: int, bound: int) -> BruteVerdict:
     """Smallest n <= bound represented by f but never p-primitively, if any.
 
     Such an n has only solutions with p | x and p | y, so n = p^2 m with
-    m = f(x/p, y/p) <= bound/p^2.  The candidates p^2 m are taken in
-    ascending order from one sweep up to bound // p^2, and the first whose
-    solutions all lie in pZ^2 is the witness.  The search is exhaustive;
-    below p^2 there is nothing to sweep and no witness.
+    m = f(x/p, y/p) <= top = bound // p^2.  The values m of f are swept in
+    windows lo < m <= hi, from hi = min(a, top) with hi doubling up to top;
+    each window's candidates p^2 m are checked in ascending order, and the
+    first whose solutions all lie in pZ^2 is the witness.  Every value up
+    to hi is checked before any value above it, so the witness is the
+    smallest, as from one sweep up to top.  For a reduced form, whose least
+    value is a, a search that stops at p^2 m sweeps a total bound below 4m.
+    The search is exhaustive for any form; below p^2 there is nothing to
+    sweep and no witness.
     """
     check_prime_not_dividing(p, f.D)
     if bound < 1:
         raise ValueError(f"brute_force_cpp requires bound >= 1, got {bound}")
     p2 = p * p
-    if bound >= p2:
-        for m in sorted(rep_profile(f, bound // p2)):
+    top = bound // p2
+    lo, hi = 0, min(f.a, top)
+    while lo < top:
+        for m in sorted(v for v in rep_profile(f, hi) if v > lo):
             n = p2 * m
             if all(x % p == 0 and y % p == 0 for x, y in enumerate_solutions(f, n)):
                 return BruteVerdict(f, p, bound, n)
+        lo, hi = hi, min(2 * hi, top)
     return BruteVerdict(f, p, bound, None)
 
 
@@ -155,10 +166,12 @@ def verify_classification_grid(
     must produce a witness; the search escalates to 10x bound, then to
     `ceiling` (default 50x bound), and cells still lacking one are
     reported as unconfirmed rather than contradictions.  A verdict whose
-    evidence fails `revalidate_verdict` is a contradiction.  A ceiling below
-    the bound, or a window with no (D, p) cell, raises ValueError.  The
-    cells are checked one after another in this process.
+    evidence fails `revalidate_verdict` is a contradiction.  A bound below 1,
+    a ceiling below the bound, or a window with no (D, p) cell raises
+    ValueError.  The cells are checked one after another in this process.
     """
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
     if ceiling is None:
         ceiling = bound * 50
     if ceiling < bound:

@@ -27,16 +27,18 @@ def enumerate_solutions(f: BinaryForm, n: int) -> list[tuple[int, int]]:
     a, b = f.a, f.b
     abs_d = -f.D
     out = []
-    ymax = math.isqrt(4 * a * n // abs_d)
-    for y in range(ymax + 1):
-        disc = 4 * a * n - abs_d * y * y
-        s = math.isqrt(disc)
+    isqrt = math.isqrt
+    four_an = 4 * a * n
+    two_a = 2 * a
+    for y in range(isqrt(four_an // abs_d) + 1):
+        disc = four_an - abs_d * y * y
+        s = isqrt(disc)
         if s * s != disc:
             continue
         for root in (s, -s) if s else (0,):
             num = -b * y + root
-            if num % (2 * a) == 0:
-                x = num // (2 * a)
+            if num % two_a == 0:
+                x = num // two_a
                 out.append((x, y))
                 if y:
                     out.append((-x, -y))

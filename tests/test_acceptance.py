@@ -8,6 +8,7 @@ else is exact.
 import functools
 import math
 import time
+from collections import Counter
 
 import pytest
 
@@ -124,6 +125,18 @@ def test_criterion_3():
     assert cells[(-56, (2, 0, 7), 3)].witness == 18
     assert cells[(-56, (3, 2, 5), 3)].cpp
     assert cells[(-56, (3, 2, 5), 3)].witness is None
+    # aggregates over all 8395 cells: a search that returned a larger
+    # witness, or needed a higher rung, anywhere in the grid moves one
+    assert Counter(c.route for c in report.cells) == {
+        "symbol_minus_one": 3799,
+        "order_four_square_failed": 3722,
+        "principal_square": 528,
+        "order_four_square": 346,
+    }
+    assert Counter(c.bound for c in report.cells) == {5000: 7947, 50000: 410, 250000: 38}
+    witnesses = [c.witness for c in report.cells if c.witness is not None]
+    assert max(witnesses) == 206839
+    assert sum(witnesses) == 14919284
     assert elapsed <= 120, f"grid sweep took {elapsed:.1f} s"
 
 

@@ -231,6 +231,16 @@ def test_verify_rejects_window_without_cells(capsys, window):
     assert "no (D, p) cell" in captured.err
 
 
+@pytest.mark.parametrize("bound", ["0", "-5"])
+def test_verify_rejects_bound_below_one(capsys, bound):
+    code = cli.run(["verify", "--bound", bound])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"bound must be >= 1, got {bound}" in captured.err
+    assert "ceiling" not in captured.err
+
+
 def test_imports_start_no_process_pool():
     # verify runs in one process, so no import pulls in the pool machinery
     src = Path(cli.__file__).resolve().parents[1]

@@ -12,13 +12,14 @@ from lemma_checks import (
     verify_product_membership,
     verify_reflection_parity,
 )
-from qprim import pprim
+from qprim import oracle, pprim
 from qprim.classgroup import enumerate_classes
 from qprim.intarith import primes_up_to
 from qprim.oracle import (
     STATUS_AGREES,
     STATUS_CONTRADICTION,
     STATUS_UNCONFIRMED,
+    BruteVerdict,
     _escalation_ladder,
     brute_force_cpp,
     revalidate_verdict,
@@ -31,6 +32,7 @@ from qprim.pprim import (
     classify_all,
 )
 from qprim.qform import BinaryForm, discriminants_in, is_ambiguous
+from qprim.repcount import rep_profile
 
 
 def test_brute_force_cpp_witnesses():
@@ -53,22 +55,54 @@ def test_brute_force_cpp_preconditions():
 
 
 def test_brute_force_cpp_matches_full_sweep():
-    # every class of every D in [-200, -3] with p <= 23, at bounds around p^2
-    # and at 3000; at 50000 the cells the grid escalates, negative verdicts
-    # at p in {19, 23}.  A witness found by 3000 is the smallest by 50000.
+    # every class of every D in [-200, -3] with p <= 23, at bounds around
+    # p^2, around the edges p^2 a 2^k (k = 0, 1, 3) of the ascending search's
+    # windows, and at 3000; at 50000 the cells the grid escalates, negative
+    # verdicts at p in {19, 23}.  The non-reduced equivalent
+    # [a, b + 2a, a + b + c] is searched around p^2 and at the edges.
+    # Equivalent forms share their witnesses, and the smallest
+    # witness up to any bound checked is read off one full sweep of the
+    # reduced form: at 3000, or for a negative verdict without a witness by
+    # 3000, at the largest bound checked.  A positive verdict has no witness
+    # at any bound.
     for D in discriminants_in(-200, -3):
         primes = [p for p in primes_up_to(23) if D % p]
         verdicts = {p: classify_all(D, p) for p in primes}
         for i, x in enumerate(enumerate_classes(D).classes):
-            f = x.rep
+            a, b, c = x.rep.triple()
+            g = BinaryForm(a, b + 2 * a, a + b + c)
             for p in primes:
-                for bound in (1, p * p - 1, p * p, 3000):
-                    ref = brute_force_cpp_full_sweep(f, p, bound)
-                    assert brute_force_cpp(f, p, bound) == ref
-                if p in (19, 23) and not verdicts[p][i].completely_p_primitive:
-                    if ref.witness is None:
-                        ref = brute_force_cpp_full_sweep(f, p, 50000)
-                    assert brute_force_cpp(f, p, 50000) == replace(ref, bound=50000)
+                p2 = p * p
+                edges = [p2 * a * 2**k + d for k in (0, 1, 3) for d in (-1, 0, 1)]
+                negative = not verdicts[p][i].completely_p_primitive
+                large = [3000, 50000] if negative and p in (19, 23) else [3000]
+                ref = brute_force_cpp_full_sweep(x.rep, p, 3000)
+                if negative and ref.witness is None:
+                    ref = brute_force_cpp_full_sweep(x.rep, p, max(edges + large))
+                w = ref.witness
+                small = [1, p2 - 1, p2, *edges]
+                for f, bounds in ((x.rep, small + large), (g, small)):
+                    for bound in bounds:
+                        found = w if w is not None and w <= bound else None
+                        assert brute_force_cpp(f, p, bound) == BruteVerdict(f, p, bound, found)
+
+
+def test_brute_force_cpp_sweeps_only_to_witness(monkeypatch):
+    bounds = []
+
+    def recording(f, bound):
+        bounds.append(bound)
+        return rep_profile(f, bound)
+
+    monkeypatch.setattr(oracle, "rep_profile", recording)
+    # the witness 9 = 3^2 * 1 lies in the first window, (0, a]
+    assert brute_force_cpp(BinaryForm(1, 0, 14), 3, 5000).witness == 9
+    assert bounds == [1]
+    # no witness: windows double from a = 3 up to top = 5000 // 9
+    bounds.clear()
+    assert brute_force_cpp(BinaryForm(3, 2, 5), 3, 5000).witness is None
+    assert bounds == [3, 6, 12, 24, 48, 96, 192, 384, 555]
+    assert sum(bounds) < 3 * 555
 
 
 def test_brute_matches_classifier_small():
@@ -282,6 +316,12 @@ def test_grid_rejects_ceiling_below_bound():
     with pytest.raises(ValueError):
         verify_classification_grid(-20, -3, 3, 5000, ceiling=4999)
     assert verify_classification_grid(-20, -3, 3, 5000, ceiling=5000).ceiling == 5000
+
+
+@pytest.mark.parametrize("bound", [0, -5])
+def test_grid_rejects_bound_below_one(bound):
+    with pytest.raises(ValueError, match=f"bound must be >= 1, got {bound}"):
+        verify_classification_grid(-20, -3, 3, bound)
 
 
 def test_grid_rejects_window_without_cells():
