@@ -11,7 +11,7 @@ from .classgroup import (
     identity_form,
     inverse_class,
 )
-from .intarith import divisors, kronecker, valuation
+from .intarith import kronecker
 from .pprim import (
     TwoSquareSolution,
     Verdict,
@@ -19,21 +19,11 @@ from .pprim import (
     classify_all,
     solve_two_square,
 )
-from .qform import (
-    BinaryForm,
-    IntMap2,
-    apply_map,
-    improper_automorph,
-    is_ambiguous,
-    is_reduced,
-    omega,
-    reduce,
-)
+from .qform import BinaryForm, IntMap2, is_ambiguous, is_reduced, reduce
 from .repcount import (
     RepRecord,
     Spectrum,
     enumerate_solutions,
-    mass,
     rep_counts,
     rep_profile,
     spectrum,
@@ -52,26 +42,20 @@ __all__ = [
     "Verdict",
     "__version__",
     "ambiguous_classes",
-    "apply_map",
     "build_isometry",
     "classify_all",
     "compose",
-    "divisors",
     "element_order",
     "enumerate_classes",
     "enumerate_solutions",
     "identity_form",
-    "improper_automorph",
     "inverse_class",
     "is_ambiguous",
     "is_reduced",
     "kronecker",
-    "mass",
-    "omega",
     "rep_counts",
     "rep_profile",
     "reduce",
     "solve_two_square",
     "spectrum",
-    "valuation",
 ]

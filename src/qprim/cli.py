@@ -3,9 +3,10 @@
 stdout carries data (JSON with alphabetically ordered keys by default);
 stderr carries diagnostics.  Exit codes: 0 success, 1 a verification
 sweep found a contradiction or the ternary identity report failed, 2 usage,
-precondition or file error (a `spectrum --bound` above `repcount.MAX_BOUND`
-or a `ternary-demo --bound` above `ternary.MAX_BOUND` included).  `verify`
-runs its whole grid in this one process.
+precondition or file error (a `spectrum --bound` above `repcount.MAX_BOUND`,
+a `ternary-demo --bound` above `ternary.MAX_BOUND`, and a discriminant or
+`verify --dmin` below -`classgroup.MAX_ABS_D` included).  `verify` runs its
+whole grid in this one process.
 """
 
 from __future__ import annotations

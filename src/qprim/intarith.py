@@ -1,4 +1,4 @@
-"""Exact integer helpers: primes, Kronecker symbol, valuations, divisors, ext_gcd.
+"""Exact integer helpers: primes, factorization, Kronecker symbol, ext_gcd.
 
 Everything works on plain Python ints, so products like 4*a1*a2 never
 overflow regardless of input size.
@@ -84,30 +84,6 @@ def kronecker(D: int, k: int) -> int:
         if s == -1 and e % 2 == 1:
             sign = -sign
     return sign
-
-
-def valuation(q: int, n: int) -> int:
-    """Largest e >= 0 with q**e dividing n; q must be prime and n nonzero."""
-    if q < 2:
-        raise ValueError(f"valuation requires q >= 2, got {q}")
-    if n == 0:
-        raise ValueError("valuation of 0 is undefined")
-    n = abs(n)
-    e = 0
-    while n % q == 0:
-        n //= q
-        e += 1
-    return e
-
-
-def divisors(n: int) -> list[int]:
-    """Positive divisors of n >= 1, sorted ascending."""
-    if n < 1:
-        raise ValueError(f"divisors requires n >= 1, got {n}")
-    divs = [1]
-    for p, e in prime_factors(n).items():
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
 
 
 def ceil_div(p: int, q: int) -> int:

@@ -6,14 +6,16 @@ A disagreement is reported as a contradiction, never suppressed.
 
 A witness against complete p-primitivity is an n that f represents only
 with p | x and p | y, so n = p^2 f(x/p, y/p): every witness up to N lies
-in p^2 * Q(f, N/p^2).  The witness search therefore sweeps the values of
-f in windows that double from f's first coefficient a up to N/p^2, and
-checks each window's candidates p^2 m in ascending order by enumerating
-their solutions.  It stops at the smallest witness p^2 m, having swept f
-only to below 2m (the least value of a reduced form is a, so m >= a).
-The classification grid runs that search at the sweep bound,
-escalates a negative verdict without a witness to 10x the bound, then to
-a ceiling that defaults to 50x, and re-derives every verdict's evidence.
+in p^2 * Q(f, N/p^2).  The witness search therefore sweeps the counts
+r(m) of f in windows that double from f's first coefficient a up to
+N/p^2, and checks each window's candidates p^2 m in ascending order by
+one count: the solutions of p^2 m in pZ^2 are p times the solutions of
+m, so p^2 m is a witness iff r(p^2 m) = r(m).  It stops at the smallest
+witness p^2 m, having swept f only to below 2m (the least value of a
+reduced form is a, so m >= a).  The classification grid runs that search
+at the sweep bound, escalates a negative verdict without a witness to 10x
+the bound, then to a ceiling that defaults to 50x, and re-derives every
+verdict's evidence.
 Route-3 evidence is compared as a whole, key for key, against a fresh
 derivation (composition, element order, one solution count of p^2) that
 calls no classifier helper.
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from . import pprim
-from .classgroup import compose, element_order
+from .classgroup import MAX_ABS_D, compose, element_order
 from .intarith import check_prime_not_dividing, primes_up_to
 from .qform import BinaryForm, discriminants_in
 from .pprim import (
@@ -60,12 +62,14 @@ def brute_force_cpp(f: BinaryForm, p: int, bound: int) -> BruteVerdict:
     m = f(x/p, y/p) <= top = bound // p^2.  The values m of f are swept in
     windows lo < m <= hi, from hi = min(a, top) with hi doubling up to top;
     each window's candidates p^2 m are checked in ascending order, and the
-    first whose solutions all lie in pZ^2 is the witness.  Every value up
-    to hi is checked before any value above it, so the witness is the
-    smallest, as from one sweep up to top.  For a reduced form, whose least
-    value is a, a search that stops at p^2 m sweeps a total bound below 4m.
-    The search is exhaustive for any form; below p^2 there is nothing to
-    sweep and no witness.
+    first whose solutions all lie in pZ^2 is the witness.  The solutions of
+    p^2 m in pZ^2 are p times the solutions of m, so that holds iff
+    len(enumerate_solutions(f, p^2 m)) equals the window's count r(m).
+    Every value up to hi is checked before any value above it, so the
+    witness is the smallest, as from one sweep up to top.  For a reduced
+    form, whose least value is a, a search that stops at p^2 m sweeps a
+    total bound below 4m.  The search is exhaustive for any form; below p^2
+    there is nothing to sweep and no witness.
     """
     check_prime_not_dividing(p, f.D)
     if bound < 1:
@@ -74,9 +78,10 @@ def brute_force_cpp(f: BinaryForm, p: int, bound: int) -> BruteVerdict:
     top = bound // p2
     lo, hi = 0, min(f.a, top)
     while lo < top:
-        for m in sorted(v for v in rep_profile(f, hi) if v > lo):
+        r = rep_profile(f, hi)
+        for m in sorted(v for v in r if v > lo):
             n = p2 * m
-            if all(x % p == 0 and y % p == 0 for x, y in enumerate_solutions(f, n)):
+            if len(enumerate_solutions(f, n)) == r[m]:
                 return BruteVerdict(f, p, bound, n)
         lo, hi = hi, min(2 * hi, top)
     return BruteVerdict(f, p, bound, None)
@@ -167,8 +172,9 @@ def verify_classification_grid(
     `ceiling` (default 50x bound), and cells still lacking one are
     reported as unconfirmed rather than contradictions.  A verdict whose
     evidence fails `revalidate_verdict` is a contradiction.  A bound below 1,
-    a ceiling below the bound, or a window with no (D, p) cell raises
-    ValueError.  The cells are checked one after another in this process.
+    a ceiling below the bound, a dmin below -MAX_ABS_D (the census limit),
+    or a window with no (D, p) cell raises ValueError.  The cells are
+    checked one after another in this process.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -176,6 +182,8 @@ def verify_classification_grid(
         ceiling = bound * 50
     if ceiling < bound:
         raise ValueError(f"ceiling {ceiling} is below the bound {bound}")
+    if dmin < -MAX_ABS_D:
+        raise ValueError(f"dmin must be at least {-MAX_ABS_D}, got {dmin}")
     primes = primes_up_to(pmax)
     pairs = [(D, p) for D in discriminants_in(dmin, dmax) for p in primes if D % p]
     if not pairs:

@@ -1,4 +1,4 @@
-"""Binary quadratic forms over Z: unimodular action, Gauss reduction, automorphs.
+"""Binary quadratic forms over Z: unimodular action, Gauss reduction, ambiguity.
 
 A form [a, b, c] stands for a*x^2 + b*x*y + c*y^2.  Only negative
 discriminants are handled; the constructor pins the positive definite
@@ -88,8 +88,8 @@ def discriminants_in(dmin: int, dmax: int) -> list[int]:
 def transformed_coefficients(f: BinaryForm, M: IntMap2) -> tuple[int, int, int]:
     """Coefficients of f(m11*x + m12*y, m21*x + m22*y), without validation.
 
-    Unlike apply_map this never constructs a BinaryForm, so it also serves
-    scaled images like f o T = p^2 f whose coefficients are imprimitive.
+    It never constructs a BinaryForm, so it also serves scaled images like
+    f o T = p^2 f whose coefficients are imprimitive.
     """
     a2 = f.evaluate(M.m11, M.m21)
     c2 = f.evaluate(M.m12, M.m22)
@@ -99,12 +99,6 @@ def transformed_coefficients(f: BinaryForm, M: IntMap2) -> tuple[int, int, int]:
         + 2 * f.c * M.m21 * M.m22
     )
     return (a2, b2, c2)
-
-
-def apply_map(f: BinaryForm, M: IntMap2) -> BinaryForm:
-    """The form f o M.  For det M = +-1 this preserves discriminant and primitivity."""
-    a2, b2, c2 = transformed_coefficients(f, M)
-    return BinaryForm(a2, b2, c2)
 
 
 def is_reduced(f: BinaryForm) -> bool:
@@ -145,31 +139,3 @@ def is_ambiguous(f: BinaryForm) -> bool:
     if not is_reduced(f):
         raise ValueError(f"is_ambiguous expects a reduced form, got {f}")
     return f.b == 0 or f.a == f.b or f.a == f.c
-
-
-def omega(D: int) -> int:
-    """Number of automorphs: 6 for D = -3, 4 for D = -4, else 2."""
-    check_discriminant(D)
-    if D == -3:
-        return 6
-    if D == -4:
-        return 4
-    return 2
-
-
-def improper_automorph(f: BinaryForm) -> IntMap2:
-    """A det -1 map fixing the ambiguous reduced form f.
-
-    Cases: b = 0 -> (x, y) |-> (x, -y); a = b -> (x, y) |-> (x + y, -y);
-    a = c -> (x, y) |-> (y, x).  First matching case wins.
-    """
-    if not is_ambiguous(f):
-        raise ValueError(f"form {f} is not ambiguous")
-    if f.b == 0:
-        sigma = IntMap2(1, 0, 0, -1)
-    elif f.a == f.b:
-        sigma = IntMap2(1, 1, 0, -1)
-    else:  # a == c
-        sigma = IntMap2(0, 1, 1, 0)
-    assert sigma.det == -1 and apply_map(f, sigma) == f
-    return sigma

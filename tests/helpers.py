@@ -1,12 +1,12 @@
 """Shared test helpers."""
 
+import math
 from functools import lru_cache
 
 from qprim.classgroup import ClassGroup, compose
-from qprim.intarith import is_prime
+from qprim.intarith import ceil_div, is_prime
 from qprim.oracle import BruteVerdict
 from qprim.qform import BinaryForm
-from qprim.repcount import rep_profile
 
 
 def raw_form(a: int, b: int, c: int) -> BinaryForm:
@@ -40,6 +40,20 @@ def brute_force_cpp_full_sweep(f: BinaryForm, p: int, bound: int) -> BruteVerdic
 
 @lru_cache(maxsize=8)
 def _sorted_profile(f: BinaryForm, bound: int) -> tuple[tuple[int, int], ...]:
-    # the sweep does not depend on p, so a form's primes share it
-    prof = rep_profile(f, bound)
-    return tuple((n, prof[n].gcd_all) for n in sorted(prof))
+    """Sorted (n, gcd of gcd(x, y) over the solutions of f(x, y) = n) for
+    1 <= n <= bound.
+
+    One sweep of the half-plane y >= 0 (x >= 1 on the row y = 0), which
+    holds one of each pair (x, y), (-x, -y) of equal value and gcd.  It
+    reads gcds, not counts, so it does not rest on r(p^2 m) = r(m) as the
+    search it checks does.  The sweep does not depend on p, so a form's
+    primes share it."""
+    a, b, c = f.a, f.b, f.c
+    abs_d = -f.D
+    gcds = {a * x * x: x for x in range(1, math.isqrt(bound // a) + 1)}
+    for y in range(1, math.isqrt(4 * a * bound // abs_d) + 1):
+        s = math.isqrt(4 * a * bound - abs_d * y * y)
+        for x in range(ceil_div(-b * y - s, 2 * a), (-b * y + s) // (2 * a) + 1):
+            v = a * x * x + b * x * y + c * y * y
+            gcds[v] = math.gcd(gcds.get(v, 0), x, y)
+    return tuple(sorted(gcds.items()))

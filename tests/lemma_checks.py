@@ -4,16 +4,25 @@ Only the tests run these: a matrix search for scaling isometries,
 reflection parity of ambiguous forms, sampled product membership, and
 the sums-of-two-squares witness search.  `qprim verify` re-checks each
 cell by its witness search and `oracle.revalidate_verdict` instead.
+The helpers only these checks and the tests call live here too: the
+divisor-sum mass formula, the automorph count omega, divisors, valuations,
+the action f o M on forms and the improper automorphs of ambiguous forms.
 """
 
 import math
 import random
 
 from qprim.classgroup import compose, enumerate_classes, identity_form, inverse_class
-from qprim.intarith import check_prime_not_dividing, is_prime, valuation
+from qprim.intarith import check_prime_not_dividing, is_prime, kronecker, prime_factors
 from qprim.oracle import BruteVerdict, brute_force_cpp
 from qprim.pprim import build_isometry, solve_two_square
-from qprim.qform import BinaryForm, IntMap2, improper_automorph, transformed_coefficients
+from qprim.qform import (
+    BinaryForm,
+    IntMap2,
+    check_discriminant,
+    is_ambiguous,
+    transformed_coefficients,
+)
 from qprim.repcount import enumerate_solutions, rep_counts, spectrum
 
 #: coordinate bound of the vectors verify_reflection_parity checks
@@ -144,3 +153,70 @@ def verify_jones(k: int, p: int, bound: int) -> BruteVerdict:
     if not enumerate_solutions(f, p):
         raise ValueError(f"hypothesis not met: {p} is not represented by {f}")
     return brute_force_cpp(f, p, bound)
+
+
+def mass(n: int, D: int) -> int:
+    """omega(D) * sum over k | n of (D/k): the total representation count of n
+    over all classes of discriminant D, valid whenever gcd(n, D) = 1."""
+    if n < 1:
+        raise ValueError(f"mass requires n >= 1, got {n}")
+    check_discriminant(D)
+    return omega(D) * sum(kronecker(D, k) for k in divisors(n))
+
+
+def omega(D: int) -> int:
+    """Number of automorphs: 6 for D = -3, 4 for D = -4, else 2."""
+    check_discriminant(D)
+    if D == -3:
+        return 6
+    if D == -4:
+        return 4
+    return 2
+
+
+def divisors(n: int) -> list[int]:
+    """Positive divisors of n >= 1, sorted ascending."""
+    if n < 1:
+        raise ValueError(f"divisors requires n >= 1, got {n}")
+    divs = [1]
+    for p, e in prime_factors(n).items():
+        divs = [d * p**i for d in divs for i in range(e + 1)]
+    return sorted(divs)
+
+
+def valuation(q: int, n: int) -> int:
+    """Largest e >= 0 with q**e dividing n; q must be prime and n nonzero."""
+    if q < 2:
+        raise ValueError(f"valuation requires q >= 2, got {q}")
+    if n == 0:
+        raise ValueError("valuation of 0 is undefined")
+    n = abs(n)
+    e = 0
+    while n % q == 0:
+        n //= q
+        e += 1
+    return e
+
+
+def apply_map(f: BinaryForm, M: IntMap2) -> BinaryForm:
+    """The form f o M.  For det M = +-1 this preserves discriminant and primitivity."""
+    a2, b2, c2 = transformed_coefficients(f, M)
+    return BinaryForm(a2, b2, c2)
+
+
+def improper_automorph(f: BinaryForm) -> IntMap2:
+    """A det -1 map fixing the ambiguous reduced form f.
+
+    Cases: b = 0 -> (x, y) |-> (x, -y); a = b -> (x, y) |-> (x + y, -y);
+    a = c -> (x, y) |-> (y, x).  First matching case wins.
+    """
+    if not is_ambiguous(f):
+        raise ValueError(f"form {f} is not ambiguous")
+    if f.b == 0:
+        sigma = IntMap2(1, 0, 0, -1)
+    elif f.a == f.b:
+        sigma = IntMap2(1, 1, 0, -1)
+    else:  # a == c
+        sigma = IntMap2(0, 1, 1, 0)
+    assert sigma.det == -1 and apply_map(f, sigma) == f
+    return sigma

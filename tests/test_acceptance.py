@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from lemma_checks import verify_jones, verify_reflection_parity
+from lemma_checks import mass, verify_jones, verify_reflection_parity
 from qprim.classgroup import (
     ambiguous_classes,
     element_order,
@@ -35,7 +35,7 @@ from qprim.qform import (
     is_ambiguous,
     transformed_coefficients,
 )
-from qprim.repcount import enumerate_solutions, mass, rep_counts
+from qprim.repcount import enumerate_solutions, rep_counts
 from qprim.ternary import spectrum_identity_report
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import composition_table
 from qprim.classgroup import (
+    MAX_ABS_D,
     ClassGroup,
     ProperClass,
     ambiguous_classes,
@@ -70,6 +71,14 @@ def test_enumerate_classes_examples():
     assert enumerate_classes(-163).h == 1
     for D in (-5, 0, 8):
         with pytest.raises(ValueError, match="not a valid negative discriminant"):
+            enumerate_classes(D)
+
+
+def test_enumerate_classes_rejects_d_beyond_limit():
+    # the next discriminants past the limit: 1 and 0 mod 4; rejected
+    # before the O(|D|) loop
+    for D in (-MAX_ABS_D - 3, -MAX_ABS_D - 4):
+        with pytest.raises(ValueError, match=f"at most {MAX_ABS_D}, got D = {D}"):
             enumerate_classes(D)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from qprim import cli, repcount, ternary
-from qprim.classgroup import element_order, enumerate_classes
+from qprim.classgroup import MAX_ABS_D, element_order, enumerate_classes
 from qprim.pprim import ROUTE_PRINCIPAL_SQUARE, Verdict, classify_all
 from qprim.repcount import rep_counts, spectrum
 
@@ -239,6 +239,41 @@ def test_verify_rejects_bound_below_one(capsys, bound):
     assert captured.out == ""
     assert f"bound must be >= 1, got {bound}" in captured.err
     assert "ceiling" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv", [["classgroup"], ["classify", "3"], ["represent", "9"]]
+)
+def test_census_commands_reject_d_beyond_limit(capsys, argv):
+    D = -MAX_ABS_D - 3
+    code = cli.run([argv[0], str(D), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"|D| must be at most {MAX_ABS_D}" in captured.err
+
+
+def test_verify_rejects_dmin_beyond_census_limit(capsys):
+    dmin = str(-(10**12))
+    code = cli.run(["verify", "--dmin", dmin, "--dmax", dmin])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"dmin must be at least {-MAX_ABS_D}, got {dmin}" in captured.err
+
+
+def test_python_m_qprim_runs_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    golden = Path(__file__).resolve().parent / "golden" / "classify_-56_3.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "qprim", "classify", "-56", "3"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout == golden.read_text()
 
 
 def test_imports_start_no_process_pool():

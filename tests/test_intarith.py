@@ -5,15 +5,8 @@ import random
 
 import pytest
 
-from qprim.intarith import (
-    divisors,
-    ext_gcd,
-    is_prime,
-    kronecker,
-    prime_factors,
-    primes_up_to,
-    valuation,
-)
+from lemma_checks import divisors, valuation
+from qprim.intarith import ext_gcd, is_prime, kronecker, prime_factors, primes_up_to
 
 
 def legendre_by_squares(D, q):

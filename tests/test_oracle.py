@@ -13,7 +13,7 @@ from lemma_checks import (
     verify_reflection_parity,
 )
 from qprim import oracle, pprim
-from qprim.classgroup import enumerate_classes
+from qprim.classgroup import MAX_ABS_D, enumerate_classes
 from qprim.intarith import primes_up_to
 from qprim.oracle import (
     STATUS_AGREES,
@@ -322,6 +322,13 @@ def test_grid_rejects_ceiling_below_bound():
 def test_grid_rejects_bound_below_one(bound):
     with pytest.raises(ValueError, match=f"bound must be >= 1, got {bound}"):
         verify_classification_grid(-20, -3, 3, bound)
+
+
+@pytest.mark.parametrize("dmin", [-MAX_ABS_D - 3, -(10**12)])
+def test_grid_rejects_dmin_beyond_census_limit(dmin):
+    # a one-discriminant window, so even an unchecked dmin stays cheap
+    with pytest.raises(ValueError, match=f"at least {-MAX_ABS_D}, got {dmin}"):
+        verify_classification_grid(dmin, dmin, 3, 100)
 
 
 def test_grid_rejects_window_without_cells():

@@ -5,17 +5,15 @@ import random
 import pytest
 
 from helpers import raw_form
+from lemma_checks import apply_map, improper_automorph, omega
 from qprim.classgroup import ProperClass, enumerate_classes, inverse_class
 from qprim.qform import (
     BinaryForm,
     IntMap2,
-    apply_map,
     discriminants_in,
-    improper_automorph,
     is_ambiguous,
     is_discriminant,
     is_reduced,
-    omega,
     reduce,
     transformed_coefficients,
 )

@@ -4,13 +4,13 @@ import math
 
 import pytest
 
+from lemma_checks import mass
 from qprim.classgroup import enumerate_classes, inverse_class
 from qprim.qform import BinaryForm
 from qprim.repcount import (
     MAX_BOUND,
     RepRecord,
     enumerate_solutions,
-    mass,
     rep_counts,
     rep_profile,
     spectrum,
@@ -113,16 +113,8 @@ def test_rep_profile_matches_per_value_enumeration():
     cases = [(f, 300) for f in SAMPLE_FORMS] + [(BinaryForm(5, 3, 7), 4)]
     cases += [(f, 1) for f in SAMPLE_FORMS]
     for f, bound in cases:
-        prof = rep_profile(f, bound)
-        for n in range(1, bound + 1):
-            sols = enumerate_solutions(f, n)
-            if not sols:
-                assert n not in prof
-                continue
-            st = prof[n]
-            gcds = [math.gcd(x, y) for x, y in sols]
-            assert st.gcd_all == math.gcd(*gcds)
-            assert st.primitive == (1 in gcds)
+        counts = {n: len(enumerate_solutions(f, n)) for n in range(1, bound + 1)}
+        assert rep_profile(f, bound) == {n: r for n, r in counts.items() if r}
     with pytest.raises(ValueError):
         rep_profile(BinaryForm(1, 0, 1), 0)
 
@@ -145,6 +137,18 @@ def test_spectrum_containments():
             spec = spectrum(f, 400, p)
             q, q_star, qp_star = (set(s) for s in spec)
             assert q_star <= qp_star <= q
+
+
+def test_spectrum_matches_definitions():
+    # Q^*: some solution has gcd(x, y) = 1; Q_p^*: some has p not | gcd(x, y)
+    for f in SAMPLE_FORMS:
+        sols = {n: enumerate_solutions(f, n) for n in range(1, 401)}
+        gcds = {n: [math.gcd(x, y) for x, y in s] for n, s in sols.items()}
+        for p in (2, 3, 5, 7):
+            spec = spectrum(f, 400, p)
+            assert spec.q == [n for n, gs in gcds.items() if gs]
+            assert spec.q_star == [n for n, gs in gcds.items() if 1 in gs]
+            assert spec.qp_star == [n for n, gs in gcds.items() if any(g % p for g in gs)]
 
 
 def test_spectrum_imprimitive_example():
