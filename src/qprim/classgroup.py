@@ -42,10 +42,12 @@ class ClassGroup:
         return len(self.classes)
 
     @cached_property
-    def orders(self) -> dict[ProperClass, int]:
-        """Order of every class, walking each cyclic subgroup once: if x has
-        order k, then x^j has order k / gcd(j, k)."""
+    def _walk(self) -> tuple[dict[ProperClass, int], dict[ProperClass, ProperClass]]:
+        """Order and square of every class, walking each cyclic subgroup
+        once: if x has powers [x, x^2, ..., x^k = 1], then x^j has order
+        k / gcd(j, k) and square x^(2j), entry (2j - 1) mod k of the list."""
         orders: dict[ProperClass, int] = {}
+        squares: dict[ProperClass, ProperClass] = {}
         for x in self.classes:
             if x in orders:
                 continue
@@ -54,8 +56,20 @@ class ClassGroup:
                 powers.append(compose(powers[-1], x))
             k = len(powers)
             for j, y in enumerate(powers, 1):
-                orders.setdefault(y, k // math.gcd(j, k))
-        return orders
+                if y not in orders:
+                    orders[y] = k // math.gcd(j, k)
+                    squares[y] = powers[(2 * j - 1) % k]
+        return orders, squares
+
+    @property
+    def orders(self) -> dict[ProperClass, int]:
+        """Order of every class."""
+        return self._walk[0]
+
+    @property
+    def squares(self) -> dict[ProperClass, ProperClass]:
+        """Square of every class, read off the same walk as `orders`."""
+        return self._walk[1]
 
 
 @lru_cache(maxsize=None)

@@ -4,15 +4,17 @@ stdout carries data (JSON with alphabetically ordered keys by default);
 stderr carries diagnostics.  Exit codes: 0 success, 1 a verification
 sweep found a contradiction or the ternary identity report failed, 2 usage,
 precondition or file error (a `spectrum --bound` above `repcount.MAX_BOUND`,
-a `ternary-demo --bound` above `ternary.MAX_BOUND`, and a discriminant or
-`verify --dmin` below -`classgroup.MAX_ABS_D` included).  `verify` runs its
-whole grid in this one process.
+a `ternary-demo --bound` above `ternary.MAX_BOUND`, a `represent` whose rows
+sum above `repcount.MAX_ROWS`, and a discriminant or `verify --dmin` below
+-`classgroup.MAX_ABS_D` included).  `verify` runs its whole grid in this
+one process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Iterable
 
@@ -86,7 +88,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_represent(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise ValueError(f"n must be >= 1, got {args.n}")
     group = enumerate_classes(args.D)
+    rows = sum(math.isqrt(4 * cls.rep.a * args.n // -args.D) + 1 for cls in group.classes)
+    if rows > repcount.MAX_ROWS:
+        raise ValueError(f"n = {args.n} needs {rows} rows over {group.h} classes, "
+                         f"more than {repcount.MAX_ROWS}")
     records = []
     for cls in group.classes:
         if args.p is None:

@@ -13,8 +13,12 @@ D < 0 and a prime p not dividing D the decision runs in three routes:
      p-primitively represents p^2.
 
 Routes 1 and 2 are facts about (D, p), so `classify_all` decides them once
-for the whole group and only route 3 looks at each class.  Each verdict
-carries machine-checkable evidence for its route.
+for the whole group and only route 3 looks at each class.  Route 3 is a
+group fact too: for p split, the ideals of norm p^2 that (p) does not
+divide lie in P^2 and P^-2, where P is the class of [p, b, (b^2 - D)/4p]
+with b^2 = D (mod 4p).  So a square class takes p^2 p-primitively iff it
+is P^2 or P^-2, and every passing class has the square P^2 = P^-2.  Each
+verdict carries machine-checkable evidence for its route.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .classgroup import ProperClass, compose, enumerate_classes
+from .classgroup import ProperClass, enumerate_classes, inverse_class
 from .intarith import check_prime_not_dividing, kronecker
-from .qform import BinaryForm, IntMap2, check_discriminant, transformed_coefficients
+from .qform import BinaryForm, IntMap2, check_discriminant, reduce, transformed_coefficients
 from .repcount import rep_counts
 
 ROUTE_SYMBOL_MINUS_ONE = "symbol_minus_one"
@@ -123,7 +127,10 @@ def classify_all(D: int, p: int) -> list[Verdict]:
     """Verdicts for every class of discriminant D, in representative order.
 
     Requires p prime, p not | D.  Routes 1 and 2 depend only on (D, p) and
-    settle the whole group; route 3 tests each distinct square class once.
+    settle the whole group.  Route 3 reads each class's order and square
+    off the group's power walk and tests the square against P^2 and P^-2;
+    one count of p^2 by P^2 supplies the solution every passing class
+    shares.
     """
     group = enumerate_classes(D)
     check_prime_not_dividing(p, D)
@@ -136,23 +143,24 @@ def classify_all(D: int, p: int) -> list[Verdict]:
         m, n, _ = sols[0]
         return [Verdict(x, p, True, ROUTE_PRINCIPAL_SQUARE, {"m": m, "n": n})
                 for x in group.classes]
-    # first p-primitive solution of p^2 by each distinct square class, or None
-    square_solutions: dict[ProperClass, tuple[int, int] | None] = {}
+    # (D/p) = 1, so b^2 = D (mod 4p) has a root b in [0, 2p)
+    b = next(b for b in range(2 * p) if (b * b - D) % (4 * p) == 0)
+    prime = ProperClass(reduce(BinaryForm(p, b, (b * b - D) // (4 * p))))
+    p_squares = {group.squares[prime], group.squares[inverse_class(prime)]}
+    solution = None  # first p-primitive solution of p^2 by P^2
     verdicts = []
     for x in group.classes:
-        order = group.orders[x]
-        square = compose(x, x)
-        if square not in square_solutions:
-            square_solutions[square] = next(
-                (xy for xy in rep_counts(square.rep, p * p, p).solutions
-                 if math.gcd(*xy) % p != 0), None)
-        xy = square_solutions[square]
+        order, square = group.orders[x], group.squares[x]
+        has_sq = square in p_squares
         square_form = list(square.rep.triple())
-        if order == 4 and xy is not None:
+        if order == 4 and has_sq:
+            if solution is None:
+                solution = next(xy for xy in rep_counts(square.rep, p * p, p).solutions
+                                if math.gcd(*xy) % p != 0)
             verdicts.append(Verdict(x, p, True, ROUTE_ORDER_FOUR_SQUARE, {
-                "order": 4, "solution": list(xy), "square_form": square_form}))
+                "order": 4, "solution": list(solution), "square_form": square_form}))
         else:
             verdicts.append(Verdict(x, p, False, ROUTE_ORDER_FOUR_SQUARE_FAILED, {
                 "order": order, "square_form": square_form,
-                "square_has_p_square": xy is not None}))
+                "square_has_p_square": has_sq}))
     return verdicts

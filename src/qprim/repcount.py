@@ -22,6 +22,11 @@ from .qform import BinaryForm
 #: largest bound spectrum accepts (about 1 s and 45 MB at [1,1,1], 2-vCPU VM)
 MAX_BOUND = 10**6
 
+#: largest number of rows the `represent` command sweeps, summed over the
+#: classes: `enumerate_solutions(f, n)` walks the isqrt(4an // |D|) + 1 rows
+#: y >= 0 (0.7-0.8 s for `represent -3` or `-4` at the limit, 2-vCPU VM)
+MAX_ROWS = 3 * 10**6
+
 
 def enumerate_solutions(f: BinaryForm, n: int) -> list[tuple[int, int]]:
     """All integer (x, y) with f(x, y) = n, sorted lexicographically."""

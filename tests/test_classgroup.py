@@ -195,6 +195,15 @@ def test_element_order_divides_h():
             assert power == g.identity
 
 
+def test_squares_match_compose():
+    # the walk's squaring map against one composition per class
+    for D in discriminants_in(-2000, -3):
+        g = enumerate_classes(D)
+        assert g.squares.keys() == set(g.classes)
+        for cls in g.classes:
+            assert g.squares[cls] == compose(cls, cls)
+
+
 def test_ambiguous_classes_examples():
     g = enumerate_classes(-56)
     assert [c.rep.triple() for c in ambiguous_classes(g)] == [(1, 0, 14), (2, 0, 7)]

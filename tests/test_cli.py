@@ -110,6 +110,36 @@ def test_represent_without_p(capsys):
         assert rec["r_star_p"] is None and rec["r_flat_p"] is None
 
 
+def test_represent_rejects_n_beyond_row_limit(capsys):
+    # D = -3 has the one class [1,1,1], swept over isqrt(4n // 3) + 1 rows;
+    # this n is the least with one row too many, refused before any sweep
+    limit = repcount.MAX_ROWS
+    n = -(-3 * limit * limit // 4)
+    code = cli.run(["represent", "-3", str(n)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"needs {limit + 1} rows over 1 classes, more than {limit}" in captured.err
+
+
+def test_represent_row_limit_counts_every_class(capsys, monkeypatch):
+    # at D = -56, n = 9 the classes a = 1, 2, 3, 3 sweep 1 + 2 + 2 + 2 rows
+    monkeypatch.setattr(repcount, "MAX_ROWS", 7)
+    assert cli.run(["represent", "-56", "9"]) == 0
+    monkeypatch.setattr(repcount, "MAX_ROWS", 6)
+    assert cli.run(["represent", "-56", "9"]) == 2
+    assert "needs 7 rows over 4 classes, more than 6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_represent_rejects_n_below_one(capsys, n):
+    code = cli.run(["represent", "-56", n])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"n must be >= 1, got {n}" in captured.err
+
+
 def test_spectrum_command(capsys):
     code, payload, _ = run_json(
         capsys, ["spectrum", "-56", "--form", "1,0,14", "--bound", "15", "--p", "3"]

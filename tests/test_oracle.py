@@ -1,6 +1,7 @@
 """The brute-force layer itself: witness sweeps, matrix search, parity,
 product membership, and the classification grid."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -26,6 +27,8 @@ from qprim.oracle import (
     verify_classification_grid,
 )
 from qprim.pprim import (
+    ROUTE_ORDER_FOUR_SQUARE,
+    ROUTE_ORDER_FOUR_SQUARE_FAILED,
     ROUTE_PRINCIPAL_SQUARE,
     ROUTE_SYMBOL_MINUS_ONE,
     Verdict,
@@ -140,6 +143,25 @@ def test_revalidate_rejects_doctored_evidence():
         assert revalidate_verdict(v)
         assert not revalidate_verdict(replace(v, evidence={**v.evidence, "bogus": 1}))
     assert not revalidate_verdict(replace(good, evidence={"m": good.evidence["m"]}))
+
+
+@pytest.mark.slow
+def test_revalidate_every_verdict_of_wide_window():
+    # every verdict of D in [-4000, -3] with p <= 53 re-derives its evidence
+    routes = Counter()
+    for D in discriminants_in(-4000, -3):
+        for p in primes_up_to(53):
+            if D % p == 0:
+                continue
+            for v in classify_all(D, p):
+                assert revalidate_verdict(v), (D, p, v.cls.rep)
+                routes[v.route] += 1
+    assert routes == {
+        ROUTE_SYMBOL_MINUS_ONE: 241544,
+        ROUTE_PRINCIPAL_SQUARE: 7278,
+        ROUTE_ORDER_FOUR_SQUARE: 6158,
+        ROUTE_ORDER_FOUR_SQUARE_FAILED: 266129,
+    }
 
 
 def test_matrix_search_sweep():
@@ -264,8 +286,11 @@ def test_grid_flags_corrupted_classifier(monkeypatch):
          lambda e: {**e, "square_form": [9, 9, 9]}),
         ((1, 0, 14), pprim.ROUTE_ORDER_FOUR_SQUARE_FAILED,
          lambda e: {k: v for k, v in e.items() if k != "square_form"}),
+        # the classifier reads this flag off the group, not off a count
+        ((2, 0, 7), pprim.ROUTE_ORDER_FOUR_SQUARE_FAILED,
+         lambda e: {**e, "square_has_p_square": not e["square_has_p_square"]}),
     ],
-    ids=["solution", "order", "square_form", "square_form_missing"],
+    ids=["solution", "order", "square_form", "square_form_missing", "square_has_p_square"],
 )
 def test_grid_flags_doctored_evidence(monkeypatch, form, route, doctor):
     real = pprim.classify_all

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from qprim import pprim
-from qprim.classgroup import element_order, enumerate_classes, identity_form
+from qprim.classgroup import ambiguous_classes, element_order, enumerate_classes, identity_form
 from qprim.intarith import kronecker, primes_up_to
 from qprim.pprim import (
     ROUTE_ORDER_FOUR_SQUARE,
@@ -221,6 +221,36 @@ def test_classify_all_settles_pair_facts_once(monkeypatch, D, p, route):
     assert len(verdicts) == enumerate_classes(D).h
     assert route in {v.route for v in verdicts}
     assert calls["kronecker"] <= 1 and calls["solve_two_square"] <= 1
+
+
+def test_route_three_corollaries(monkeypatch):
+    # with P the prime class of p, a class passes route 3 iff ord(P) = 4 and
+    # it lies in P*Cl[2]; so the passing classes of a (D, p) number 0,
+    # #Cl[2] or h, and P^4 = 1 puts |D| <= 4p^4 when any class passes
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return rep_counts(*args)
+
+    monkeypatch.setattr(pprim, "rep_counts", counting)
+    route_three_passes = 0
+    for D in discriminants_in(-1500, -3):
+        group = enumerate_classes(D)
+        sizes = {0, len(ambiguous_classes(group)), group.h}
+        for p in primes_up_to(23):
+            if D % p == 0:
+                continue
+            calls.clear()
+            verdicts = classify_all(D, p)
+            passing = sum(v.completely_p_primitive for v in verdicts)
+            assert passing in sizes
+            assert passing == 0 or -D <= 4 * p**4
+            # one count of p^2 by P^2, made only when some class passes route 3
+            routed = any(v.route == ROUTE_ORDER_FOUR_SQUARE for v in verdicts)
+            assert len(calls) == routed
+            route_three_passes += routed
+    assert route_three_passes > 0
 
 
 def test_routes_are_exhaustive():
