@@ -6,16 +6,20 @@ A disagreement is reported as a contradiction, never suppressed.
 
 A witness against complete p-primitivity is an n that f represents only
 with p | x and p | y, so n = p^2 f(x/p, y/p): every witness up to N lies
-in p^2 * Q(f, N/p^2).  The witness search therefore sweeps the counts
-r(m) of f in windows that double from f's first coefficient a up to
-N/p^2, and checks each window's candidates p^2 m in ascending order by
-one count: the solutions of p^2 m in pZ^2 are p times the solutions of
-m, so p^2 m is a witness iff r(p^2 m) = r(m).  It stops at the smallest
-witness p^2 m, having swept f only to below 2m (the least value of a
-reduced form is a, so m >= a).  The classification grid runs that search
-at the sweep bound, escalates a negative verdict without a witness to 10x
-the bound, then to a ceiling that defaults to 50x, and re-derives every
-verdict's evidence.
+in p^2 * Q(f, N/p^2).  The witness search therefore sweeps the values m
+of f in windows that double from f's first coefficient a up to N/p^2, and
+checks each window's candidates p^2 m in ascending order by scanning the
+solutions of f(x, y) = p^2 m row by row: the first solution with p not
+dividing both x and y rejects the candidate, and a candidate whose rows
+hold none is the witness.  It stops at the smallest witness p^2 m, having
+swept f only to below 2m (the least value of a reduced form is a, so
+m >= a).  The classification grid searches a positive verdict up to the
+sweep bound and a negative one once up to a ceiling that defaults to 50x
+the bound, and labels the negative cell with the first rung of the ladder
+bound, 10x bound, ceiling that holds its witness.  The two classes
+[a, b, c] and [a, -b, c] of an inverse pair share one search, because
+[a, -b, c](x, -y) = [a, b, c](x, y).  The grid re-derives every verdict's
+evidence.
 Route-3 evidence is compared as a whole, key for key, against a fresh
 derivation (composition, element order, one solution count of p^2) that
 calls no classifier helper.
@@ -37,11 +41,16 @@ from .pprim import (
     ROUTE_SYMBOL_MINUS_ONE,
     Verdict,
 )
-from .repcount import enumerate_solutions, rep_counts, rep_profile
+from .repcount import half_plane_solutions, rep_counts, rep_profile
 
 STATUS_AGREES = "agrees"
 STATUS_CONTRADICTION = "contradiction"
 STATUS_UNCONFIRMED = "unconfirmed"
+
+#: largest witness-search ceiling the grid accepts: one search without a
+#: witness at the smallest prime, brute_force_cpp([1, 1, 2], 2, 10**6),
+#: takes about 2 s (2-vCPU VM)
+MAX_CEILING = 10**6
 
 
 @dataclass(frozen=True)
@@ -62,14 +71,14 @@ def brute_force_cpp(f: BinaryForm, p: int, bound: int) -> BruteVerdict:
     m = f(x/p, y/p) <= top = bound // p^2.  The values m of f are swept in
     windows lo < m <= hi, from hi = min(a, top) with hi doubling up to top;
     each window's candidates p^2 m are checked in ascending order, and the
-    first whose solutions all lie in pZ^2 is the witness.  The solutions of
-    p^2 m in pZ^2 are p times the solutions of m, so that holds iff
-    len(enumerate_solutions(f, p^2 m)) equals the window's count r(m).
-    Every value up to hi is checked before any value above it, so the
-    witness is the smallest, as from one sweep up to top.  For a reduced
-    form, whose least value is a, a search that stops at p^2 m sweeps a
-    total bound below 4m.  The search is exhaustive for any form; below p^2
-    there is nothing to sweep and no witness.
+    first whose solutions all lie in pZ^2 is the witness.  A candidate's
+    solutions come lazily from `half_plane_solutions`, one row at a time,
+    and the first with x or y prime to p rejects it, so the rest of its
+    rows are never scanned.  Every value up to hi is checked before any
+    value above it, so the witness is the smallest, as from one sweep up to
+    top.  For a reduced form, whose least value is a, a search that stops
+    at p^2 m sweeps a total bound below 4m.  The search is exhaustive for
+    any form; below p^2 there is nothing to sweep and no witness.
     """
     check_prime_not_dividing(p, f.D)
     if bound < 1:
@@ -78,10 +87,9 @@ def brute_force_cpp(f: BinaryForm, p: int, bound: int) -> BruteVerdict:
     top = bound // p2
     lo, hi = 0, min(f.a, top)
     while lo < top:
-        r = rep_profile(f, hi)
-        for m in sorted(v for v in r if v > lo):
+        for m in sorted(v for v in rep_profile(f, hi) if v > lo):
             n = p2 * m
-            if len(enumerate_solutions(f, n)) == r[m]:
+            if not any(x % p or y % p for x, y in half_plane_solutions(f, n)):
                 return BruteVerdict(f, p, bound, n)
         lo, hi = hi, min(2 * hi, top)
     return BruteVerdict(f, p, bound, None)
@@ -156,8 +164,8 @@ class GridReport:
 
 
 def _escalation_ladder(bound: int, ceiling: int) -> list[int]:
-    """Witness-search bounds beyond the base bound: 10x first (capped by the
-    ceiling), then the ceiling itself."""
+    """Rungs above the base bound that label a negative cell's witness: 10x
+    first (capped by the ceiling), then the ceiling itself."""
     return sorted({b for b in (min(bound * 10, ceiling), ceiling) if b > bound})
 
 
@@ -165,16 +173,19 @@ def verify_classification_grid(
     dmin: int, dmax: int, pmax: int, bound: int, ceiling: int | None = None
 ) -> GridReport:
     """Classify every (D, p, class) cell in the window and re-check it by
-    exhaustive witness searches and by re-deriving its evidence.
+    an exhaustive witness search and by re-deriving its evidence.
 
     Positive verdicts must show no witness <= bound.  Negative verdicts
-    must produce a witness; the search escalates to 10x bound, then to
-    `ceiling` (default 50x bound), and cells still lacking one are
-    reported as unconfirmed rather than contradictions.  A verdict whose
-    evidence fails `revalidate_verdict` is a contradiction.  A bound below 1,
-    a ceiling below the bound, a dmin below -MAX_ABS_D (the census limit),
-    or a window with no (D, p) cell raises ValueError.  The cells are
-    checked one after another in this process.
+    must produce a witness; one search runs up to `ceiling` (default 50x
+    bound), the cell's `bound` is the first of bound, 10x bound and ceiling
+    that holds the witness, and cells without one are reported as
+    unconfirmed at the ceiling rather than as contradictions.  Within one
+    (D, p) the forms [a, b, c] and [a, -b, c] share a search.  A verdict
+    whose evidence fails `revalidate_verdict` is a contradiction.  A bound
+    below 1, a ceiling below the bound or above MAX_CEILING, a dmin below
+    -MAX_ABS_D (the census limit), or a window with no (D, p) cell raises
+    ValueError before any search.  The cells are checked one after another
+    in this process.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -182,6 +193,10 @@ def verify_classification_grid(
         ceiling = bound * 50
     if ceiling < bound:
         raise ValueError(f"ceiling {ceiling} is below the bound {bound}")
+    if ceiling > MAX_CEILING:
+        raise ValueError(
+            f"ceiling must be at most {MAX_CEILING}, got {ceiling} (default 50x the bound)"
+        )
     if dmin < -MAX_ABS_D:
         raise ValueError(f"dmin must be at least {-MAX_ABS_D}, got {dmin}")
     primes = primes_up_to(pmax)
@@ -191,12 +206,16 @@ def verify_classification_grid(
     rungs = [bound] + _escalation_ladder(bound, ceiling)
     cells = []
     for D, p in pairs:
+        # [a, -b, c](x, -y) = [a, b, c](x, y): an inverse pair shares its witnesses
+        witnesses = {}
         for v in pprim.classify_all(D, p):
             f = v.cls.rep
-            for used in [bound] if v.completely_p_primitive else rungs:
-                witness = brute_force_cpp(f, p, used).witness
-                if witness is not None:
-                    break
+            top = bound if v.completely_p_primitive else ceiling
+            key = (f.a, abs(f.b), f.c, top)
+            if key not in witnesses:
+                witnesses[key] = brute_force_cpp(f, p, top).witness
+            witness = witnesses[key]
+            used = next((r for r in rungs if witness is not None and witness <= r), top)
             if v.completely_p_primitive:
                 status = STATUS_CONTRADICTION if witness is not None else STATUS_AGREES
             else:

@@ -13,6 +13,7 @@ solutions of n in dZ^2 are d times the solutions of n/d^2.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,13 +29,14 @@ MAX_BOUND = 10**6
 MAX_ROWS = 3 * 10**6
 
 
-def enumerate_solutions(f: BinaryForm, n: int) -> list[tuple[int, int]]:
-    """All integer (x, y) with f(x, y) = n, sorted lexicographically."""
-    if n < 1:
-        raise ValueError(f"enumerate_solutions requires n >= 1, got {n}")
+def half_plane_solutions(f: BinaryForm, n: int) -> Iterator[tuple[int, int]]:
+    """Yield the (x, y) with f(x, y) = n and y >= 0, by ascending y.
+
+    The rows are scanned lazily, so a caller that stops early skips the rest.
+    Together with the negatives (-x, -y) of the points with y >= 1 they are
+    all the solutions, for n >= 1."""
     a, b = f.a, f.b
     abs_d = -f.D
-    out = []
     isqrt = math.isqrt
     four_an = 4 * a * n
     two_a = 2 * a
@@ -46,10 +48,18 @@ def enumerate_solutions(f: BinaryForm, n: int) -> list[tuple[int, int]]:
         for root in (s, -s) if s else (0,):
             num = -b * y + root
             if num % two_a == 0:
-                x = num // two_a
-                out.append((x, y))
-                if y:
-                    out.append((-x, -y))
+                yield num // two_a, y
+
+
+def enumerate_solutions(f: BinaryForm, n: int) -> list[tuple[int, int]]:
+    """All integer (x, y) with f(x, y) = n, sorted lexicographically."""
+    if n < 1:
+        raise ValueError(f"enumerate_solutions requires n >= 1, got {n}")
+    out = []
+    for x, y in half_plane_solutions(f, n):
+        out.append((x, y))
+        if y:
+            out.append((-x, -y))
     out.sort()
     return out
 

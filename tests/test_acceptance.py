@@ -13,6 +13,7 @@ from collections import Counter
 import pytest
 
 from lemma_checks import mass, verify_jones, verify_reflection_parity
+from qprim import oracle
 from qprim.classgroup import (
     ambiguous_classes,
     element_order,
@@ -112,11 +113,20 @@ def test_criterion_2():
 
 @criterion(3, "brute-force grid D in [-400,-3], p <= 23, N = 5000")
 def test_criterion_3():
-    t0 = time.perf_counter()
-    report = verify_classification_grid(
-        dmin=-400, dmax=-3, pmax=23, bound=5000, ceiling=250000
-    )
-    elapsed = time.perf_counter() - t0
+    searches = Counter()
+    real = oracle.brute_force_cpp
+
+    def counting(f, p, bound):
+        searches[bound] += 1
+        return real(f, p, bound)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "brute_force_cpp", counting)
+        t0 = time.perf_counter()
+        report = verify_classification_grid(
+            dmin=-400, dmax=-3, pmax=23, bound=5000, ceiling=250000
+        )
+        elapsed = time.perf_counter() - t0
     assert report.ok
     assert report.contradictions == ()
     assert report.unconfirmed == ()  # every negative verdict has a witness
@@ -137,6 +147,9 @@ def test_criterion_3():
     witnesses = [c.witness for c in report.cells if c.witness is not None]
     assert max(witnesses) == 206839
     assert sum(witnesses) == 14919284
+    # one search per negative cell, at the ceiling, and one per positive
+    # cell, at the bound, each shared by the inverse pair [a, +-b, c]
+    assert searches == {250000: 4967, 5000: 666}
     assert elapsed <= 120, f"grid sweep took {elapsed:.1f} s"
 
 

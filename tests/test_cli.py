@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qprim import cli, repcount, ternary
+from qprim import cli, oracle, pprim, repcount, ternary
 from qprim.classgroup import MAX_ABS_D, element_order, enumerate_classes
 from qprim.pprim import ROUTE_PRINCIPAL_SQUARE, Verdict, classify_all
 from qprim.repcount import rep_counts, spectrum
@@ -269,6 +269,21 @@ def test_verify_rejects_bound_below_one(capsys, bound):
     assert captured.out == ""
     assert f"bound must be >= 1, got {bound}" in captured.err
     assert "ceiling" not in captured.err
+
+
+def test_verify_rejects_bound_beyond_ceiling_cap(capsys, monkeypatch):
+    # the default ceiling, 50x the bound, lies just above the cap
+    bound = oracle.MAX_CEILING // 50 + 1
+
+    def no_census(D, p):
+        raise AssertionError("the ceiling is checked before any census")
+
+    monkeypatch.setattr(pprim, "classify_all", no_census)
+    code = cli.run(["verify", "--bound", str(bound)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"ceiling must be at most {oracle.MAX_CEILING}, got {50 * bound}" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from qprim import oracle, pprim
 from qprim.classgroup import MAX_ABS_D, enumerate_classes
 from qprim.intarith import primes_up_to
 from qprim.oracle import (
+    MAX_CEILING,
     STATUS_AGREES,
     STATUS_CONTRADICTION,
     STATUS_UNCONFIRMED,
@@ -35,7 +36,7 @@ from qprim.pprim import (
     classify_all,
 )
 from qprim.qform import BinaryForm, discriminants_in, is_ambiguous
-from qprim.repcount import rep_profile
+from qprim.repcount import enumerate_solutions, half_plane_solutions, rep_profile
 
 
 def test_brute_force_cpp_witnesses():
@@ -62,7 +63,9 @@ def test_brute_force_cpp_matches_full_sweep():
     # p^2, around the edges p^2 a 2^k (k = 0, 1, 3) of the ascending search's
     # windows, and at 3000; at 50000 the cells the grid escalates, negative
     # verdicts at p in {19, 23}.  The non-reduced equivalent
-    # [a, b + 2a, a + b + c] is searched around p^2 and at the edges.
+    # [a, b + 2a, a + b + c] is searched around p^2 and at the edges, and the
+    # mirror form [a, -b, c], which the grid searches in place of the
+    # inverse class, at every bound: [a, -b, c](x, -y) = [a, b, c](x, y).
     # Equivalent forms share their witnesses, and the smallest
     # witness up to any bound checked is read off one full sweep of the
     # reduced form: at 3000, or for a negative verdict without a witness by
@@ -74,6 +77,7 @@ def test_brute_force_cpp_matches_full_sweep():
         for i, x in enumerate(enumerate_classes(D).classes):
             a, b, c = x.rep.triple()
             g = BinaryForm(a, b + 2 * a, a + b + c)
+            mirror = BinaryForm(a, -b, c)
             for p in primes:
                 p2 = p * p
                 edges = [p2 * a * 2**k + d for k in (0, 1, 3) for d in (-1, 0, 1)]
@@ -84,7 +88,7 @@ def test_brute_force_cpp_matches_full_sweep():
                     ref = brute_force_cpp_full_sweep(x.rep, p, max(edges + large))
                 w = ref.witness
                 small = [1, p2 - 1, p2, *edges]
-                for f, bounds in ((x.rep, small + large), (g, small)):
+                for f, bounds in ((x.rep, small + large), (mirror, small + large), (g, small)):
                     for bound in bounds:
                         found = w if w is not None and w <= bound else None
                         assert brute_force_cpp(f, p, bound) == BruteVerdict(f, p, bound, found)
@@ -92,20 +96,69 @@ def test_brute_force_cpp_matches_full_sweep():
 
 def test_brute_force_cpp_sweeps_only_to_witness(monkeypatch):
     bounds = []
+    pulls = {}
 
     def recording(f, bound):
         bounds.append(bound)
         return rep_profile(f, bound)
 
+    def pulling(f, n):
+        pulled = pulls.setdefault(n, [])
+        for xy in half_plane_solutions(f, n):
+            pulled.append(xy)
+            yield xy
+
     monkeypatch.setattr(oracle, "rep_profile", recording)
+    monkeypatch.setattr(oracle, "half_plane_solutions", pulling)
     # the witness 9 = 3^2 * 1 lies in the first window, (0, a]
     assert brute_force_cpp(BinaryForm(1, 0, 14), 3, 5000).witness == 9
     assert bounds == [1]
+    assert pulls == {9: [(3, 0), (-3, 0)]}
     # no witness: windows double from a = 3 up to top = 5000 // 9
     bounds.clear()
-    assert brute_force_cpp(BinaryForm(3, 2, 5), 3, 5000).witness is None
+    pulls.clear()
+    f = BinaryForm(3, 2, 5)
+    assert brute_force_cpp(f, 3, 5000).witness is None
     assert bounds == [3, 6, 12, 24, 48, 96, 192, 384, 555]
     assert sum(bounds) < 3 * 555
+    # every candidate 9m, m <= 555, is checked once, in ascending order, and
+    # its rows are scanned only up to its first 3-primitive solution: the
+    # only one pulled, and the last.  The points of the row y = 0, such as
+    # (+-3, 0) for 27 = 9 * f(1, 0), come first and are not 3-primitive.
+    assert list(pulls) == [9 * m for m in sorted(rep_profile(f, 555))]
+    for pulled in pulls.values():
+        primitive = [x % 3 != 0 or y % 3 != 0 for x, y in pulled]
+        assert primitive.count(True) == 1 and primitive[-1]
+    assert pulls[27] == [(3, 0), (-3, 0), (1, 2)]
+    assert sum(map(len, pulls.values())) < sum(
+        len(enumerate_solutions(f, n)) for n in pulls
+    )
+
+
+@pytest.mark.slow
+def test_brute_force_cpp_equals_full_sweep_wide():
+    # every class of every D in [-500, -3] as its reduced form, [c, -b, a]
+    # and [a, b + 2a, a + b + c], each p in {2, 3, 5, 7, 11, 13, 29} prime
+    # to D, at bounds around p^2, p^2 a and the grid's scale; the reference
+    # sweeps run bound by bound so that its cache serves every prime
+    calls = found = 0
+    for D in discriminants_in(-500, -3):
+        primes = [p for p in (2, 3, 5, 7, 11, 13, 29) if D % p]
+        for x in enumerate_classes(D).classes:
+            a, b, c = x.rep.triple()
+            bounds = {
+                p: {1, p * p - 1, p * p, p * p * a, p * p * a + 1, 2 * p * p, 777, 5000}
+                for p in primes
+            }
+            for f in (x.rep, BinaryForm(c, -b, a), BinaryForm(a, b + 2 * a, a + b + c)):
+                for bound in sorted(set().union(*bounds.values())):
+                    for p in primes:
+                        if bound in bounds[p]:
+                            v = brute_force_cpp(f, p, bound)
+                            assert v == brute_force_cpp_full_sweep(f, p, bound), (f, p, bound)
+                            calls += 1
+                            found += v.witness is not None
+    assert (calls, found) == (204759, 84675)
 
 
 def test_brute_matches_classifier_small():
@@ -341,6 +394,47 @@ def test_grid_rejects_ceiling_below_bound():
     with pytest.raises(ValueError):
         verify_classification_grid(-20, -3, 3, 5000, ceiling=4999)
     assert verify_classification_grid(-20, -3, 3, 5000, ceiling=5000).ceiling == 5000
+
+
+def test_grid_rejects_ceiling_above_cap(monkeypatch):
+    # at the cap: the negative cells of -56 at p = 3 have the witnesses 9, 18
+    report = verify_classification_grid(-56, -56, 3, 5000, ceiling=MAX_CEILING)
+    assert report.ceiling == MAX_CEILING and report.ok and not report.unconfirmed
+
+    def no_census(D, p):
+        raise AssertionError("the ceiling is checked before any census")
+
+    monkeypatch.setattr(pprim, "classify_all", no_census)
+    message = f"ceiling must be at most {MAX_CEILING}, got {MAX_CEILING + 1}"
+    with pytest.raises(ValueError, match=message):
+        verify_classification_grid(-20, -3, 3, 5000, ceiling=MAX_CEILING + 1)
+    # the default ceiling, 50x the bound, is held to the same cap
+    bound = MAX_CEILING // 50 + 1
+    with pytest.raises(ValueError, match=f"got {50 * bound} "):
+        verify_classification_grid(-20, -3, 3, bound)
+
+
+def test_grid_searches_each_inverse_pair_once(monkeypatch):
+    # D = -56, p = 3: [3, 2, 5] and [3, -2, 5] share one search at the bound;
+    # the negatives [1, 0, 14] and [2, 0, 7] are each searched once at the
+    # ceiling and labelled with the first rung that holds their witness
+    calls = []
+    real = oracle.brute_force_cpp
+
+    def recording(f, p, bound):
+        calls.append((f.triple(), bound))
+        return real(f, p, bound)
+
+    monkeypatch.setattr(oracle, "brute_force_cpp", recording)
+    report = verify_classification_grid(-56, -56, 3, 5, ceiling=100)
+    assert calls == [((1, 0, 14), 100), ((2, 0, 7), 100), ((3, -2, 5), 5)]
+    cells = {c.form.triple(): (c.witness, c.bound, c.status) for c in report.cells}
+    assert cells == {
+        (1, 0, 14): (9, 50, STATUS_AGREES),
+        (2, 0, 7): (18, 50, STATUS_AGREES),
+        (3, -2, 5): (None, 5, STATUS_AGREES),
+        (3, 2, 5): (None, 5, STATUS_AGREES),
+    }
 
 
 @pytest.mark.parametrize("bound", [0, -5])
