@@ -210,8 +210,9 @@ def verify_classification_grid(
         witnesses = {}
         for v in pprim.classify_all(D, p):
             f = v.cls.rep
+            a, b, c = f
             top = bound if v.completely_p_primitive else ceiling
-            key = (f.a, abs(f.b), f.c, top)
+            key = (a, abs(b), c, top)
             if key not in witnesses:
                 witnesses[key] = brute_force_cpp(f, p, top).witness
             witness = witnesses[key]

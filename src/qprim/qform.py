@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass(frozen=True, order=True)
@@ -35,38 +36,50 @@ class IntMap2:
         return f"[[{self.m11},{self.m12}],[{self.m21},{self.m22}]]"
 
 
-@dataclass(frozen=True, order=True)
-class BinaryForm:
-    """Primitive positive definite binary quadratic form a*x^2 + b*x*y + c*y^2."""
-
+class _Coefficients(NamedTuple):
     a: int
     b: int
     c: int
 
-    def __post_init__(self) -> None:
-        d = self.b * self.b - 4 * self.a * self.c
+
+class BinaryForm(_Coefficients):
+    """Primitive positive definite binary quadratic form a*x^2 + b*x*y + c*y^2.
+
+    An immutable tuple (a, b, c): hashing, equality and ordering run on the
+    triple in C, so forms sort like their triples.  Hot code unpacks
+    `a, b, c = f`, which is cheaper than three field reads."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int) -> BinaryForm:
+        d = b * b - 4 * a * c
         if d >= 0:
-            raise ValueError(f"form {self} has non-negative discriminant {d}")
-        if self.a <= 0:
-            raise ValueError(f"form {self} is negative definite (a <= 0)")
-        if math.gcd(self.a, math.gcd(self.b, self.c)) != 1:
-            raise ValueError(f"form {self} is not primitive")
+            raise ValueError(f"form [{a},{b},{c}] has non-negative discriminant {d}")
+        if a <= 0:
+            raise ValueError(f"form [{a},{b},{c}] is negative definite (a <= 0)")
+        if math.gcd(a, b, c) != 1:
+            raise ValueError(f"form [{a},{b},{c}] is not primitive")
+        return tuple.__new__(cls, (a, b, c))
 
     @property
     def D(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
+        a, b, c = self
+        return b * b - 4 * a * c
 
     def evaluate(self, x: int, y: int) -> int:
-        return self.a * x * x + self.b * x * y + self.c * y * y
+        a, b, c = self
+        return a * x * x + b * x * y + c * y * y
 
     def triple(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
+        return tuple(self)
 
     def as_json(self) -> dict[str, int]:
-        return {"D": self.D, "a": self.a, "b": self.b, "c": self.c}
+        a, b, c = self
+        return {"D": b * b - 4 * a * c, "a": a, "b": b, "c": c}
 
     def __str__(self) -> str:
-        return f"[{self.a},{self.b},{self.c}]"
+        a, b, c = self
+        return f"[{a},{b},{c}]"
 
 
 def is_discriminant(D: int) -> bool:
@@ -103,7 +116,7 @@ def transformed_coefficients(f: BinaryForm, M: IntMap2) -> tuple[int, int, int]:
 
 def is_reduced(f: BinaryForm) -> bool:
     """Gauss-reduced: |b| <= a <= c, with b >= 0 when |b| = a or a = c."""
-    a, b, c = f.a, f.b, f.c
+    a, b, c = f
     if not (abs(b) <= a <= c):
         return False
     if b < 0 and (-b == a or a == c):
@@ -118,9 +131,9 @@ def reduce(f: BinaryForm) -> BinaryForm:
     the shift (x, y) |-> (x + t*y, y) taking b into (-a, a], and the swap
     (x, y) |-> (-y, x) taking [a, b, c] to [c, -b, a].
     """
-    if f.D >= 0 or f.a <= 0:
+    a, b, c = f
+    if b * b - 4 * a * c >= 0 or a <= 0:
         raise ValueError(f"cannot reduce non positive definite form {f}")
-    a, b, c = f.a, f.b, f.c
     while True:
         if b <= -a or b > a:
             t = (a - b) // (2 * a)  # shifts b into (-a, a]
@@ -138,4 +151,5 @@ def is_ambiguous(f: BinaryForm) -> bool:
     """For a reduced form: class has order <= 2, i.e. b = 0, a = b or a = c."""
     if not is_reduced(f):
         raise ValueError(f"is_ambiguous expects a reduced form, got {f}")
-    return f.b == 0 or f.a == f.b or f.a == f.c
+    a, b, c = f
+    return b == 0 or a == b or a == c

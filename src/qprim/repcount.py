@@ -30,13 +30,14 @@ MAX_ROWS = 3 * 10**6
 
 
 def half_plane_solutions(f: BinaryForm, n: int) -> Iterator[tuple[int, int]]:
-    """Yield the (x, y) with f(x, y) = n and y >= 0, by ascending y.
+    """Yield the (x, y) with f(x, y) = n and y >= 1, or y = 0 and x >= 1, by
+    ascending y.
 
     The rows are scanned lazily, so a caller that stops early skips the rest.
-    Together with the negatives (-x, -y) of the points with y >= 1 they are
-    all the solutions, for n >= 1."""
-    a, b = f.a, f.b
-    abs_d = -f.D
+    For n >= 1 they hold one point of each pair (x, y), (-x, -y), so together
+    with their negatives they are all the solutions."""
+    a, b, c = f
+    abs_d = 4 * a * c - b * b
     isqrt = math.isqrt
     four_an = 4 * a * n
     two_a = 2 * a
@@ -45,7 +46,8 @@ def half_plane_solutions(f: BinaryForm, n: int) -> Iterator[tuple[int, int]]:
         s = isqrt(disc)
         if s * s != disc:
             continue
-        for root in (s, -s) if s else (0,):
+        # the row y = 0 has s > 0 and keeps the root x = s / 2a > 0
+        for root in (s, -s) if s and y else (s,):
             num = -b * y + root
             if num % two_a == 0:
                 yield num // two_a, y
@@ -57,9 +59,7 @@ def enumerate_solutions(f: BinaryForm, n: int) -> list[tuple[int, int]]:
         raise ValueError(f"enumerate_solutions requires n >= 1, got {n}")
     out = []
     for x, y in half_plane_solutions(f, n):
-        out.append((x, y))
-        if y:
-            out.append((-x, -y))
+        out += ((x, y), (-x, -y))
     out.sort()
     return out
 
@@ -95,8 +95,8 @@ def rep_profile(f: BinaryForm, bound: int) -> dict[int, int]:
     """
     if bound < 1:
         raise ValueError(f"rep_profile requires bound >= 1, got {bound}")
-    a, b, c = f.a, f.b, f.c
-    abs_d = -f.D
+    a, b, c = f
+    abs_d = 4 * a * c - b * b
     # the row y = 0 holds (+-x, 0) with value a*x^2
     counts = {a * x * x: 2 for x in range(1, math.isqrt(bound // a) + 1)}
     get = counts.get

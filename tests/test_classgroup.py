@@ -95,6 +95,45 @@ def test_enumerate_classes_wellformed():
         assert list(g.classes) == sorted(g.classes)
 
 
+def triple_loop_census(dmin, dmax):
+    """{D: sorted triples} of the primitive reduced forms [a, b, c] with D in
+    [dmin, dmax], from a loop over a, b and c: |b| <= a <= c, b >= 0 when
+    |b| = a or a = c, and gcd(a, b, c) = 1."""
+    census = {}
+    a = 1
+    while 3 * a * a <= -dmin:  # |D| = 4ac - b^2 >= 3a^2
+        for b in range(-a, a + 1):
+            # b^2 - 4ac lies in [dmin, dmax] for c in [c_lo, c_hi]
+            c_lo = max(a, -((dmax - b * b) // (4 * a)))
+            c_hi = (b * b - dmin) // (4 * a)
+            for c in range(c_lo, c_hi + 1):
+                if b < 0 and (-b == a or a == c):
+                    continue
+                if math.gcd(math.gcd(a, b), c) == 1:
+                    census.setdefault(b * b - 4 * a * c, []).append((a, b, c))
+        a += 1
+    return {D: sorted(forms) for D, forms in census.items()}
+
+
+def assert_census_matches_triple_loop(dmin, dmax):
+    # uncached, so a wide window does not fill the census cache
+    census = triple_loop_census(dmin, dmax)
+    for D in discriminants_in(dmin, dmax):
+        g = enumerate_classes.__wrapped__(D)
+        assert [c.rep.triple() for c in g.classes] == census.pop(D)
+    assert census == {}  # no form of a D that is not a discriminant
+
+
+def test_census_matches_triple_loop():
+    assert_census_matches_triple_loop(-4000, -3)
+
+
+@pytest.mark.slow
+def test_census_matches_triple_loop_wide():
+    for dmax in range(-3, -10**5, -5000):
+        assert_census_matches_triple_loop(max(dmax - 4999, -10**5), dmax)
+
+
 def test_census_complete_under_reduction():
     # every primitive definite form with small coefficients reduces into the census
     for a in range(1, 13):
@@ -218,6 +257,21 @@ def test_ambiguous_matches_syntactic_test():
         by_shape = ambiguous_classes(g)
         by_order = [c for c in g.classes if compose(c, c) == g.identity]
         assert by_shape == by_order
+
+
+def test_classes_key_and_sort_like_triples():
+    g = enumerate_classes(-56)
+    assert repr(g.identity) == "ProperClass(rep=BinaryForm(a=1, b=0, c=14))"
+    assert str(g.identity) == "[1,0,14]"
+    assert sorted(reversed(g.classes)) == list(g.classes)
+    index = {x: i for i, x in enumerate(g.classes)}
+    assert len(index) == g.h == 4
+    for i, abc in enumerate([(1, 0, 14), (2, 0, 7), (3, -2, 5), (3, 2, 5)]):
+        x = ProperClass(BinaryForm(*abc))  # a fresh key equal to the census's
+        assert x == g.classes[i] and hash(x) == hash(g.classes[i])
+        assert index[x] == i
+    with pytest.raises(AttributeError):
+        g.identity.rep = BinaryForm(2, 0, 7)
 
 
 def test_classgroup_record():

@@ -113,7 +113,7 @@ def test_brute_force_cpp_sweeps_only_to_witness(monkeypatch):
     # the witness 9 = 3^2 * 1 lies in the first window, (0, a]
     assert brute_force_cpp(BinaryForm(1, 0, 14), 3, 5000).witness == 9
     assert bounds == [1]
-    assert pulls == {9: [(3, 0), (-3, 0)]}
+    assert pulls == {9: [(3, 0)]}
     # no witness: windows double from a = 3 up to top = 5000 // 9
     bounds.clear()
     pulls.clear()
@@ -123,13 +123,13 @@ def test_brute_force_cpp_sweeps_only_to_witness(monkeypatch):
     assert sum(bounds) < 3 * 555
     # every candidate 9m, m <= 555, is checked once, in ascending order, and
     # its rows are scanned only up to its first 3-primitive solution: the
-    # only one pulled, and the last.  The points of the row y = 0, such as
-    # (+-3, 0) for 27 = 9 * f(1, 0), come first and are not 3-primitive.
+    # only one pulled, and the last.  The point of the row y = 0, such as
+    # (3, 0) for 27 = 9 * f(1, 0), comes first and is not 3-primitive.
     assert list(pulls) == [9 * m for m in sorted(rep_profile(f, 555))]
     for pulled in pulls.values():
         primitive = [x % 3 != 0 or y % 3 != 0 for x, y in pulled]
         assert primitive.count(True) == 1 and primitive[-1]
-    assert pulls[27] == [(3, 0), (-3, 0), (1, 2)]
+    assert pulls[27] == [(3, 0), (1, 2)]
     assert sum(map(len, pulls.values())) < sum(
         len(enumerate_solutions(f, n)) for n in pulls
     )

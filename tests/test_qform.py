@@ -35,16 +35,16 @@ def random_unimodular(rng, span=5):
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
-        BinaryForm(1, 0, -1)  # positive discriminant
-    with pytest.raises(ValueError):
-        BinaryForm(1, 2, 1)  # discriminant zero
-    with pytest.raises(ValueError):
-        BinaryForm(2, 0, 2)  # imprimitive
-    with pytest.raises(ValueError):
-        BinaryForm(-1, 0, -1)  # negative definite
-    with pytest.raises(ValueError):
-        BinaryForm(0, 1, 1)
+    for abc, message in (
+        ((1, 0, -1), "form [1,0,-1] has non-negative discriminant 4"),
+        ((1, 2, 1), "form [1,2,1] has non-negative discriminant 0"),
+        ((2, 0, 2), "form [2,0,2] is not primitive"),
+        ((-1, 0, -1), "form [-1,0,-1] is negative definite (a <= 0)"),
+        ((0, 1, 1), "form [0,1,1] has non-negative discriminant 1"),
+    ):
+        with pytest.raises(ValueError) as err:
+            BinaryForm(*abc)
+        assert str(err.value) == message
 
 
 def test_form_basics():
@@ -56,7 +56,19 @@ def test_form_basics():
     assert f.evaluate(-2, 1) == 13
     assert f.triple() == (3, 2, 5)
     assert str(f) == "[3,2,5]"
+    assert repr(f) == "BinaryForm(a=3, b=2, c=5)"
     assert f.as_json() == {"D": -56, "a": 3, "b": 2, "c": 5}
+
+
+def test_forms_hash_compare_and_sort_as_triples():
+    f = BinaryForm(3, 2, 5)
+    assert f == BinaryForm(3, 2, 5) and hash(f) == hash(BinaryForm(3, 2, 5))
+    assert f != BinaryForm(3, -2, 5)
+    assert {f: 1, BinaryForm(3, -2, 5): 2}[BinaryForm(3, 2, 5)] == 1
+    forms = [BinaryForm(3, 2, 5), BinaryForm(1, 0, 14), BinaryForm(3, -2, 5), BinaryForm(2, 0, 7)]
+    assert [g.triple() for g in sorted(forms)] == sorted(g.triple() for g in forms)
+    with pytest.raises(AttributeError):
+        f.a = 4
 
 
 def test_is_discriminant():

@@ -67,15 +67,16 @@ def test_enumerate_solutions_examples():
 
 
 def test_enumerate_solutions_matches_box_scan():
-    # the lazy row scan behind it yields the half-plane y >= 0, rows ascending
+    # the lazy row scan behind it yields the half-plane y >= 1 with x >= 1 on
+    # the row y = 0, rows ascending
     for f in SAMPLE_FORMS:
         for n in range(1, 60):
             sols = brute_solutions(f, n)
             assert enumerate_solutions(f, n) == sols
             half = list(half_plane_solutions(f, n))
-            assert sorted(half) == [(x, y) for x, y in sols if y >= 0]
+            assert sorted(half) == [(x, y) for x, y in sols if y > 0 or (y == 0 and x > 0)]
             assert [y for _, y in half] == sorted(y for _, y in half)
-    assert list(half_plane_solutions(BinaryForm(3, 2, 5), 27)) == [(3, 0), (-3, 0), (1, 2)]
+    assert list(half_plane_solutions(BinaryForm(3, 2, 5), 27)) == [(3, 0), (1, 2)]
 
 
 def test_rep_counts_examples():
