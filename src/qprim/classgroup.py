@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -14,6 +13,10 @@ from .qform import BinaryForm, check_discriminant, is_ambiguous
 #: largest |D| the census accepts: its loop runs O(|D|) times, 0.14-0.21 s
 #: at the limit (three runs each at D = -9999991 and -10^7, 2-vCPU VM)
 MAX_ABS_D = 10**7
+
+#: discriminants whose census (and principal class) stay cached; a sweep
+#: over more evicts the least recently used, so memory stays bounded
+CACHED_GROUPS = 256
 
 
 class ProperClass(NamedTuple):
@@ -32,13 +35,17 @@ class ProperClass(NamedTuple):
         return str(self.rep)
 
 
-@dataclass(frozen=True)
-class ClassGroup:
-    """All proper classes of one discriminant, sorted by representative."""
-
+class _Census(NamedTuple):
     D: int
     classes: tuple[ProperClass, ...]
     identity: ProperClass
+
+
+class ClassGroup(_Census):
+    """All proper classes of one discriminant, sorted by representative.
+
+    An immutable tuple (D, classes, identity).  It keeps an instance dict,
+    which holds only the power walk, computed on first use."""
 
     @property
     def h(self) -> int:
@@ -75,7 +82,7 @@ class ClassGroup:
         return self._walk[1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_GROUPS)
 def identity_form(D: int) -> ProperClass:
     """Principal class: [1,0,-D/4] for even D, [1,1,(1-D)/4] for odd D."""
     check_discriminant(D)
@@ -86,7 +93,7 @@ def identity_form(D: int) -> ProperClass:
     return ProperClass(qform.reduce(f))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_GROUPS)
 def enumerate_classes(D: int) -> ClassGroup:
     """Census of reduced forms: a <= sqrt(|D|/3), b = D (mod 2), 4a | b^2 - D.
 

@@ -28,7 +28,7 @@ calls no classifier helper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import pprim
 from .classgroup import MAX_ABS_D, compose, element_order
@@ -53,8 +53,7 @@ STATUS_UNCONFIRMED = "unconfirmed"
 MAX_CEILING = 10**6
 
 
-@dataclass(frozen=True)
-class BruteVerdict:
+class BruteVerdict(NamedTuple):
     """Result of an exhaustive witness search up to a bound; `witness` is
     None when no witness lies at or below it."""
 
@@ -95,8 +94,7 @@ def brute_force_cpp(f: BinaryForm, p: int, bound: int) -> BruteVerdict:
     return BruteVerdict(f, p, bound, None)
 
 
-@dataclass(frozen=True)
-class GridCell:
+class GridCell(NamedTuple):
     """One (D, p, class) verdict checked against brute force."""
 
     D: int
@@ -121,8 +119,7 @@ class GridCell:
         }
 
 
-@dataclass(frozen=True)
-class GridReport:
+class GridReport(NamedTuple):
     """Aggregate of a classification sweep, sorted by (D, p, form)."""
 
     dmin: int
@@ -209,24 +206,25 @@ def verify_classification_grid(
         # [a, -b, c](x, -y) = [a, b, c](x, y): an inverse pair shares its witnesses
         witnesses = {}
         for v in pprim.classify_all(D, p):
-            f = v.cls.rep
+            x, _, cpp, route, _ = v
+            f = x.rep
             a, b, c = f
-            top = bound if v.completely_p_primitive else ceiling
+            top = bound if cpp else ceiling
             key = (a, abs(b), c, top)
             if key not in witnesses:
                 witnesses[key] = brute_force_cpp(f, p, top).witness
             witness = witnesses[key]
             used = next((r for r in rungs if witness is not None and witness <= r), top)
-            if v.completely_p_primitive:
+            if cpp:
                 status = STATUS_CONTRADICTION if witness is not None else STATUS_AGREES
             else:
                 status = STATUS_AGREES if witness is not None else STATUS_UNCONFIRMED
             if not revalidate_verdict(v):
                 status = STATUS_CONTRADICTION
             cells.append(
-                GridCell(D, p, f, v.completely_p_primitive, v.route, status, witness, used)
+                GridCell(D, p, f, cpp, route, status, witness, used)
             )
-    cells.sort(key=lambda cell: (cell.D, cell.p, cell.form))
+    cells.sort()  # a cell's first fields, (D, p, form), are unique in the grid
     return GridReport(dmin, dmax, pmax, bound, ceiling, tuple(cells))
 
 
@@ -237,38 +235,38 @@ def revalidate_verdict(v: Verdict) -> bool:
     evidence must equal the re-derived facts key for key; a passing
     verdict's solution is checked by evaluating the square class at it.
     """
-    f = v.cls.rep
-    p = v.p
-    if v.route == ROUTE_SYMBOL_MINUS_ONE:
-        if v.evidence.keys() != {"witness"}:
+    x, p, cpp, route, evidence = v
+    f = x.rep
+    if route == ROUTE_SYMBOL_MINUS_ONE:
+        if evidence.keys() != {"witness"}:
             return False
-        rec = rep_counts(f, v.evidence["witness"], p)
-        return not v.completely_p_primitive and rec.r > 0 and rec.r_star_p == 0
-    if v.route == ROUTE_PRINCIPAL_SQUARE:
-        if v.evidence.keys() != {"m", "n"}:
+        rec = rep_counts(f, evidence["witness"], p)
+        return not cpp and rec.r > 0 and rec.r_star_p == 0
+    if route == ROUTE_PRINCIPAL_SQUARE:
+        if evidence.keys() != {"m", "n"}:
             return False
-        m, n = v.evidence["m"], v.evidence["n"]
+        m, n = evidence["m"], evidence["n"]
         return (
-            v.completely_p_primitive
+            cpp
             and 4 * p * p == m * m - f.D * n * n
             and math.gcd(math.gcd(m, n), p) == 1
         )
-    square = compose(v.cls, v.cls)
-    facts = {"order": element_order(v.cls), "square_form": list(square.rep.triple())}
-    if v.route == ROUTE_ORDER_FOUR_SQUARE:
-        xy = v.evidence.get("solution")
+    square = compose(x, x)
+    facts = {"order": element_order(x), "square_form": list(square.rep.triple())}
+    if route == ROUTE_ORDER_FOUR_SQUARE:
+        xy = evidence.get("solution")
         return (
-            v.completely_p_primitive
+            cpp
             and facts["order"] == 4
-            and v.evidence == {**facts, "solution": xy}
+            and evidence == {**facts, "solution": xy}
             and square.rep.evaluate(*xy) == p * p
             and math.gcd(*xy) % p != 0
         )
-    if v.route == ROUTE_ORDER_FOUR_SQUARE_FAILED:
+    if route == ROUTE_ORDER_FOUR_SQUARE_FAILED:
         has_sq = rep_counts(square.rep, p * p, p).r_star_p > 0
         return (
-            not v.completely_p_primitive
+            not cpp
             and (facts["order"] != 4 or not has_sq)
-            and v.evidence == {**facts, "square_has_p_square": has_sq}
+            and evidence == {**facts, "square_has_p_square": has_sq}
         )
     return False

@@ -24,7 +24,6 @@ verdict carries machine-checkable evidence for its route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .classgroup import ProperClass, enumerate_classes, inverse_class
@@ -96,8 +95,7 @@ def build_isometry(f: BinaryForm, sol: TwoSquareSolution) -> IntMap2:
     return t
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Decision for one (class, p) pair with machine-checkable evidence.
 
     evidence keys by route:

@@ -9,12 +9,10 @@ has a unique reduced representative, which `reduce` returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class IntMap2:
+class IntMap2(NamedTuple):
     """Integer substitution (x, y) |-> (m11*x + m12*y, m21*x + m22*y)."""
 
     m11: int
@@ -60,6 +58,10 @@ class BinaryForm(_Coefficients):
         if math.gcd(a, b, c) != 1:
             raise ValueError(f"form [{a},{b},{c}] is not primitive")
         return tuple.__new__(cls, (a, b, c))
+
+    def _replace(self, **changes: int) -> BinaryForm:
+        """A copy with some coefficients changed, checked like a new form."""
+        return BinaryForm(**{**self._asdict(), **changes})
 
     @property
     def D(self) -> int:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .intarith import ceil_div, is_prime
@@ -64,8 +63,7 @@ def enumerate_solutions(f: BinaryForm, n: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class RepRecord:
+class RepRecord(NamedTuple):
     """Counts of f(x, y) = n: total r, p-primitive r_star_p, rest r_flat_p."""
 
     n: int

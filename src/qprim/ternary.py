@@ -20,8 +20,8 @@ searched for over bounded unimodular changes of basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .intarith import ceil_div
 
@@ -35,11 +35,7 @@ THETA_BOUND = 200
 MAX_BOUND = 10**6
 
 
-@dataclass(frozen=True, order=True)
-class TernaryForm:
-    """Positive definite integral ternary form
-    xx*x^2 + yy*y^2 + zz*z^2 + yz*y*z + zx*z*x + xy*x*y."""
-
+class _TernaryCoefficients(NamedTuple):
     xx: int
     yy: int
     zz: int
@@ -47,30 +43,37 @@ class TernaryForm:
     zx: int
     xy: int
 
-    def __post_init__(self) -> None:
-        h = self.doubled_gram()
+
+class TernaryForm(_TernaryCoefficients):
+    """Positive definite integral ternary form
+    xx*x^2 + yy*y^2 + zz*z^2 + yz*y*z + zx*z*x + xy*x*y.
+
+    An immutable tuple of the six coefficients, so forms compare and sort
+    like their coefficient tuples."""
+
+    __slots__ = ()
+
+    def __new__(cls, xx: int, yy: int, zz: int, yz: int, zx: int, xy: int) -> TernaryForm:
+        f = tuple.__new__(cls, (xx, yy, zz, yz, zx, xy))
+        h = f.doubled_gram()
         m1 = h[0][0]
         m2 = h[0][0] * h[1][1] - h[0][1] * h[0][1]
         if m1 <= 0 or m2 <= 0 or _det3(h) <= 0:
-            raise ValueError(f"ternary form {self} is not positive definite")
+            raise ValueError(f"ternary form {f} is not positive definite")
+        return f
+
+    def _replace(self, **changes: int) -> TernaryForm:
+        """A copy with some coefficients changed, checked like a new form."""
+        return TernaryForm(**{**self._asdict(), **changes})
 
     def evaluate(self, x: int, y: int, z: int) -> int:
-        return (
-            self.xx * x * x
-            + self.yy * y * y
-            + self.zz * z * z
-            + self.yz * y * z
-            + self.zx * z * x
-            + self.xy * x * y
-        )
+        xx, yy, zz, yz, zx, xy = self
+        return xx * x * x + yy * y * y + zz * z * z + yz * y * z + zx * z * x + xy * x * y
 
     def doubled_gram(self) -> tuple[tuple[int, int, int], ...]:
         """Integer matrix 2G; the Gram matrix itself may be half-integral."""
-        return (
-            (2 * self.xx, self.xy, self.zx),
-            (self.xy, 2 * self.yy, self.yz),
-            (self.zx, self.yz, 2 * self.zz),
-        )
+        xx, yy, zz, yz, zx, xy = self
+        return ((2 * xx, xy, zx), (xy, 2 * yy, yz), (zx, yz, 2 * zz))
 
     def gram_det(self) -> Fraction:
         """det of the (half-integral) Gram matrix, det(2G)/8."""
@@ -82,13 +85,11 @@ class TernaryForm:
         return self.evaluate(*w) - self.evaluate(*u) - self.evaluate(*v)
 
     def coefficients(self) -> tuple[int, int, int, int, int, int]:
-        return (self.xx, self.yy, self.zz, self.yz, self.zx, self.xy)
+        return tuple(self)
 
     def __str__(self) -> str:
-        return (
-            f"[{self.xx},{self.yy},{self.zz},"
-            f"yz={self.yz},zx={self.zx},xy={self.xy}]"
-        )
+        xx, yy, zz, yz, zx, xy = self
+        return f"[{xx},{yy},{zz},yz={yz},zx={zx},xy={xy}]"
 
 
 def _det3(m) -> int:
@@ -142,17 +143,18 @@ def rep_count_table(f: TernaryForm, bound: int) -> dict[int, int]:
         raise ValueError(f"bound must be >= 1, got {bound}")
     xmax, ymax, _ = _coordinate_bounds(f, bound)
     counts: dict[int, int] = {}
-    zz2 = 2 * f.zz
+    xx, yy, zz, yz, zx, xy = f
+    zz2 = 2 * zz
     for x in range(-xmax, xmax + 1):
         for y in range(-ymax, ymax + 1):
-            rest = f.xx * x * x + f.yy * y * y + f.xy * x * y
-            lin = f.yz * y + f.zx * x
+            rest = xx * x * x + yy * y * y + xy * x * y
+            lin = yz * y + zx * x
             disc = lin * lin - 2 * zz2 * (rest - bound)
             if disc < 0:
                 continue
             s = math.isqrt(disc)
             for z in range(ceil_div(-lin - s, zz2), (-lin + s) // zz2 + 1):
-                v = f.zz * z * z + lin * z + rest
+                v = zz * z * z + lin * z + rest
                 if 1 <= v <= bound:
                     counts[v] = counts.get(v, 0) + 1
     return counts
@@ -225,8 +227,7 @@ def _one_mod_three_bits(bits: int, bound: int) -> set[int]:
     return {n for n in range(1, min(len(digits), bound + 1), 3) if digits[n] == "1"}
 
 
-@dataclass(frozen=True)
-class SpectrumIdentityReport:
+class SpectrumIdentityReport(NamedTuple):
     """Exhaustive comparison of f_1 and tilde_f_1 on the class 1 mod 3.
 
     sets_match: (values of f_1 in 1 mod 3, minus {1}) equals

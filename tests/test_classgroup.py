@@ -6,6 +6,7 @@ import pytest
 
 from helpers import composition_table
 from qprim.classgroup import (
+    CACHED_GROUPS,
     MAX_ABS_D,
     ClassGroup,
     ProperClass,
@@ -16,6 +17,7 @@ from qprim.classgroup import (
     identity_form,
     inverse_class,
 )
+from qprim.pprim import classify_all
 from qprim.qform import BinaryForm, discriminants_in, is_reduced, reduce
 
 
@@ -280,3 +282,21 @@ def test_classgroup_record():
     assert g.h == len(g.classes)
     table = composition_table(g)
     assert len(table) == g.h and all(len(row) == g.h for row in table)
+
+
+def test_census_caches_stay_bounded():
+    # a sweep over more discriminants than the caches hold evicts the
+    # oldest groups; rebuilding one gives the same group and verdicts
+    enumerate_classes.cache_clear()
+    identity_form.cache_clear()
+    ds = [D for D in discriminants_in(-1200, -3) if D % 3]
+    assert CACHED_GROUPS == 256 < len(ds)
+    first = {D: [v.to_json() for v in classify_all(D, 3)] for D in ds}
+    for cache in (enumerate_classes, identity_form):
+        info = cache.cache_info()
+        assert info.maxsize == CACHED_GROUPS and info.currsize <= CACHED_GROUPS
+    misses = enumerate_classes.cache_info().misses
+    for D in ds[:10]:
+        assert [v.to_json() for v in classify_all(D, 3)] == first[D]
+        assert enumerate_classes(D) == enumerate_classes.__wrapped__(D)
+    assert enumerate_classes.cache_info().misses == misses + 10

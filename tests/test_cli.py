@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -321,14 +320,14 @@ def test_python_m_qprim_runs_cli():
     assert done.stdout == golden.read_text()
 
 
-def test_imports_start_no_process_pool():
-    # verify runs in one process, so no import pulls in the pool machinery
+def loaded_after_import(names: set[str]) -> str:
+    """Which of `names` a fresh interpreter holds after importing the library."""
     src = Path(cli.__file__).resolve().parents[1]
     code = (
-        "import sys, qprim, qprim.cli, qprim.oracle; "
-        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+        "import sys, qprim, qprim.cli, qprim.oracle, qprim.ternary; "
+        f"print(sorted({sorted(names)!r} & sys.modules.keys()))"
     )
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
@@ -336,7 +335,16 @@ def test_imports_start_no_process_pool():
         check=True,
         timeout=60,
     ).stdout
-    assert out == "[]\n"
+
+
+def test_imports_start_no_process_pool():
+    # verify runs in one process, so no import pulls in the pool machinery
+    assert loaded_after_import({"multiprocessing", "concurrent.futures"}) == "[]\n"
+
+
+def test_imports_load_no_dataclasses():
+    # every record is a NamedTuple, so no import generates dataclass code
+    assert loaded_after_import({"dataclasses"}) == "[]\n"
 
 
 def test_ternary_demo(capsys):
@@ -354,7 +362,7 @@ def test_ternary_demo_failing_report_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(
         ternary,
         "spectrum_identity_report",
-        lambda bound: replace(real(bound), sets_match=False),
+        lambda bound: real(bound)._replace(sets_match=False),
     )
     code, payload, _ = run_json(capsys, ["ternary-demo", "--bound", "120"])
     assert code == 1

@@ -2,7 +2,6 @@
 product membership, and the classification grid."""
 
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -194,8 +193,8 @@ def test_revalidate_rejects_doctored_evidence():
     for p, route in ((11, ROUTE_SYMBOL_MINUS_ONE), (23, ROUTE_PRINCIPAL_SQUARE)):
         v = next(v for v in classify_all(-56, p) if v.route == route)
         assert revalidate_verdict(v)
-        assert not revalidate_verdict(replace(v, evidence={**v.evidence, "bogus": 1}))
-    assert not revalidate_verdict(replace(good, evidence={"m": good.evidence["m"]}))
+        assert not revalidate_verdict(v._replace(evidence={**v.evidence, "bogus": 1}))
+    assert not revalidate_verdict(good._replace(evidence={"m": good.evidence["m"]}))
 
 
 @pytest.mark.slow
@@ -295,6 +294,8 @@ def test_grid_small_window():
     assert report.cells == tuple(
         sorted(report.cells, key=lambda cell: (cell.D, cell.p, cell.form))
     )
+    # the plain tuple sort of the cells stops at this unique prefix
+    assert len({(c.D, c.p, c.form) for c in report.cells}) == len(report.cells)
     for cell in report.cells:
         assert cell.status == STATUS_AGREES
         if cell.cpp:
@@ -354,7 +355,7 @@ def test_grid_flags_doctored_evidence(monkeypatch, form, route, doctor):
         for i, v in enumerate(verdicts):
             if v.cls.rep.triple() == form:
                 assert v.route == route
-                verdicts[i] = replace(v, evidence=doctor(v.evidence))
+                verdicts[i] = v._replace(evidence=doctor(v.evidence))
         return verdicts
 
     monkeypatch.setattr(pprim, "classify_all", doctoring_classifier)

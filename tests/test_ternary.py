@@ -37,6 +37,8 @@ def test_constructor_requires_positive_definite():
         TernaryForm(0, 1, 1, 0, 0, 0)
     with pytest.raises(ValueError):
         TernaryForm(1, 1, -1, 0, 0, 0)
+    with pytest.raises(ValueError, match="not positive definite"):
+        TernaryForm(-1, -3, -5, -2, 0, 0)  # negative definite
 
 
 def test_build_fm():
