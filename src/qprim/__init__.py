@@ -6,9 +6,7 @@ from .classgroup import (
     ProperClass,
     ambiguous_classes,
     compose,
-    element_order,
     enumerate_classes,
-    identity_form,
     inverse_class,
 )
 from .intarith import kronecker
@@ -45,10 +43,8 @@ __all__ = [
     "build_isometry",
     "classify_all",
     "compose",
-    "element_order",
     "enumerate_classes",
     "enumerate_solutions",
-    "identity_form",
     "inverse_class",
     "is_ambiguous",
     "is_reduced",

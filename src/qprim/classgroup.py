@@ -3,19 +3,20 @@
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import qform
 from .intarith import ext_gcd
 from .qform import BinaryForm, check_discriminant, is_ambiguous
 
-#: largest |D| the census accepts: its loop runs O(|D|) times, 0.14-0.21 s
-#: at the limit (three runs each at D = -9999991 and -10^7, 2-vCPU VM)
+#: largest |D| the census accepts: its loop runs O(|D|) times, and with the
+#: power walk it takes 0.19-0.22 s at the limit (three runs each at
+#: D = -9999991 and -10^7, 2-vCPU VM)
 MAX_ABS_D = 10**7
 
-#: discriminants whose census (and principal class) stay cached; a sweep
-#: over more evicts the least recently used, so memory stays bounded
+#: discriminants whose census stays cached; a sweep over more evicts the
+#: least recently used, so memory stays bounded
 CACHED_GROUPS = 256
 
 
@@ -35,69 +36,32 @@ class ProperClass(NamedTuple):
         return str(self.rep)
 
 
-class _Census(NamedTuple):
+class ClassGroup(NamedTuple):
+    """All proper classes of one discriminant, sorted by representative,
+    with the order and the square of every class.
+
+    `identity` is the principal class, `classes[0]`: its reduced form
+    [1, D % 2, (D % 2 - D) / 4] is the only one with a = 1."""
+
     D: int
     classes: tuple[ProperClass, ...]
     identity: ProperClass
-
-
-class ClassGroup(_Census):
-    """All proper classes of one discriminant, sorted by representative.
-
-    An immutable tuple (D, classes, identity).  It keeps an instance dict,
-    which holds only the power walk, computed on first use."""
+    orders: dict[ProperClass, int]
+    squares: dict[ProperClass, ProperClass]
 
     @property
     def h(self) -> int:
         return len(self.classes)
-
-    @cached_property
-    def _walk(self) -> tuple[dict[ProperClass, int], dict[ProperClass, ProperClass]]:
-        """Order and square of every class, walking each cyclic subgroup
-        once: if x has powers [x, x^2, ..., x^k = 1], then x^j has order
-        k / gcd(j, k) and square x^(2j), entry (2j - 1) mod k of the list."""
-        orders: dict[ProperClass, int] = {}
-        squares: dict[ProperClass, ProperClass] = {}
-        for x in self.classes:
-            if x in orders:
-                continue
-            powers = [x]
-            while powers[-1] != self.identity:
-                powers.append(compose(powers[-1], x))
-            k = len(powers)
-            for j, y in enumerate(powers, 1):
-                if y not in orders:
-                    orders[y] = k // math.gcd(j, k)
-                    squares[y] = powers[(2 * j - 1) % k]
-        return orders, squares
-
-    @property
-    def orders(self) -> dict[ProperClass, int]:
-        """Order of every class."""
-        return self._walk[0]
-
-    @property
-    def squares(self) -> dict[ProperClass, ProperClass]:
-        """Square of every class, read off the same walk as `orders`."""
-        return self._walk[1]
-
-
-@lru_cache(maxsize=CACHED_GROUPS)
-def identity_form(D: int) -> ProperClass:
-    """Principal class: [1,0,-D/4] for even D, [1,1,(1-D)/4] for odd D."""
-    check_discriminant(D)
-    if D % 2 == 0:
-        f = BinaryForm(1, 0, -D // 4)
-    else:
-        f = BinaryForm(1, 1, (1 - D) // 4)
-    return ProperClass(qform.reduce(f))
 
 
 @lru_cache(maxsize=CACHED_GROUPS)
 def enumerate_classes(D: int) -> ClassGroup:
     """Census of reduced forms: a <= sqrt(|D|/3), b = D (mod 2), 4a | b^2 - D.
 
-    A D below -MAX_ABS_D raises ValueError before any work."""
+    The order and square of every class come from one power walk per
+    cyclic subgroup: if x has powers [x, x^2, ..., x^k = 1], then x^j has
+    order k / gcd(j, k) and square x^(2j), entry (2j - 1) mod k of the
+    list.  A D below -MAX_ABS_D raises ValueError before any work."""
     check_discriminant(D)
     if D < -MAX_ABS_D:
         raise ValueError(f"|D| must be at most {MAX_ABS_D}, got D = {D}")
@@ -119,9 +83,21 @@ def enumerate_classes(D: int) -> ClassGroup:
             forms.append(BinaryForm(a, b, c))
     forms.sort()
     classes = tuple(ProperClass(f) for f in forms)
-    ident = identity_form(D)
-    assert ident in classes
-    return ClassGroup(D, classes, ident)
+    identity = classes[0]
+    orders: dict[ProperClass, int] = {}
+    squares: dict[ProperClass, ProperClass] = {}
+    for x in classes:
+        if x in orders:
+            continue
+        powers = [x]
+        while powers[-1] != identity:
+            powers.append(compose(powers[-1], x))
+        k = len(powers)
+        for j, y in enumerate(powers, 1):
+            if y not in orders:
+                orders[y] = k // math.gcd(j, k)
+                squares[y] = powers[(2 * j - 1) % k]
+    return ClassGroup(D, classes, identity, orders, squares)
 
 
 def compose(x: ProperClass, z: ProperClass) -> ProperClass:
@@ -160,11 +136,6 @@ def inverse_class(x: ProperClass) -> ProperClass:
     """Inverse class: the mirror form [a,-b,c] of the representative, reduced."""
     a, b, c = x.rep
     return ProperClass(qform.reduce(BinaryForm(a, -b, c)))
-
-
-def element_order(x: ProperClass) -> int:
-    """Order of the class in the composition group."""
-    return enumerate_classes(x.D).orders[x]
 
 
 def ambiguous_classes(group: ClassGroup) -> list[ProperClass]:

@@ -19,7 +19,7 @@ import sys
 from collections.abc import Iterable
 
 from . import oracle, pprim, repcount, ternary
-from .classgroup import ambiguous_classes, element_order, enumerate_classes
+from .classgroup import ambiguous_classes, enumerate_classes
 from .qform import BinaryForm
 
 FORMATS = ("json", "text", "tsv")
@@ -57,7 +57,7 @@ def _cmd_classgroup(args: argparse.Namespace) -> int:
             {
                 **cls.rep.as_json(),
                 "ambiguous": cls in ambiguous,
-                "order": element_order(cls),
+                "order": group.orders[cls],
             }
         )
     if args.fmt == "json":

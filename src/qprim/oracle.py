@@ -20,9 +20,12 @@ bound, 10x bound, ceiling that holds its witness.  The two classes
 [a, b, c] and [a, -b, c] of an inverse pair share one search, because
 [a, -b, c](x, -y) = [a, b, c](x, y).  The grid re-derives every verdict's
 evidence.
-Route-3 evidence is compared as a whole, key for key, against a fresh
-derivation (composition, element order, one solution count of p^2) that
-calls no classifier helper.
+Route-3 evidence is compared as a whole, key for key, against facts
+derived here: the square by `compose`, `square_has_p_square` by one
+`rep_counts` of p^2 by that square, and a passing class's solution by
+evaluating the square at it.  The order is not re-derived: it is read
+from the census, `enumerate_classes(D).orders`, the same power walk that
+`classify_all` reads.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import math
 from typing import NamedTuple
 
 from . import pprim
-from .classgroup import MAX_ABS_D, compose, element_order
+from .classgroup import MAX_ABS_D, compose, enumerate_classes
 from .intarith import check_prime_not_dividing, primes_up_to
 from .qform import BinaryForm, discriminants_in
 from .pprim import (
@@ -229,10 +232,11 @@ def verify_classification_grid(
 
 
 def revalidate_verdict(v: Verdict) -> bool:
-    """Re-derive from scratch every fact a verdict's evidence claims.
+    """Re-derive every fact a verdict's evidence claims, except a route-3
+    class's order, which is read from the census.
 
     Every route's evidence must carry exactly the route's keys; route-3
-    evidence must equal the re-derived facts key for key; a passing
+    evidence must equal the derived facts key for key; a passing
     verdict's solution is checked by evaluating the square class at it.
     """
     x, p, cpp, route, evidence = v
@@ -252,12 +256,13 @@ def revalidate_verdict(v: Verdict) -> bool:
             and math.gcd(math.gcd(m, n), p) == 1
         )
     square = compose(x, x)
-    facts = {"order": element_order(x), "square_form": list(square.rep.triple())}
+    order = enumerate_classes(f.D).orders[x]
+    facts = {"order": order, "square_form": list(square.rep.triple())}
     if route == ROUTE_ORDER_FOUR_SQUARE:
         xy = evidence.get("solution")
         return (
             cpp
-            and facts["order"] == 4
+            and order == 4
             and evidence == {**facts, "solution": xy}
             and square.rep.evaluate(*xy) == p * p
             and math.gcd(*xy) % p != 0
@@ -266,7 +271,7 @@ def revalidate_verdict(v: Verdict) -> bool:
         has_sq = rep_counts(square.rep, p * p, p).r_star_p > 0
         return (
             not cpp
-            and (facts["order"] != 4 or not has_sq)
+            and (order != 4 or not has_sq)
             and evidence == {**facts, "square_has_p_square": has_sq}
         )
     return False

@@ -30,9 +30,6 @@ class IntMap2(NamedTuple):
     def rows(self) -> list[list[int]]:
         return [[self.m11, self.m12], [self.m21, self.m22]]
 
-    def __str__(self) -> str:
-        return f"[[{self.m11},{self.m12}],[{self.m21},{self.m22}]]"
-
 
 class _Coefficients(NamedTuple):
     a: int

@@ -84,9 +84,6 @@ class TernaryForm(_TernaryCoefficients):
         w = (u[0] + v[0], u[1] + v[1], u[2] + v[2])
         return self.evaluate(*w) - self.evaluate(*u) - self.evaluate(*v)
 
-    def coefficients(self) -> tuple[int, int, int, int, int, int]:
-        return tuple(self)
-
     def __str__(self) -> str:
         xx, yy, zz, yz, zx, xy = self
         return f"[{xx},{yy},{zz},yz={yz},zx={zx},xy={xy}]"

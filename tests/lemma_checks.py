@@ -12,7 +12,7 @@ the action f o M on forms and the improper automorphs of ambiguous forms.
 import math
 import random
 
-from qprim.classgroup import compose, enumerate_classes, identity_form, inverse_class
+from qprim.classgroup import compose, enumerate_classes, inverse_class
 from qprim.intarith import check_prime_not_dividing, is_prime, kronecker, prime_factors
 from qprim.oracle import BruteVerdict, brute_force_cpp
 from qprim.pprim import build_isometry, solve_two_square
@@ -73,7 +73,7 @@ def verify_isometry_matrix_search(D: int, p: int) -> bool:
     isometry must itself land inside that box.
     """
     check_prime_not_dividing(p, D)
-    f = identity_form(D).rep
+    f = enumerate_classes(D).identity.rep
     entry_bound = 2 * p * (math.isqrt(max(f.a, f.c)) + 1)
     found = _matrix_search(f, p, entry_bound)
     sols = solve_two_square(D, p)

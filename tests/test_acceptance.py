@@ -14,12 +14,7 @@ import pytest
 
 from lemma_checks import mass, verify_jones, verify_reflection_parity
 from qprim import oracle
-from qprim.classgroup import (
-    ambiguous_classes,
-    element_order,
-    enumerate_classes,
-    identity_form,
-)
+from qprim.classgroup import ambiguous_classes, enumerate_classes
 from qprim.intarith import kronecker, primes_up_to
 from qprim.oracle import verify_classification_grid
 from qprim.pprim import (
@@ -60,9 +55,8 @@ def criterion(num, label):
 def test_criterion_1():
     def compute():
         enumerate_classes.cache_clear()
-        identity_form.cache_clear()
         group = enumerate_classes(-56)
-        orders = [element_order(c) for c in group.classes]
+        orders = [group.orders[c] for c in group.classes]
         return group, orders, ambiguous_classes(group)
 
     best = math.inf

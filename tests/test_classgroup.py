@@ -12,9 +12,7 @@ from qprim.classgroup import (
     ProperClass,
     ambiguous_classes,
     compose,
-    element_order,
     enumerate_classes,
-    identity_form,
     inverse_class,
 )
 from qprim.pprim import classify_all
@@ -40,15 +38,15 @@ def brute_compose(f, g):
     return out
 
 
-def test_identity_form():
-    assert identity_form(-56).rep == BinaryForm(1, 0, 14)
-    assert identity_form(-4).rep == BinaryForm(1, 0, 1)
-    assert identity_form(-23).rep == BinaryForm(1, 1, 6)
-    assert identity_form(-3).rep == BinaryForm(1, 1, 1)
-    assert identity_form(-7).rep == BinaryForm(1, 1, 2)
-    for D in (-5, 0, 8):
-        with pytest.raises(ValueError, match="not a valid negative discriminant"):
-            identity_form(D)
+def test_census_identity_orders_and_squares():
+    # the principal form is the only reduced form with a = 1, so it sorts
+    # first; the power walk keys every class once
+    for D in discriminants_in(-4000, -3):
+        g = enumerate_classes(D)
+        assert g.identity is g.classes[0]
+        assert g.identity.rep == BinaryForm(1, D % 2, (D % 2 - D) // 4)
+        assert g.orders.keys() == g.squares.keys() == set(g.classes)
+        assert g.orders[g.identity] == 1
 
 
 def test_enumerate_classes_examples():
@@ -89,7 +87,6 @@ def test_enumerate_classes_wellformed():
         g = enumerate_classes(D)
         assert g.D == D
         assert len(set(g.classes)) == g.h >= 1
-        assert g.identity == identity_form(D)
         for cls in g.classes:
             f = cls.rep
             assert f.D == D
@@ -212,22 +209,22 @@ def test_compose_class_level():
         compose(a, ProperClass(BinaryForm(1, 1, 6)))
 
 
-def test_element_order_examples():
+def test_orders_examples():
     g = enumerate_classes(-56)
-    orders = {c.rep.triple(): element_order(c) for c in g.classes}
+    orders = {c.rep.triple(): k for c, k in g.orders.items()}
     assert orders == {(1, 0, 14): 1, (2, 0, 7): 2, (3, -2, 5): 4, (3, 2, 5): 4}
     g23 = enumerate_classes(-23)
-    assert element_order(ProperClass(BinaryForm(2, 1, 3))) == 3
-    assert element_order(g23.identity) == 1
+    assert g23.orders[ProperClass(BinaryForm(2, 1, 3))] == 3
+    assert g23.orders[g23.identity] == 1
 
 
-def test_element_order_divides_h():
-    # the cached table against a plain walk: x^ord is the identity and no
+def test_orders_divide_h():
+    # the census table against a plain walk: x^ord is the identity and no
     # smaller power is
     for D in discriminants_in(-800, -3):
         g = enumerate_classes(D)
         for cls in g.classes:
-            k = element_order(cls)
+            k = g.orders[cls]
             assert g.h % k == 0
             power = cls
             for _ in range(k - 1):
@@ -288,13 +285,11 @@ def test_census_caches_stay_bounded():
     # a sweep over more discriminants than the caches hold evicts the
     # oldest groups; rebuilding one gives the same group and verdicts
     enumerate_classes.cache_clear()
-    identity_form.cache_clear()
     ds = [D for D in discriminants_in(-1200, -3) if D % 3]
     assert CACHED_GROUPS == 256 < len(ds)
     first = {D: [v.to_json() for v in classify_all(D, 3)] for D in ds}
-    for cache in (enumerate_classes, identity_form):
-        info = cache.cache_info()
-        assert info.maxsize == CACHED_GROUPS and info.currsize <= CACHED_GROUPS
+    info = enumerate_classes.cache_info()
+    assert info.maxsize == CACHED_GROUPS and info.currsize <= CACHED_GROUPS
     misses = enumerate_classes.cache_info().misses
     for D in ds[:10]:
         assert [v.to_json() for v in classify_all(D, 3)] == first[D]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from qprim import cli, oracle, pprim, repcount, ternary
-from qprim.classgroup import MAX_ABS_D, element_order, enumerate_classes
+from qprim.classgroup import MAX_ABS_D, enumerate_classes
 from qprim.pprim import ROUTE_PRINCIPAL_SQUARE, Verdict, classify_all
 from qprim.repcount import rep_counts, spectrum
 
@@ -31,7 +31,7 @@ def test_classgroup_json_round_trip(capsys):
         list(c.rep.triple()) for c in group.classes
     ]
     assert [r["order"] for r in payload["classes"]] == [
-        element_order(c) for c in group.classes
+        group.orders[c] for c in group.classes
     ]
     assert [r["ambiguous"] for r in payload["classes"]] == [True, True, False, False]
     assert all(r["D"] == -56 for r in payload["classes"])

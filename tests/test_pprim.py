@@ -5,7 +5,7 @@ import math
 import pytest
 
 from qprim import pprim
-from qprim.classgroup import ambiguous_classes, element_order, enumerate_classes, identity_form
+from qprim.classgroup import ambiguous_classes, enumerate_classes
 from qprim.intarith import kronecker, primes_up_to
 from qprim.pprim import (
     ROUTE_ORDER_FOUR_SQUARE,
@@ -72,7 +72,7 @@ def test_solve_two_square_matches_box_scan():
 def test_two_square_solvability_matches_principal_rep():
     # (m, n) exists iff the principal form takes p^2 p-primitively
     for D in discriminants_in(-1000, -3):
-        ident = identity_form(D).rep
+        ident = enumerate_classes(D).identity.rep
         for p in primes_up_to(50):
             if kronecker(D, p) != 1:
                 continue
@@ -128,7 +128,7 @@ def test_p_square_in_class():
     assert rep_counts(BinaryForm(1, 0, 14), 9, 3).r_star_p == 0
     assert evidence[(2, 0, 7)]["square_form"] == [1, 0, 14]
     assert evidence[(2, 0, 7)]["square_has_p_square"] is False
-    assert rep_counts(identity_form(-3).rep, 49, 7).r_star_p > 0
+    assert rep_counts(enumerate_classes(-3).identity.rep, 49, 7).r_star_p > 0
 
 
 def test_classify_examples_d56_p3():
@@ -277,14 +277,14 @@ def test_ambiguous_true_forces_principal_square():
     # positive verdicts on ambiguous classes carry the principal_square
     # route, whose evidence certifies p^2 in Q_p^*(identity)
     for D in discriminants_in(-300, -3):
-        ident = identity_form(D)
+        group = enumerate_classes(D)
         for p in primes_up_to(13):
             if D % p == 0:
                 continue
             for v in classify_all(D, p):
-                if v.completely_p_primitive and element_order(v.cls) <= 2:
+                if v.completely_p_primitive and group.orders[v.cls] <= 2:
                     assert v.route == ROUTE_PRINCIPAL_SQUARE
-                    assert rep_counts(ident.rep, p * p, p).r_star_p > 0
+                    assert rep_counts(group.identity.rep, p * p, p).r_star_p > 0
 
 
 def test_positive_classes_closed_under_p_squared_scaling():

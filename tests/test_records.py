@@ -2,7 +2,7 @@
 
 import pytest
 
-from qprim.classgroup import enumerate_classes
+from qprim.classgroup import ClassGroup, enumerate_classes
 from qprim.oracle import brute_force_cpp, verify_classification_grid
 from qprim.pprim import build_isometry, classify_all, solve_two_square
 from qprim.qform import BinaryForm
@@ -31,6 +31,9 @@ def test_record_fields_reject_assignment(name):
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
 
+
+def test_class_group_carries_orders_and_squares():
+    assert {"orders", "squares"} <= set(ClassGroup._fields)
 
 
 def test_form_replace_runs_the_constructor_checks():

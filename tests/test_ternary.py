@@ -43,8 +43,8 @@ def test_constructor_requires_positive_definite():
 
 def test_build_fm():
     f = build_fm(1)
-    assert f.coefficients() == (1, 3, 5, 2, 0, 0)
-    assert build_fm(2).coefficients() == (4, 3, 5, 2, 0, 0)
+    assert tuple(f) == (1, 3, 5, 2, 0, 0)
+    assert tuple(build_fm(2)) == (4, 3, 5, 2, 0, 0)
     assert f.evaluate(1, 0, 0) == 1
     assert f.evaluate(0, 1, 1) == 10
     for bad in (0, -1, 3, 6):
@@ -57,7 +57,7 @@ def test_tilde_closed_form():
     for m in (1, 2, 4, 5):
         tilde = build_tilde_fm(m)
         m2 = m * m
-        assert tilde.coefficients() == (
+        assert tuple(tilde) == (
             9 * m2,
             m2 + 3,
             m2 + 5,
@@ -65,7 +65,7 @@ def test_tilde_closed_form():
             -6 * m2,
             6 * m2,
         )
-    assert build_tilde_fm(1).coefficients() == (9, 4, 6, 0, -6, 6)
+    assert tuple(build_tilde_fm(1)) == (9, 4, 6, 0, -6, 6)
 
 
 def test_tilde_is_the_substitution_pointwise():
