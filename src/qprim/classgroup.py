@@ -32,9 +32,6 @@ class ProperClass(NamedTuple):
     def D(self) -> int:
         return self.rep.D
 
-    def __str__(self) -> str:
-        return str(self.rep)
-
 
 class ClassGroup(NamedTuple):
     """All proper classes of one discriminant, sorted by representative,

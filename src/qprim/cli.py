@@ -51,15 +51,15 @@ def _parse_form(text: str, D: int) -> BinaryForm:
 def _cmd_classgroup(args: argparse.Namespace) -> int:
     group = enumerate_classes(args.D)
     ambiguous = ambiguous_classes(group)
-    rows = []
-    for cls in group.classes:
-        rows.append(
-            {
-                **cls.rep.as_json(),
-                "ambiguous": cls in ambiguous,
-                "order": group.orders[cls],
-            }
-        )
+    rows = [
+        {
+            **cls.rep._asdict(),
+            "D": args.D,
+            "ambiguous": cls in ambiguous,
+            "order": group.orders[cls],
+        }
+        for cls in group.classes
+    ]
     if args.fmt == "json":
         _emit(
             {
@@ -122,17 +122,7 @@ def _cmd_represent(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     f = _parse_form(args.form, args.D)
     spec = repcount.spectrum(f, args.bound, args.p)
-    _emit(
-        {
-            "D": args.D,
-            "bound": args.bound,
-            "form": list(f.triple()),
-            "p": args.p,
-            "q": spec.q,
-            "q_star": spec.q_star,
-            "qp_star": spec.qp_star,
-        }
-    )
+    _emit({**spec._asdict(), "D": args.D, "bound": args.bound, "form": list(f), "p": args.p})
     return 0
 
 

@@ -110,16 +110,7 @@ class GridCell(NamedTuple):
     bound: int
 
     def to_json(self) -> dict:
-        return {
-            "D": self.D,
-            "bound": self.bound,
-            "cpp": self.cpp,
-            "form": list(self.form.triple()),
-            "p": self.p,
-            "route": self.route,
-            "status": self.status,
-            "witness": self.witness,
-        }
+        return {**self._asdict(), "form": list(self.form)}
 
 
 class GridReport(NamedTuple):
@@ -146,27 +137,15 @@ class GridReport(NamedTuple):
 
     def summary_json(self) -> dict:
         return {
-            "bound": self.bound,
-            "ceiling": self.ceiling,
+            **self._asdict(),
             "cells": len(self.cells),
             "contradictions": [c.to_json() for c in self.contradictions],
-            "dmax": self.dmax,
-            "dmin": self.dmin,
             "ok": self.ok,
-            "pmax": self.pmax,
             "unconfirmed": [c.to_json() for c in self.unconfirmed],
         }
 
     def to_json(self) -> dict:
-        full = self.summary_json()
-        full["all_cells"] = [c.to_json() for c in self.cells]
-        return full
-
-
-def _escalation_ladder(bound: int, ceiling: int) -> list[int]:
-    """Rungs above the base bound that label a negative cell's witness: 10x
-    first (capped by the ceiling), then the ceiling itself."""
-    return sorted({b for b in (min(bound * 10, ceiling), ceiling) if b > bound})
+        return {**self.summary_json(), "all_cells": [c.to_json() for c in self.cells]}
 
 
 def verify_classification_grid(
@@ -203,7 +182,7 @@ def verify_classification_grid(
     pairs = [(D, p) for D in discriminants_in(dmin, dmax) for p in primes if D % p]
     if not pairs:
         raise ValueError(f"no (D, p) cell with D in [{dmin}, {dmax}] and p <= {pmax}")
-    rungs = [bound] + _escalation_ladder(bound, ceiling)
+    rungs = sorted({bound, min(10 * bound, ceiling), ceiling})
     cells = []
     for D, p in pairs:
         # [a, -b, c](x, -y) = [a, b, c](x, y): an inverse pair shares its witnesses

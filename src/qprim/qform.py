@@ -72,10 +72,6 @@ class BinaryForm(_Coefficients):
     def triple(self) -> tuple[int, int, int]:
         return tuple(self)
 
-    def as_json(self) -> dict[str, int]:
-        a, b, c = self
-        return {"D": b * b - 4 * a * c, "a": a, "b": b, "c": c}
-
     def __str__(self) -> str:
         a, b, c = self
         return f"[{a},{b},{c}]"

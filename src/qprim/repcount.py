@@ -129,9 +129,11 @@ def spectrum(f: BinaryForm, bound: int, p: int) -> Spectrum:
     represented iff r(n) > r(n/p^2).  A solution with gcd(x, y) = g is g
     times a primitive solution of n/g^2, so the primitive counts follow
     from r by subtracting, in ascending n, those of each n/d^2 with d >= 2.
-    A bound above MAX_BOUND raises ValueError before any sweep."""
+    A bound below 1 or above MAX_BOUND raises ValueError before any sweep."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
     if bound > MAX_BOUND:
         raise ValueError(f"bound must be at most {MAX_BOUND}, got {bound}")
     r = rep_profile(f, bound)

@@ -249,19 +249,13 @@ class SpectrumIdentityReport(NamedTuple):
         return self.sets_match and self.theta_match
 
     def to_json(self) -> dict:
+        rows = self.change_of_basis
         return {
-            "bound": self.bound,
-            "change_det": self.change_det,
-            "change_of_basis": (
-                None
-                if self.change_of_basis is None
-                else [list(r) for r in self.change_of_basis]
-            ),
+            **self._asdict(),
+            "change_of_basis": None if rows is None else [list(r) for r in rows],
             "gram_dets": [_frac_json(d) for d in self.gram_dets],
-            "sets_match": self.sets_match,
             "sym_diff": list(self.sym_diff),
             "theta_bound": THETA_BOUND,
-            "theta_match": self.theta_match,
         }
 
 

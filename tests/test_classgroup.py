@@ -261,7 +261,7 @@ def test_ambiguous_matches_syntactic_test():
 def test_classes_key_and_sort_like_triples():
     g = enumerate_classes(-56)
     assert repr(g.identity) == "ProperClass(rep=BinaryForm(a=1, b=0, c=14))"
-    assert str(g.identity) == "[1,0,14]"
+    assert str(g.identity.rep) == "[1,0,14]"
     assert sorted(reversed(g.classes)) == list(g.classes)
     index = {x: i for i, x in enumerate(g.classes)}
     assert len(index) == g.h == 4

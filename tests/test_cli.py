@@ -386,6 +386,10 @@ def test_usage_errors(capsys):
     spectrum_args = ["spectrum", "-56", "--form", "1,0,14", "--p", "3"]
     assert cli.run([*spectrum_args, "--bound", str(repcount.MAX_BOUND + 1)]) == 2
     assert "bound must be at most" in capsys.readouterr().err
+    for bound in ("0", "-5"):
+        assert cli.run(["spectrum", "-56", "--form", "3,2,5", "--bound", bound,
+                        "--p", "3"]) == 2
+        assert f"bound must be >= 1, got {bound}" in capsys.readouterr().err
     assert cli.run(["--help"]) == 0
     capsys.readouterr()
 

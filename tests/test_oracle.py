@@ -21,7 +21,6 @@ from qprim.oracle import (
     STATUS_CONTRADICTION,
     STATUS_UNCONFIRMED,
     BruteVerdict,
-    _escalation_ladder,
     brute_force_cpp,
     revalidate_verdict,
     verify_classification_grid,
@@ -280,10 +279,20 @@ def test_verify_jones():
 
 
 def test_escalation_ladder():
-    assert _escalation_ladder(5000, 50000) == [50000]
-    assert _escalation_ladder(5000, 250000) == [50000, 250000]
-    assert _escalation_ladder(5000, 5000) == []
-    assert _escalation_ladder(5000, 7000) == [7000]
+    # D = -56, p = 3: the negative classes [1,0,14] and [2,0,7] have the
+    # witnesses 9 and 18; each is labelled with the first of bound,
+    # 10x bound (capped by the ceiling) and ceiling that holds it
+    for bound, ceiling, labels, unconfirmed in [
+        (1, 100, [10, 100], 0),
+        (1, 12, [10, 12], 1),
+        (5, 12, [12, 12], 1),
+        (5, 5, [5, 5], 2),
+    ]:
+        report = verify_classification_grid(-56, -56, 3, bound, ceiling)
+        negatives = [c for c in report.cells if not c.cpp]
+        assert [c.form.triple() for c in negatives] == [(1, 0, 14), (2, 0, 7)]
+        assert [c.bound for c in negatives] == labels
+        assert len(report.unconfirmed) == unconfirmed
 
 
 def test_grid_small_window():

@@ -57,7 +57,6 @@ def test_form_basics():
     assert f.triple() == (3, 2, 5)
     assert str(f) == "[3,2,5]"
     assert repr(f) == "BinaryForm(a=3, b=2, c=5)"
-    assert f.as_json() == {"D": -56, "a": 3, "b": 2, "c": 5}
 
 
 def test_forms_hash_compare_and_sort_as_triples():

@@ -137,6 +137,9 @@ def test_spectrum_examples():
     # the limit is checked before any sweep, so MAX_BOUND + 1 costs nothing
     with pytest.raises(ValueError, match="bound must be at most"):
         spectrum(BinaryForm(1, 0, 14), MAX_BOUND + 1, 3)
+    for bound in (0, -5):
+        with pytest.raises(ValueError, match=f"bound must be >= 1, got {bound}"):
+            spectrum(BinaryForm(3, 2, 5), bound, 3)
 
 
 def test_spectrum_containments():

@@ -1,5 +1,6 @@
 """Ternary forms and the 1 mod 3 spectra identity demo."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -189,6 +190,18 @@ def test_spectrum_identity_report():
     # the limit is checked before any work, so MAX_BOUND + 1 costs nothing
     with pytest.raises(ValueError, match="bound must be in"):
         spectrum_identity_report(MAX_BOUND + 1)
+
+
+def test_spectrum_identity_report_without_change_of_basis():
+    report = spectrum_identity_report(1000)
+    payload = report._replace(change_of_basis=None, change_det=None).to_json()
+    assert payload["change_of_basis"] is None and payload["change_det"] is None
+    json.dumps(payload)
+    full = report.to_json()
+    assert full["change_of_basis"] is not None
+    del full["change_of_basis"], full["change_det"]
+    del payload["change_of_basis"], payload["change_det"]
+    assert payload == full
 
 
 def one_mod_three_keys(table, bound):
