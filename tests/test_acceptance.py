@@ -6,6 +6,8 @@ else is exact.
 """
 
 import functools
+import hashlib
+import json
 import math
 import time
 from collections import Counter
@@ -144,6 +146,11 @@ def test_criterion_3():
     # one search per negative cell, at the ceiling, and one per positive
     # cell, at the bound, each shared by the inverse pair [a, +-b, c]
     assert searches == {250000: 4967, 5000: 666}
+    # the whole report, every cell with its route, witness and rung
+    payload = json.dumps(report.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == (
+        "83612ea089dfd48b23fdd94db783cdb113810c526889fcdb7eadb8ddab64e8c1"
+    )
     assert elapsed <= 120, f"grid sweep took {elapsed:.1f} s"
 
 

@@ -21,6 +21,7 @@ from qprim.oracle import (
     STATUS_CONTRADICTION,
     STATUS_UNCONFIRMED,
     BruteVerdict,
+    _p_primitive,
     brute_force_cpp,
     revalidate_verdict,
     verify_classification_grid,
@@ -34,7 +35,7 @@ from qprim.pprim import (
     classify_all,
 )
 from qprim.qform import BinaryForm, discriminants_in, is_ambiguous
-from qprim.repcount import enumerate_solutions, half_plane_solutions, rep_profile
+from qprim.repcount import rep_counts, rep_profile
 
 
 def test_brute_force_cpp_witnesses():
@@ -94,43 +95,64 @@ def test_brute_force_cpp_matches_full_sweep():
 
 def test_brute_force_cpp_sweeps_only_to_witness(monkeypatch):
     bounds = []
-    pulls = {}
+    checked = []
 
     def recording(f, bound):
         bounds.append(bound)
         return rep_profile(f, bound)
 
-    def pulling(f, n):
-        pulled = pulls.setdefault(n, [])
-        for xy in half_plane_solutions(f, n):
-            pulled.append(xy)
-            yield xy
+    def checking(f, n, p):
+        checked.append(n)
+        return _p_primitive(f, n, p)
 
     monkeypatch.setattr(oracle, "rep_profile", recording)
-    monkeypatch.setattr(oracle, "half_plane_solutions", pulling)
+    monkeypatch.setattr(oracle, "_p_primitive", checking)
     # the witness 9 = 3^2 * 1 lies in the first window, (0, a]
     assert brute_force_cpp(BinaryForm(1, 0, 14), 3, 5000).witness == 9
     assert bounds == [1]
-    assert pulls == {9: [(3, 0)]}
-    # no witness: windows double from a = 3 up to top = 5000 // 9
+    assert checked == [9]
+    # no witness: windows double from a = 3 up to top = 5000 // 9, and
+    # every candidate 9m, m <= 555, is checked once, in ascending order
     bounds.clear()
-    pulls.clear()
+    checked.clear()
     f = BinaryForm(3, 2, 5)
     assert brute_force_cpp(f, 3, 5000).witness is None
     assert bounds == [3, 6, 12, 24, 48, 96, 192, 384, 555]
     assert sum(bounds) < 3 * 555
-    # every candidate 9m, m <= 555, is checked once, in ascending order, and
-    # its rows are scanned only up to its first 3-primitive solution: the
-    # only one pulled, and the last.  The point of the row y = 0, such as
-    # (3, 0) for 27 = 9 * f(1, 0), comes first and is not 3-primitive.
-    assert list(pulls) == [9 * m for m in sorted(rep_profile(f, 555))]
-    for pulled in pulls.values():
-        primitive = [x % 3 != 0 or y % 3 != 0 for x, y in pulled]
-        assert primitive.count(True) == 1 and primitive[-1]
-    assert pulls[27] == [(3, 0), (1, 2)]
-    assert sum(map(len, pulls.values())) < sum(
-        len(enumerate_solutions(f, n)) for n in pulls
-    )
+    assert checked == [9 * m for m in sorted(rep_profile(f, 555))]
+    # the witness 875 = 25 * 35 lies in the fourth window, (24, 48]: the
+    # search checks the candidates below it in ascending order and stops
+    bounds.clear()
+    checked.clear()
+    f = BinaryForm(6, 3, 17)
+    assert brute_force_cpp(f, 5, 5000).witness == 875
+    assert bounds == [6, 12, 24, 48]
+    assert checked == [25 * m for m in sorted(rep_profile(f, 35))]
+    assert checked == [150, 425, 500, 600, 650, 875]
+
+
+def test_p_primitive_matches_rep_counts():
+    # the early-stopping scan against the full count, for n = p m: every
+    # class of every D in [-200, -3] as its reduced form, [c, -b, a] and
+    # [a, b + 2a, a + b + c], each p <= 11 prime to D.  The shapes cover a
+    # first coefficient divisible by p, and [2, 1, 2] at 2 and [3, 1, 3]
+    # at 3 one whose a and c are both divisible by p.
+    both = set()
+    for D in discriminants_in(-200, -3):
+        primes = [p for p in primes_up_to(11) if D % p]
+        for x in enumerate_classes(D).classes:
+            a, b, c = x.rep.triple()
+            for f in (x.rep, BinaryForm(c, -b, a), BinaryForm(a, b + 2 * a, a + b + c)):
+                for p in primes:
+                    if f.a % p == 0 and f.c % p == 0:
+                        both.add((*f, p))
+                    for n in range(p, 30 * p + 1, p):
+                        has = rep_counts(f, n, p).r_star_p > 0
+                        assert _p_primitive(f, n, p) == has, (f, n, p)
+    assert {(2, 1, 2, 2), (3, 1, 3, 3)} <= both
+    # 8 = [2, 1, 2](1, -2) is 2-primitive, and [2, 1, 2] does not take 4
+    assert _p_primitive(BinaryForm(2, 1, 2), 8, 2)
+    assert not _p_primitive(BinaryForm(2, 1, 2), 4, 2)
 
 
 @pytest.mark.slow
@@ -194,6 +216,15 @@ def test_revalidate_rejects_doctored_evidence():
         assert revalidate_verdict(v)
         assert not revalidate_verdict(v._replace(evidence={**v.evidence, "bogus": 1}))
     assert not revalidate_verdict(good._replace(evidence={"m": good.evidence["m"]}))
+    # a route-1 witness must be a value of the class that is divisible by p
+    # and never p-primitive: 0 is not, nor 1, 14 and 15, which p = 11 does
+    # not divide, nor 22, which [1, 0, 14] does not take
+    v = classify_all(-56, 11)[0]
+    assert v.cls.rep.triple() == (1, 0, 14) and v.evidence == {"witness": 121}
+    for witness in (121, 121 * 15):
+        assert revalidate_verdict(v._replace(evidence={"witness": witness}))
+    for witness in (0, 1, 14, 15, 22):
+        assert not revalidate_verdict(v._replace(evidence={"witness": witness})), witness
 
 
 @pytest.mark.slow
