@@ -3,7 +3,6 @@ p-primitive classes, decided constructively and verified by brute force."""
 
 from .classgroup import (
     ClassGroup,
-    ProperClass,
     ambiguous_classes,
     compose,
     enumerate_classes,
@@ -33,7 +32,6 @@ __all__ = [
     "BinaryForm",
     "ClassGroup",
     "IntMap2",
-    "ProperClass",
     "RepRecord",
     "Spectrum",
     "TwoSquareSolution",

@@ -1,4 +1,6 @@
-"""Proper classes of a negative discriminant under Dirichlet composition."""
+"""Proper classes of a negative discriminant under Dirichlet composition.
+
+Each class holds one reduced form, and a class is that `BinaryForm`."""
 
 from __future__ import annotations
 
@@ -20,31 +22,18 @@ MAX_ABS_D = 10**7
 CACHED_GROUPS = 256
 
 
-class ProperClass(NamedTuple):
-    """A proper equivalence class, keyed by its unique reduced representative.
-
-    An immutable 1-tuple, so dict and set lookups hash and compare the
-    representative's triple in C, and classes sort like their triples."""
-
-    rep: BinaryForm
-
-    @property
-    def D(self) -> int:
-        return self.rep.D
-
-
 class ClassGroup(NamedTuple):
-    """All proper classes of one discriminant, sorted by representative,
+    """All proper classes of one discriminant as reduced forms, sorted,
     with the order and the square of every class.
 
     `identity` is the principal class, `classes[0]`: its reduced form
     [1, D % 2, (D % 2 - D) / 4] is the only one with a = 1."""
 
     D: int
-    classes: tuple[ProperClass, ...]
-    identity: ProperClass
-    orders: dict[ProperClass, int]
-    squares: dict[ProperClass, ProperClass]
+    classes: tuple[BinaryForm, ...]
+    identity: BinaryForm
+    orders: dict[BinaryForm, int]
+    squares: dict[BinaryForm, BinaryForm]
 
     @property
     def h(self) -> int:
@@ -58,7 +47,8 @@ def enumerate_classes(D: int) -> ClassGroup:
     The order and square of every class come from one power walk per
     cyclic subgroup: if x has powers [x, x^2, ..., x^k = 1], then x^j has
     order k / gcd(j, k) and square x^(2j), entry (2j - 1) mod k of the
-    list.  A D below -MAX_ABS_D raises ValueError before any work."""
+    list.  The loops emit the forms sorted, by a and then b (c follows).
+    A D below -MAX_ABS_D raises ValueError before any work."""
     check_discriminant(D)
     if D < -MAX_ABS_D:
         raise ValueError(f"|D| must be at most {MAX_ABS_D}, got D = {D}")
@@ -78,11 +68,10 @@ def enumerate_classes(D: int) -> ClassGroup:
             if math.gcd(a, math.gcd(b, c)) != 1:
                 continue
             forms.append(BinaryForm(a, b, c))
-    forms.sort()
-    classes = tuple(ProperClass(f) for f in forms)
+    classes = tuple(forms)
     identity = classes[0]
-    orders: dict[ProperClass, int] = {}
-    squares: dict[ProperClass, ProperClass] = {}
+    orders: dict[BinaryForm, int] = {}
+    squares: dict[BinaryForm, BinaryForm] = {}
     for x in classes:
         if x in orders:
             continue
@@ -97,8 +86,8 @@ def enumerate_classes(D: int) -> ClassGroup:
     return ClassGroup(D, classes, identity, orders, squares)
 
 
-def compose(x: ProperClass, z: ProperClass) -> ProperClass:
-    """Dirichlet composition of the representatives, returned reduced.
+def compose(x: BinaryForm, z: BinaryForm) -> BinaryForm:
+    """Dirichlet composition of two forms, returned reduced.
 
     With e = gcd(a1, a2, (b1+b2)/2), a solution B of
 
@@ -109,7 +98,7 @@ def compose(x: ProperClass, z: ProperClass) -> ProperClass:
     taken as the smallest nonnegative solution; any other solution yields
     the same class.
     """
-    (a1, b1, c1), (a2, b2, c2) = x.rep, z.rep
+    (a1, b1, c1), (a2, b2, c2) = x, z
     D, D2 = b1 * b1 - 4 * a1 * c1, b2 * b2 - 4 * a2 * c2
     if D2 != D:
         raise ValueError(f"discriminant mismatch: {D} vs {D2}")
@@ -126,16 +115,16 @@ def compose(x: ProperClass, z: ProperClass) -> ProperClass:
     assert (B - b2) % (2 * a2 // e) == 0
     assert (B * B - D) % (4 * A) == 0
     C = (B * B - D) // (4 * A)
-    return ProperClass(qform.reduce(BinaryForm(A, B, C)))
+    return qform.reduce(BinaryForm(A, B, C))
 
 
-def inverse_class(x: ProperClass) -> ProperClass:
-    """Inverse class: the mirror form [a,-b,c] of the representative, reduced."""
-    a, b, c = x.rep
-    return ProperClass(qform.reduce(BinaryForm(a, -b, c)))
+def inverse_class(x: BinaryForm) -> BinaryForm:
+    """Inverse class: the mirror form [a,-b,c], reduced."""
+    a, b, c = x
+    return qform.reduce(BinaryForm(a, -b, c))
 
 
-def ambiguous_classes(group: ClassGroup) -> list[ProperClass]:
-    """Classes of order <= 2, in representative order: those whose reduced
-    form has b = 0, a = b or a = c."""
-    return [c for c in group.classes if is_ambiguous(c.rep)]
+def ambiguous_classes(group: ClassGroup) -> list[BinaryForm]:
+    """Classes of order <= 2, in census order: the reduced forms with
+    b = 0, a = b or a = c."""
+    return [c for c in group.classes if is_ambiguous(c)]

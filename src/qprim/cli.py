@@ -53,7 +53,7 @@ def _cmd_classgroup(args: argparse.Namespace) -> int:
     ambiguous = ambiguous_classes(group)
     rows = [
         {
-            **cls.rep._asdict(),
+            **cls._asdict(),
             "D": args.D,
             "ambiguous": cls in ambiguous,
             "order": group.orders[cls],
@@ -64,14 +64,14 @@ def _cmd_classgroup(args: argparse.Namespace) -> int:
         _emit(
             {
                 "D": args.D,
-                "ambiguous": [list(c.rep.triple()) for c in ambiguous],
+                "ambiguous": [list(c) for c in ambiguous],
                 "classes": rows,
                 "h": group.h,
             }
         )
     else:
         _print_table(args.fmt, ("D", "form", "order", "ambiguous"),
-                     ((args.D, cls.rep, row["order"], row["ambiguous"])
+                     ((args.D, cls, row["order"], row["ambiguous"])
                       for cls, row in zip(group.classes, rows)))
     return 0
 
@@ -82,7 +82,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         _emit({"D": args.D, "p": args.p, "verdicts": [v.to_json() for v in verdicts]})
     else:
         _print_table(args.fmt, ("form", "p", "cpp", "route"),
-                     ((v.cls.rep, v.p, v.completely_p_primitive, v.route)
+                     ((v.cls, v.p, v.completely_p_primitive, v.route)
                       for v in verdicts))
     return 0
 
@@ -91,20 +91,20 @@ def _cmd_represent(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ValueError(f"n must be >= 1, got {args.n}")
     group = enumerate_classes(args.D)
-    rows = sum(math.isqrt(4 * cls.rep.a * args.n // -args.D) + 1 for cls in group.classes)
+    rows = sum(math.isqrt(4 * cls.a * args.n // -args.D) + 1 for cls in group.classes)
     if rows > repcount.MAX_ROWS:
         raise ValueError(f"n = {args.n} needs {rows} rows over {group.h} classes, "
                          f"more than {repcount.MAX_ROWS}")
     records = []
     for cls in group.classes:
         if args.p is None:
-            sols = repcount.enumerate_solutions(cls.rep, args.n)
+            sols = repcount.enumerate_solutions(cls, args.n)
             r_star_p = r_flat_p = None
         else:
-            full = repcount.rep_counts(cls.rep, args.n, args.p)
+            full = repcount.rep_counts(cls, args.n, args.p)
             sols, r_star_p, r_flat_p = full.solutions, full.r_star_p, full.r_flat_p
         records.append({
-            "form": list(cls.rep.triple()),
+            "form": list(cls),
             "r": len(sols),
             "r_flat_p": r_flat_p,
             "r_star_p": r_star_p,
@@ -114,7 +114,7 @@ def _cmd_represent(args: argparse.Namespace) -> int:
         _emit({"D": args.D, "n": args.n, "p": args.p, "records": records})
     else:
         _print_table(args.fmt, ("form", "r", "r_star_p", "r_flat_p"),
-                     ((cls.rep, rec["r"], rec["r_star_p"], rec["r_flat_p"])
+                     ((cls, rec["r"], rec["r_star_p"], rec["r_flat_p"])
                       for cls, rec in zip(group.classes, records)))
     return 0
 

@@ -147,7 +147,8 @@ class GridCell(NamedTuple):
 
 
 class GridReport(NamedTuple):
-    """Aggregate of a classification sweep, sorted by (D, p, form)."""
+    """Aggregate of a classification sweep, sorted by (D, p, form): the
+    (D, p) pairs ascend, and `classify_all` keeps the census order."""
 
     dmin: int
     dmax: int
@@ -221,8 +222,7 @@ def verify_classification_grid(
         # [a, -b, c](x, -y) = [a, b, c](x, y): an inverse pair shares its witnesses
         witnesses = {}
         for v in pprim.classify_all(D, p):
-            x, _, cpp, route, _ = v
-            f = x.rep
+            f, _, cpp, route, _ = v
             a, b, c = f
             top = bound if cpp else ceiling
             key = (a, abs(b), c, top)
@@ -239,7 +239,6 @@ def verify_classification_grid(
             cells.append(
                 GridCell(D, p, f, cpp, route, status, witness, used)
             )
-    cells.sort()  # a cell's first fields, (D, p, form), are unique in the grid
     return GridReport(dmin, dmax, pmax, bound, ceiling, tuple(cells))
 
 
@@ -247,21 +246,23 @@ def revalidate_verdict(v: Verdict) -> bool:
     """Re-derive every fact a verdict's evidence claims, except a route-3
     class's order, which is read from the census.
 
-    Every route's evidence must carry exactly the route's keys.  A route-1
-    witness n >= 1 must be divisible by p, represented by the class and
-    never p-primitively (`_p_primitive`).  Route-3 evidence must equal the
-    derived facts key for key, with `square_has_p_square` from
-    `_p_primitive` of p^2 by the square; a passing verdict's solution is
-    checked by evaluating the square class at it.
+    Every route's evidence must carry exactly the route's keys, and its
+    numbers must be ints; evidence of another type or shape is rejected,
+    never raised on.  A route-1 witness n >= 1 must be divisible by p,
+    represented by the class and never p-primitively (`_p_primitive`).
+    Route-3 evidence must equal the derived facts key for key, with
+    `square_has_p_square` from `_p_primitive` of p^2 by the square; a
+    passing verdict's solution, a list of two ints, is checked by
+    evaluating the square class at it.
     """
-    x, p, cpp, route, evidence = v
-    f = x.rep
+    f, p, cpp, route, evidence = v
     if route == ROUTE_SYMBOL_MINUS_ONE:
         if evidence.keys() != {"witness"}:
             return False
         n = evidence["witness"]
         return (
             not cpp
+            and isinstance(n, int)
             and n >= 1
             and n % p == 0
             and next(half_plane_solutions(f, n), None) is not None
@@ -273,23 +274,26 @@ def revalidate_verdict(v: Verdict) -> bool:
         m, n = evidence["m"], evidence["n"]
         return (
             cpp
+            and isinstance(m, int) and isinstance(n, int)
             and 4 * p * p == m * m - f.D * n * n
             and math.gcd(math.gcd(m, n), p) == 1
         )
-    square = compose(x, x)
-    order = enumerate_classes(f.D).orders[x]
-    facts = {"order": order, "square_form": list(square.rep.triple())}
+    square = compose(f, f)
+    order = enumerate_classes(f.D).orders[f]
+    facts = {"order": order, "square_form": list(square)}
     if route == ROUTE_ORDER_FOUR_SQUARE:
         xy = evidence.get("solution")
         return (
             cpp
             and order == 4
             and evidence == {**facts, "solution": xy}
-            and square.rep.evaluate(*xy) == p * p
+            and isinstance(xy, list) and len(xy) == 2
+            and all(isinstance(t, int) for t in xy)
+            and square.evaluate(*xy) == p * p
             and math.gcd(*xy) % p != 0
         )
     if route == ROUTE_ORDER_FOUR_SQUARE_FAILED:
-        has_sq = _p_primitive(square.rep, p * p, p)
+        has_sq = _p_primitive(square, p * p, p)
         return (
             not cpp
             and (order != 4 or not has_sq)

@@ -7,8 +7,8 @@ D < 0 and a prime p not dividing D the decision runs in three routes:
   1. (D/p) = -1: never completely p-primitive; p^2 * a is represented
      but only with both coordinates divisible by p.
   2. 4p^2 = m^2 + |D|n^2 solvable with gcd(m, n, p) = 1: every class of
-     discriminant D is completely p-primitive, and each class rep f
-     carries an explicit scaling isometry T with f o T = p^2 f.
+     discriminant D is completely p-primitive, and each class's reduced
+     form f carries an explicit scaling isometry T with f o T = p^2 f.
   3. otherwise: a class qualifies iff it has order 4 and its square
      p-primitively represents p^2.
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .classgroup import ProperClass, enumerate_classes, inverse_class
+from .classgroup import enumerate_classes, inverse_class
 from .intarith import check_prime_not_dividing, kronecker
 from .qform import BinaryForm, IntMap2, check_discriminant, reduce, transformed_coefficients
 from .repcount import rep_counts
@@ -105,7 +105,7 @@ class Verdict(NamedTuple):
       order_four_square_failed: order, square_form, square_has_p_square
     """
 
-    cls: ProperClass
+    cls: BinaryForm  # the class's reduced form
     p: int
     completely_p_primitive: bool
     route: str
@@ -115,14 +115,14 @@ class Verdict(NamedTuple):
         return {
             "cpp": self.completely_p_primitive,
             "evidence": self.evidence,
-            "form": list(self.cls.rep.triple()),
+            "form": list(self.cls),
             "p": self.p,
             "route": self.route,
         }
 
 
 def classify_all(D: int, p: int) -> list[Verdict]:
-    """Verdicts for every class of discriminant D, in representative order.
+    """Verdicts for every class of discriminant D, in census order.
 
     Requires p prime, p not | D.  Routes 1 and 2 depend only on (D, p) and
     settle the whole group.  Route 3 reads each class's order and square
@@ -134,7 +134,7 @@ def classify_all(D: int, p: int) -> list[Verdict]:
     check_prime_not_dividing(p, D)
     if kronecker(D, p) == -1:
         # every solution of f = p^2*a has both coordinates divisible by p
-        return [Verdict(x, p, False, ROUTE_SYMBOL_MINUS_ONE, {"witness": p * p * x.rep.a})
+        return [Verdict(x, p, False, ROUTE_SYMBOL_MINUS_ONE, {"witness": p * p * x.a})
                 for x in group.classes]
     sols = solve_two_square(D, p)
     if sols:
@@ -143,17 +143,17 @@ def classify_all(D: int, p: int) -> list[Verdict]:
                 for x in group.classes]
     # (D/p) = 1, so b^2 = D (mod 4p) has a root b in [0, 2p)
     b = next(b for b in range(2 * p) if (b * b - D) % (4 * p) == 0)
-    prime = ProperClass(reduce(BinaryForm(p, b, (b * b - D) // (4 * p))))
+    prime = reduce(BinaryForm(p, b, (b * b - D) // (4 * p)))
     p_squares = {group.squares[prime], group.squares[inverse_class(prime)]}
     solution = None  # first p-primitive solution of p^2 by P^2
     verdicts = []
     for x in group.classes:
         order, square = group.orders[x], group.squares[x]
         has_sq = square in p_squares
-        square_form = list(square.rep.triple())
+        square_form = list(square)
         if order == 4 and has_sq:
             if solution is None:
-                solution = next(xy for xy in rep_counts(square.rep, p * p, p).solutions
+                solution = next(xy for xy in rep_counts(square, p * p, p).solutions
                                 if math.gcd(*xy) % p != 0)
             verdicts.append(Verdict(x, p, True, ROUTE_ORDER_FOUR_SQUARE, {
                 "order": 4, "solution": list(solution), "square_form": square_form}))

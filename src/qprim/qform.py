@@ -69,6 +69,12 @@ class BinaryForm(_Coefficients):
         a, b, c = self
         return a * x * x + b * x * y + c * y * y
 
+    @property
+    def rep(self) -> BinaryForm:
+        """`reduce(self)`, the class's reduced form.  Only the benchmark's
+        workloads read it; library code must not call it."""
+        return reduce(self)
+
     def triple(self) -> tuple[int, int, int]:
         return tuple(self)
 

@@ -73,7 +73,7 @@ def verify_isometry_matrix_search(D: int, p: int) -> bool:
     isometry must itself land inside that box.
     """
     check_prime_not_dividing(p, D)
-    f = enumerate_classes(D).identity.rep
+    f = enumerate_classes(D).identity
     entry_bound = 2 * p * (math.isqrt(max(f.a, f.c)) + 1)
     found = _matrix_search(f, p, entry_bound)
     sols = solve_two_square(D, p)
@@ -120,7 +120,7 @@ def verify_product_membership(D: int, p: int) -> bool:
     check_prime_not_dividing(p, D)
     rng = random.Random(f"product:{D}:{p}")
     group = enumerate_classes(D)
-    pools = {x: spectrum(x.rep, PRODUCT_VALUE_CAP, p).qp_star for x in group.classes}
+    pools = {x: spectrum(x, PRODUCT_VALUE_CAP, p).qp_star for x in group.classes}
     checked = 0
     attempts = 0
     while checked < PRODUCT_TRIALS and attempts < PRODUCT_TRIALS * 50:
@@ -136,7 +136,7 @@ def verify_product_membership(D: int, p: int) -> bool:
         n = a * alpha
         xz = compose(x, z)
         xz_inv = compose(x, inverse_class(z))
-        if rep_counts(xz.rep, n, p).r_star_p == 0 and rep_counts(xz_inv.rep, n, p).r_star_p == 0:
+        if rep_counts(xz, n, p).r_star_p == 0 and rep_counts(xz_inv, n, p).r_star_p == 0:
             return False
         checked += 1
     return checked > 0

@@ -68,7 +68,7 @@ def test_criterion_1():
         best = min(best, time.perf_counter() - t0)
 
     assert group.h == 4
-    assert [c.rep.triple() for c in group.classes] == [
+    assert [c.triple() for c in group.classes] == [
         (1, 0, 14),
         (2, 0, 7),
         (3, -2, 5),
@@ -76,14 +76,14 @@ def test_criterion_1():
     ]
     assert orders == [1, 2, 4, 4]
     assert 4 in orders  # cyclic of order 4
-    assert [c.rep.triple() for c in ambiguous] == [(1, 0, 14), (2, 0, 7)]
+    assert [c.triple() for c in ambiguous] == [(1, 0, 14), (2, 0, 7)]
     assert best < 0.001, f"class group of -56 took {best * 1000:.3f} ms"
 
 
 @criterion(2, "verdicts for D=-56, p=3 with checkable evidence")
 def test_criterion_2():
     verdicts = classify_all(-56, 3)
-    flags = {v.cls.rep.triple(): v.completely_p_primitive for v in verdicts}
+    flags = {v.cls.triple(): v.completely_p_primitive for v in verdicts}
     assert flags == {
         (1, 0, 14): False,
         (2, 0, 7): False,
@@ -162,12 +162,12 @@ def test_criterion_4():
         for n in range(1, bound + 1):
             if math.gcd(n, D) != 1:
                 continue
-            total = sum(len(enumerate_solutions(c.rep, n)) for c in classes)
+            total = sum(len(enumerate_solutions(c, n)) for c in classes)
             assert total == mass(n, D), (D, n)
     # spot values, both sides computed independently
     def total_reps(n, D):
         return sum(
-            rep_counts(c.rep, n, 2).r for c in enumerate_classes(D).classes
+            rep_counts(c, n, 2).r for c in enumerate_classes(D).classes
         )
 
     assert mass(3, -56) == total_reps(3, -56) == 4
@@ -186,8 +186,7 @@ def test_criterion_5():
             if not sols:
                 continue
             p2 = p * p
-            for cls in enumerate_classes(D).classes:
-                f = cls.rep
+            for f in enumerate_classes(D).classes:
                 t = build_isometry(f, sols[0])
                 assert t.det == p2
                 assert transformed_coefficients(f, t) == (
@@ -211,8 +210,7 @@ def test_criterion_5():
 def test_criterion_6():
     checked = 0
     for D in discriminants_in(-400, -3):
-        for cls in enumerate_classes(D).classes:
-            f = cls.rep
+        for f in enumerate_classes(D).classes:
             if not is_ambiguous(f):
                 continue
             for q in (3, 5, 7, 11, 13):

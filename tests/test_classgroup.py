@@ -9,7 +9,6 @@ from qprim.classgroup import (
     CACHED_GROUPS,
     MAX_ABS_D,
     ClassGroup,
-    ProperClass,
     ambiguous_classes,
     compose,
     enumerate_classes,
@@ -44,7 +43,7 @@ def test_census_identity_orders_and_squares():
     for D in discriminants_in(-4000, -3):
         g = enumerate_classes(D)
         assert g.identity is g.classes[0]
-        assert g.identity.rep == BinaryForm(1, D % 2, (D % 2 - D) // 4)
+        assert g.identity == BinaryForm(1, D % 2, (D % 2 - D) // 4)
         assert g.orders.keys() == g.squares.keys() == set(g.classes)
         assert g.orders[g.identity] == 1
 
@@ -52,15 +51,15 @@ def test_census_identity_orders_and_squares():
 def test_enumerate_classes_examples():
     g = enumerate_classes(-56)
     assert g.h == 4
-    assert [c.rep.triple() for c in g.classes] == [
+    assert [c.triple() for c in g.classes] == [
         (1, 0, 14),
         (2, 0, 7),
         (3, -2, 5),
         (3, 2, 5),
     ]
-    assert g.identity == ProperClass(BinaryForm(1, 0, 14))
+    assert g.identity == BinaryForm(1, 0, 14)
 
-    assert [c.rep.triple() for c in enumerate_classes(-23).classes] == [
+    assert [c.triple() for c in enumerate_classes(-23).classes] == [
         (1, 1, 6),
         (2, -1, 3),
         (2, 1, 3),
@@ -87,8 +86,7 @@ def test_enumerate_classes_wellformed():
         g = enumerate_classes(D)
         assert g.D == D
         assert len(set(g.classes)) == g.h >= 1
-        for cls in g.classes:
-            f = cls.rep
+        for f in g.classes:
             assert f.D == D
             assert is_reduced(f)
         assert list(g.classes) == sorted(g.classes)
@@ -119,7 +117,7 @@ def assert_census_matches_triple_loop(dmin, dmax):
     census = triple_loop_census(dmin, dmax)
     for D in discriminants_in(dmin, dmax):
         g = enumerate_classes.__wrapped__(D)
-        assert [c.rep.triple() for c in g.classes] == census.pop(D)
+        assert [c.triple() for c in g.classes] == census.pop(D)
     assert census == {}  # no form of a D that is not a discriminant
 
 
@@ -144,24 +142,21 @@ def test_census_complete_under_reduction():
                     continue
                 f = BinaryForm(a, b, c)
                 red = reduce(f)
-                assert ProperClass(red) in enumerate_classes(f.D).classes
+                assert red in enumerate_classes(f.D).classes
 
 
 def test_compose_examples():
-    def rep(f, g):
-        return compose(ProperClass(f), ProperClass(g)).rep
-
     f = BinaryForm(3, 2, 5)
-    assert rep(f, f) == BinaryForm(2, 0, 7)
-    assert rep(f, BinaryForm(3, -2, 5)) == BinaryForm(1, 0, 14)
-    assert rep(BinaryForm(2, 0, 7), BinaryForm(2, 0, 7)) == BinaryForm(1, 0, 14)
-    assert rep(BinaryForm(2, 0, 7), f) == BinaryForm(3, -2, 5)
-    assert rep(BinaryForm(2, 1, 3), BinaryForm(2, 1, 3)) == BinaryForm(2, -1, 3)
+    assert compose(f, f) == BinaryForm(2, 0, 7)
+    assert compose(f, BinaryForm(3, -2, 5)) == BinaryForm(1, 0, 14)
+    assert compose(BinaryForm(2, 0, 7), BinaryForm(2, 0, 7)) == BinaryForm(1, 0, 14)
+    assert compose(BinaryForm(2, 0, 7), f) == BinaryForm(3, -2, 5)
+    assert compose(BinaryForm(2, 1, 3), BinaryForm(2, 1, 3)) == BinaryForm(2, -1, 3)
 
 
 def test_compose_rejects_mixed_discriminants():
     with pytest.raises(ValueError):
-        compose(ProperClass(BinaryForm(1, 0, 14)), ProperClass(BinaryForm(1, 1, 6)))
+        compose(BinaryForm(1, 0, 14), BinaryForm(1, 1, 6))
 
 
 def test_compose_matches_congruence_scan():
@@ -170,8 +165,8 @@ def test_compose_matches_congruence_scan():
         group = enumerate_classes(D)
         for x in group.classes:
             for y in group.classes:
-                expected = compose(x, y).rep
-                scanned = brute_compose(x.rep, y.rep)
+                expected = compose(x, y)
+                scanned = brute_compose(x, y)
                 assert scanned == {expected}
 
 
@@ -202,19 +197,19 @@ def test_group_axioms_full_range():
 
 def test_compose_class_level():
     g = enumerate_classes(-56)
-    a = ProperClass(BinaryForm(3, 2, 5))
-    assert compose(a, a) == ProperClass(BinaryForm(2, 0, 7))
+    a = BinaryForm(3, 2, 5)
+    assert compose(a, a) == BinaryForm(2, 0, 7)
     assert compose(a, inverse_class(a)) == g.identity
     with pytest.raises(ValueError):
-        compose(a, ProperClass(BinaryForm(1, 1, 6)))
+        compose(a, BinaryForm(1, 1, 6))
 
 
 def test_orders_examples():
     g = enumerate_classes(-56)
-    orders = {c.rep.triple(): k for c, k in g.orders.items()}
+    orders = {c.triple(): k for c, k in g.orders.items()}
     assert orders == {(1, 0, 14): 1, (2, 0, 7): 2, (3, -2, 5): 4, (3, 2, 5): 4}
     g23 = enumerate_classes(-23)
-    assert g23.orders[ProperClass(BinaryForm(2, 1, 3))] == 3
+    assert g23.orders[BinaryForm(2, 1, 3)] == 3
     assert g23.orders[g23.identity] == 1
 
 
@@ -244,7 +239,7 @@ def test_squares_match_compose():
 
 def test_ambiguous_classes_examples():
     g = enumerate_classes(-56)
-    assert [c.rep.triple() for c in ambiguous_classes(g)] == [(1, 0, 14), (2, 0, 7)]
+    assert [c.triple() for c in ambiguous_classes(g)] == [(1, 0, 14), (2, 0, 7)]
     g23 = enumerate_classes(-23)
     assert ambiguous_classes(g23) == [g23.identity]
 
@@ -260,17 +255,17 @@ def test_ambiguous_matches_syntactic_test():
 
 def test_classes_key_and_sort_like_triples():
     g = enumerate_classes(-56)
-    assert repr(g.identity) == "ProperClass(rep=BinaryForm(a=1, b=0, c=14))"
-    assert str(g.identity.rep) == "[1,0,14]"
+    assert repr(g.identity) == "BinaryForm(a=1, b=0, c=14)"
+    assert str(g.identity) == "[1,0,14]"
     assert sorted(reversed(g.classes)) == list(g.classes)
     index = {x: i for i, x in enumerate(g.classes)}
     assert len(index) == g.h == 4
     for i, abc in enumerate([(1, 0, 14), (2, 0, 7), (3, -2, 5), (3, 2, 5)]):
-        x = ProperClass(BinaryForm(*abc))  # a fresh key equal to the census's
+        x = BinaryForm(*abc)  # a fresh key equal to the census's
         assert x == g.classes[i] and hash(x) == hash(g.classes[i])
         assert index[x] == i
     with pytest.raises(AttributeError):
-        g.identity.rep = BinaryForm(2, 0, 7)
+        g.identity.a = 2
 
 
 def test_classgroup_record():

@@ -28,7 +28,7 @@ def test_classgroup_json_round_trip(capsys):
     assert payload["ambiguous"] == [[1, 0, 14], [2, 0, 7]]
     group = enumerate_classes(-56)
     assert [[r["a"], r["b"], r["c"]] for r in payload["classes"]] == [
-        list(c.rep.triple()) for c in group.classes
+        list(c.triple()) for c in group.classes
     ]
     assert [r["order"] for r in payload["classes"]] == [
         group.orders[c] for c in group.classes
@@ -94,8 +94,8 @@ def test_represent_with_p(capsys):
     group = enumerate_classes(-56)
     assert len(payload["records"]) == group.h
     for rec, cls in zip(payload["records"], group.classes):
-        full = rep_counts(cls.rep, 9, 3)
-        assert rec["form"] == list(cls.rep.triple())
+        full = rep_counts(cls, 9, 3)
+        assert rec["form"] == list(cls.triple())
         assert rec["r"] == full.r
         assert rec["r_star_p"] == full.r_star_p
         assert rec["r_flat_p"] == full.r_flat_p
@@ -144,7 +144,7 @@ def test_spectrum_command(capsys):
         capsys, ["spectrum", "-56", "--form", "1,0,14", "--bound", "15", "--p", "3"]
     )
     assert code == 0
-    spec = spectrum(enumerate_classes(-56).classes[0].rep, 15, 3)
+    spec = spectrum(enumerate_classes(-56).classes[0], 15, 3)
     assert payload["q"] == spec.q == [1, 4, 9, 14, 15]
     assert payload["q_star"] == spec.q_star
     assert payload["qp_star"] == spec.qp_star

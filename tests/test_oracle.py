@@ -74,7 +74,7 @@ def test_brute_force_cpp_matches_full_sweep():
         primes = [p for p in primes_up_to(23) if D % p]
         verdicts = {p: classify_all(D, p) for p in primes}
         for i, x in enumerate(enumerate_classes(D).classes):
-            a, b, c = x.rep.triple()
+            a, b, c = x.triple()
             g = BinaryForm(a, b + 2 * a, a + b + c)
             mirror = BinaryForm(a, -b, c)
             for p in primes:
@@ -82,12 +82,12 @@ def test_brute_force_cpp_matches_full_sweep():
                 edges = [p2 * a * 2**k + d for k in (0, 1, 3) for d in (-1, 0, 1)]
                 negative = not verdicts[p][i].completely_p_primitive
                 large = [3000, 50000] if negative and p in (19, 23) else [3000]
-                ref = brute_force_cpp_full_sweep(x.rep, p, 3000)
+                ref = brute_force_cpp_full_sweep(x, p, 3000)
                 if negative and ref.witness is None:
-                    ref = brute_force_cpp_full_sweep(x.rep, p, max(edges + large))
+                    ref = brute_force_cpp_full_sweep(x, p, max(edges + large))
                 w = ref.witness
                 small = [1, p2 - 1, p2, *edges]
-                for f, bounds in ((x.rep, small + large), (mirror, small + large), (g, small)):
+                for f, bounds in ((x, small + large), (mirror, small + large), (g, small)):
                     for bound in bounds:
                         found = w if w is not None and w <= bound else None
                         assert brute_force_cpp(f, p, bound) == BruteVerdict(f, p, bound, found)
@@ -141,8 +141,8 @@ def test_p_primitive_matches_rep_counts():
     for D in discriminants_in(-200, -3):
         primes = [p for p in primes_up_to(11) if D % p]
         for x in enumerate_classes(D).classes:
-            a, b, c = x.rep.triple()
-            for f in (x.rep, BinaryForm(c, -b, a), BinaryForm(a, b + 2 * a, a + b + c)):
+            a, b, c = x.triple()
+            for f in (x, BinaryForm(c, -b, a), BinaryForm(a, b + 2 * a, a + b + c)):
                 for p in primes:
                     if f.a % p == 0 and f.c % p == 0:
                         both.add((*f, p))
@@ -165,12 +165,12 @@ def test_brute_force_cpp_equals_full_sweep_wide():
     for D in discriminants_in(-500, -3):
         primes = [p for p in (2, 3, 5, 7, 11, 13, 29) if D % p]
         for x in enumerate_classes(D).classes:
-            a, b, c = x.rep.triple()
+            a, b, c = x.triple()
             bounds = {
                 p: {1, p * p - 1, p * p, p * p * a, p * p * a + 1, 2 * p * p, 777, 5000}
                 for p in primes
             }
-            for f in (x.rep, BinaryForm(c, -b, a), BinaryForm(a, b + 2 * a, a + b + c)):
+            for f in (x, BinaryForm(c, -b, a), BinaryForm(a, b + 2 * a, a + b + c)):
                 for bound in sorted(set().union(*bounds.values())):
                     for p in primes:
                         if bound in bounds[p]:
@@ -188,7 +188,7 @@ def test_brute_matches_classifier_small():
             if D % p == 0:
                 continue
             for v in classify_all(D, p):
-                brute = brute_force_cpp(v.cls.rep, p, 3000)
+                brute = brute_force_cpp(v.cls, p, 3000)
                 if v.completely_p_primitive:
                     assert brute.witness is None
                 else:
@@ -220,11 +220,21 @@ def test_revalidate_rejects_doctored_evidence():
     # and never p-primitive: 0 is not, nor 1, 14 and 15, which p = 11 does
     # not divide, nor 22, which [1, 0, 14] does not take
     v = classify_all(-56, 11)[0]
-    assert v.cls.rep.triple() == (1, 0, 14) and v.evidence == {"witness": 121}
+    assert v.cls.triple() == (1, 0, 14) and v.evidence == {"witness": 121}
     for witness in (121, 121 * 15):
         assert revalidate_verdict(v._replace(evidence={"witness": witness}))
     for witness in (0, 1, 14, 15, 22):
         assert not revalidate_verdict(v._replace(evidence={"witness": witness})), witness
+    # evidence of the wrong type or shape is rejected, never raised on
+    for witness in (121.0, "121", None, [121]):
+        assert not revalidate_verdict(v._replace(evidence={"witness": witness})), witness
+    assert not revalidate_verdict(good._replace(evidence={"m": 10, "n": 6.0}))
+    assert not revalidate_verdict(good._replace(evidence={"m": 10.0, "n": 6}))
+    v = next(v for v in classify_all(-56, 3) if v.cls == (3, -2, 5))
+    assert v.completely_p_primitive and revalidate_verdict(v)
+    for solution in ([1], [1, 2, 3], None, [1, "2"], "ab", [-1.0, -1]):
+        evidence = {**v.evidence, "solution": solution}
+        assert not revalidate_verdict(v._replace(evidence=evidence)), solution
 
 
 @pytest.mark.slow
@@ -236,7 +246,7 @@ def test_revalidate_every_verdict_of_wide_window():
             if D % p == 0:
                 continue
             for v in classify_all(D, p):
-                assert revalidate_verdict(v), (D, p, v.cls.rep)
+                assert revalidate_verdict(v), (D, p, v.cls)
                 routes[v.route] += 1
     assert routes == {
         ROUTE_SYMBOL_MINUS_ONE: 241544,
@@ -267,8 +277,7 @@ def test_matrix_search_spot_cases():
 
 def test_reflection_parity_sweep():
     for D in discriminants_in(-120, -3):
-        for cls in enumerate_classes(D).classes:
-            f = cls.rep
+        for f in enumerate_classes(D).classes:
             if not is_ambiguous(f):
                 continue
             for q in (3, 5, 7):
@@ -393,7 +402,7 @@ def test_grid_flags_doctored_evidence(monkeypatch, form, route, doctor):
         # right cpp flags and route, one doctored evidence dict
         verdicts = real(D, p)
         for i, v in enumerate(verdicts):
-            if v.cls.rep.triple() == form:
+            if v.cls.triple() == form:
                 assert v.route == route
                 verdicts[i] = v._replace(evidence=doctor(v.evidence))
         return verdicts

@@ -72,7 +72,7 @@ def test_solve_two_square_matches_box_scan():
 def test_two_square_solvability_matches_principal_rep():
     # (m, n) exists iff the principal form takes p^2 p-primitively
     for D in discriminants_in(-1000, -3):
-        ident = enumerate_classes(D).identity.rep
+        ident = enumerate_classes(D).identity
         for p in primes_up_to(50):
             if kronecker(D, p) != 1:
                 continue
@@ -106,8 +106,7 @@ def test_build_isometry_properties_sweep():
             if not sols:
                 continue
             p2 = p * p
-            for cls in enumerate_classes(D).classes:
-                f = cls.rep
+            for f in enumerate_classes(D).classes:
                 t = build_isometry(f, sols[0])
                 entries = (t.m11, t.m12, t.m21, t.m22)
                 assert t.det == p2
@@ -119,7 +118,7 @@ def test_build_isometry_properties_sweep():
 def test_p_square_in_class():
     # route 3 at D = -56, p = 3: the square class [2,0,7] takes 9
     # 3-primitively, the square class [1,0,14] does not
-    evidence = {v.cls.rep.triple(): v.evidence for v in classify_all(-56, 3)}
+    evidence = {v.cls.triple(): v.evidence for v in classify_all(-56, 3)}
     rec = rep_counts(BinaryForm(2, 0, 7), 9, 3)
     xy = next(s for s in rec.solutions if math.gcd(*s) % 3 != 0)
     assert BinaryForm(2, 0, 7).evaluate(*xy) == 9
@@ -128,13 +127,13 @@ def test_p_square_in_class():
     assert rep_counts(BinaryForm(1, 0, 14), 9, 3).r_star_p == 0
     assert evidence[(2, 0, 7)]["square_form"] == [1, 0, 14]
     assert evidence[(2, 0, 7)]["square_has_p_square"] is False
-    assert rep_counts(enumerate_classes(-3).identity.rep, 49, 7).r_star_p > 0
+    assert rep_counts(enumerate_classes(-3).identity, 49, 7).r_star_p > 0
 
 
 def test_classify_examples_d56_p3():
     verdicts = classify_all(-56, 3)
-    by_form = {v.cls.rep.triple(): v for v in verdicts}
-    assert [v.cls.rep.triple() for v in verdicts] == [
+    by_form = {v.cls.triple(): v for v in verdicts}
+    assert [v.cls.triple() for v in verdicts] == [
         (1, 0, 14),
         (2, 0, 7),
         (3, -2, 5),
@@ -164,7 +163,7 @@ def test_classify_examples_other_routes():
     for v in classify_all(-56, 11):
         assert not v.completely_p_primitive
         assert v.route == ROUTE_SYMBOL_MINUS_ONE
-        assert v.evidence["witness"] == 121 * v.cls.rep.a
+        assert v.evidence["witness"] == 121 * v.cls.a
     # split prime with a two-square solution: everything passes
     for v in classify_all(-56, 23):
         assert v.completely_p_primitive
@@ -284,7 +283,7 @@ def test_ambiguous_true_forces_principal_square():
             for v in classify_all(D, p):
                 if v.completely_p_primitive and group.orders[v.cls] <= 2:
                     assert v.route == ROUTE_PRINCIPAL_SQUARE
-                    assert rep_counts(group.identity.rep, p * p, p).r_star_p > 0
+                    assert rep_counts(group.identity, p * p, p).r_star_p > 0
 
 
 def test_positive_classes_closed_under_p_squared_scaling():
@@ -295,7 +294,7 @@ def test_positive_classes_closed_under_p_squared_scaling():
         for v in classify_all(D, p):
             if not v.completely_p_primitive:
                 continue
-            spec = spectrum(v.cls.rep, bound, p)
+            spec = spectrum(v.cls, bound, p)
             qp = set(spec.qp_star)
             q = set(spec.q)
             for a in qp:

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import raw_form
 from lemma_checks import apply_map, improper_automorph, omega
-from qprim.classgroup import ProperClass, enumerate_classes, inverse_class
+from qprim.classgroup import enumerate_classes, inverse_class
 from qprim.qform import (
     BinaryForm,
     IntMap2,
@@ -154,12 +154,21 @@ def test_reduce_fixed_point():
         assert reduce(f) == f
 
 
+def test_rep_is_the_class_reduced_form():
+    assert BinaryForm(7, 0, 2).rep == BinaryForm(2, 0, 7)
+    for f in (BinaryForm(1, 0, 14), BinaryForm(3, -2, 5), BinaryForm(2, 2, 3)):
+        assert f.rep == f
+    # a fresh form of D = -56 finds its census class's entry
+    orders = enumerate_classes(-56).orders
+    assert orders[BinaryForm(7, 0, 2).rep] == 2
+    assert orders[BinaryForm(3, 8, 10).rep] == 4
+
+
 def test_reduce_invariant_under_unimodular_action():
     # the reduced representative is a class invariant
     rng = random.Random(20260815)
     for D in discriminants_in(-2000, -3):
-        for cls in enumerate_classes(D).classes:
-            f = cls.rep
+        for f in enumerate_classes(D).classes:
             for _ in range(2):
                 m = random_unimodular(rng)
                 g = apply_map(f, m)
@@ -169,20 +178,16 @@ def test_reduce_invariant_under_unimodular_action():
 def test_reduced_coefficient_bound():
     # reduced implies a <= sqrt(|D| / 3)
     for D in discriminants_in(-2000, -3):
-        for cls in enumerate_classes(D).classes:
-            f = cls.rep
+        for f in enumerate_classes(D).classes:
             assert 3 * f.a * f.a <= -D
 
 
 def test_inverse_rep():
-    def inv(f):
-        return inverse_class(ProperClass(f)).rep
-
-    assert inv(BinaryForm(3, 2, 5)) == BinaryForm(3, -2, 5)
-    assert inv(BinaryForm(3, -2, 5)) == BinaryForm(3, 2, 5)
-    assert inv(BinaryForm(2, 0, 7)) == BinaryForm(2, 0, 7)
-    assert inv(BinaryForm(1, 1, 6)) == BinaryForm(1, 1, 6)
-    assert inv(BinaryForm(2, 1, 3)) == BinaryForm(2, -1, 3)
+    assert inverse_class(BinaryForm(3, 2, 5)) == BinaryForm(3, -2, 5)
+    assert inverse_class(BinaryForm(3, -2, 5)) == BinaryForm(3, 2, 5)
+    assert inverse_class(BinaryForm(2, 0, 7)) == BinaryForm(2, 0, 7)
+    assert inverse_class(BinaryForm(1, 1, 6)) == BinaryForm(1, 1, 6)
+    assert inverse_class(BinaryForm(2, 1, 3)) == BinaryForm(2, -1, 3)
     # involution
     for D in discriminants_in(-500, -3):
         for cls in enumerate_classes(D).classes:
@@ -221,8 +226,7 @@ def test_improper_automorph_examples():
 def test_improper_automorph_properties():
     # det -1, fixes the form, and is an involution
     for D in discriminants_in(-2000, -3):
-        for cls in enumerate_classes(D).classes:
-            f = cls.rep
+        for f in enumerate_classes(D).classes:
             if not is_ambiguous(f):
                 continue
             s = improper_automorph(f)

@@ -105,9 +105,8 @@ def test_rep_counts_parity_and_split():
 def test_rep_counts_symmetric_under_inverse():
     # (x, y) -> (x, -y) maps solutions of f to solutions of the inverse form
     for D in (-23, -31, -56):
-        for cls in enumerate_classes(D).classes:
-            f = cls.rep
-            g = inverse_class(cls).rep
+        for f in enumerate_classes(D).classes:
+            g = inverse_class(f)
             for p in (2, 3, 5):
                 for n in range(1, 500, 7):
                     rf = rep_counts(f, n, p)
@@ -197,5 +196,5 @@ def test_mass_identity_sweep():
         for n in range(1, bound + 1):
             if math.gcd(n, D) != 1:
                 continue
-            total = sum(len(enumerate_solutions(c.rep, n)) for c in classes)
+            total = sum(len(enumerate_solutions(c, n)) for c in classes)
             assert total == mass(n, D)
