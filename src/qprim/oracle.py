@@ -6,23 +6,28 @@ A disagreement is reported as a contradiction, never suppressed.
 
 A witness against complete p-primitivity is an n that f represents only
 with p | x and p | y, so n = p^2 f(x/p, y/p): every witness up to N lies
-in p^2 * Q(f, N/p^2).  The witness search therefore sweeps the values m
-of f in windows that double from f's first coefficient a up to N/p^2, and
-checks each window's candidates p^2 m in ascending order with one
-early-stopping scan, `_p_primitive`: it walks only the rows of
+in p^2 * Q(f, N/p^2).  Every prime's search thus reads the same values m
+of f, and `_smallest_witnesses` serves several primes from one sweep.  It
+sweeps the values in windows that double from f's first coefficient a,
+and each prime checks its window's candidates p^2 m in ascending order
+with one early-stopping scan, `_p_primitive`: it walks only the rows of
 f(x, y) = p^2 m whose points are p-primitive and stops at the first row
 that holds a solution, which rejects the candidate; a candidate whose rows
-hold none is the witness.  It stops at the smallest witness p^2 m, having
-swept f only to below 2m (the least value of a reduced form is a, so
-m >= a).  The classification grid searches a positive verdict up to the
-sweep bound and a negative one once up to a ceiling that defaults to 50x
-the bound, and labels the negative cell with the first rung of the ladder
-bound, 10x bound, ceiling that holds its witness.  The two classes
-[a, b, c] and [a, -b, c] of an inverse pair share one search, because
-[a, -b, c](x, -y) = [a, b, c](x, y).  The grid re-derives every verdict's
-evidence with the same scan: a route-1 witness must be a value of the
-class that `_p_primitive` rejects.  Route-3 evidence is compared as a
-whole, key for key, against facts derived here: the square by `compose`,
+hold none is the witness.  A prime stops at its smallest witness p^2 m,
+or at its own N/p^2, and the sweep stops with the last prime.
+
+The classification grid works one discriminant at a time.  It classifies
+every prime of D, then searches each inverse pair [a, +-b, c] once for
+all of them, because [a, -b, c](x, -y) = [a, b, c](x, y).  A positive
+verdict needs the search up to the sweep bound, and a negative one up to
+a ceiling that defaults to 50x the bound; the pair is searched at each
+prime up to the larger need of its two members, and each cell reads the
+result at its own.  A negative cell is labelled with the first rung of
+the ladder bound, 10x bound, ceiling that holds its witness.  The grid
+re-derives every verdict's evidence with the same scan: a route-1 witness
+must be a value of the class that `_p_primitive` rejects.  Route-3
+evidence is compared as a whole, key for key, against facts derived here:
+the square by `compose`, once per class of the discriminant,
 `square_has_p_square` by `_p_primitive` of p^2 by that square, and a
 passing class's solution by evaluating the square at it.  The order is
 not re-derived: it is read from the census, `enumerate_classes(D).orders`,
@@ -32,6 +37,7 @@ the same power walk that `classify_all` reads.
 from __future__ import annotations
 
 import math
+from itertools import takewhile
 from typing import NamedTuple
 
 from . import pprim
@@ -99,19 +105,47 @@ class BruteVerdict(NamedTuple):
     witness: int | None
 
 
+def _smallest_witnesses(f: BinaryForm, bounds: dict[int, int]) -> dict[int, int | None]:
+    """Smallest witness n <= bounds[p] of f for each prime p, or None, from
+    one sweep of the values of f.
+
+    A witness for p is a candidate p^2 m, with m a value of f and
+    m <= bounds[p] // p^2, whose solutions all lie in pZ^2.  The values m
+    are swept in windows lo < m <= hi, from hi = a (capped by the largest
+    open top) with hi doubling up to it.  Within a window each open prime
+    checks its candidates in ascending order with `_p_primitive`, and it
+    closes at its first witness or once the window covers its top; the
+    sweep stops when every prime has closed.  Each prime thus checks the
+    same candidates, in the same order, as a search of its own.
+    """
+    found = dict.fromkeys(bounds)
+    tops = {p: bound // (p * p) for p, bound in bounds.items() if bound >= p * p}
+    lo, hi = 0, min(f.a, max(tops.values(), default=0))
+    while tops:
+        values = sorted(filter(lo.__lt__, rep_profile(f, hi)))
+        for p, top in list(tops.items()):
+            p2 = p * p
+            found[p] = next((p2 * m for m in takewhile(top.__ge__, values)
+                             if not _p_primitive(f, p2 * m, p)), None)
+            if found[p] is not None or hi >= top:
+                del tops[p]
+        lo, hi = hi, min(2 * hi, max(tops.values(), default=0))
+    return found
+
+
 def brute_force_cpp(f: BinaryForm, p: int, bound: int) -> BruteVerdict:
     """Smallest n <= bound represented by f but never p-primitively, if any.
 
     Such an n has only solutions with p | x and p | y, so n = p^2 m with
-    m = f(x/p, y/p) <= top = bound // p^2.  The values m of f are swept in
-    windows lo < m <= hi, from hi = min(a, top) with hi doubling up to top;
-    each window's candidates p^2 m are checked in ascending order, and the
-    first whose solutions all lie in pZ^2 is the witness.  `_p_primitive`
-    checks a candidate: it scans only the rows whose solutions are
-    p-primitive and stops at the first that holds one, which rejects the
-    candidate, so the rest of its rows are never scanned.  Every value up
-    to hi is checked before any value above it, so the witness is the
-    smallest, as from one sweep up to top.  For a reduced form, whose
+    m = f(x/p, y/p) <= top = bound // p^2.  The search is
+    `_smallest_witnesses` for the one prime: the values m of f are swept in
+    windows lo < m <= hi, from hi = min(a, top) with hi doubling up to top,
+    and each window's candidates p^2 m are checked in ascending order.
+    `_p_primitive` checks a candidate: it scans only the rows whose
+    solutions are p-primitive and stops at the first that holds one, which
+    rejects the candidate, so the rest of its rows are never scanned.  Every
+    value up to hi is checked before any value above it, so the witness is
+    the smallest, as from one sweep up to top.  For a reduced form, whose
     least value is a, a search that stops at p^2 m sweeps a total bound
     below 4m.  The search is exhaustive for any form; below p^2 there is
     nothing to sweep and no witness.
@@ -119,15 +153,7 @@ def brute_force_cpp(f: BinaryForm, p: int, bound: int) -> BruteVerdict:
     check_prime_not_dividing(p, f.D)
     if bound < 1:
         raise ValueError(f"brute_force_cpp requires bound >= 1, got {bound}")
-    p2 = p * p
-    top = bound // p2
-    lo, hi = 0, min(f.a, top)
-    while lo < top:
-        for m in sorted(filter(lo.__lt__, rep_profile(f, hi))):
-            if not _p_primitive(f, p2 * m, p):
-                return BruteVerdict(f, p, bound, p2 * m)
-        lo, hi = hi, min(2 * hi, top)
-    return BruteVerdict(f, p, bound, None)
+    return BruteVerdict(f, p, bound, _smallest_witnesses(f, {p: bound})[p])
 
 
 class GridCell(NamedTuple):
@@ -189,16 +215,19 @@ def verify_classification_grid(
     an exhaustive witness search and by re-deriving its evidence.
 
     Positive verdicts must show no witness <= bound.  Negative verdicts
-    must produce a witness; one search runs up to `ceiling` (default 50x
-    bound), the cell's `bound` is the first of bound, 10x bound and ceiling
-    that holds the witness, and cells without one are reported as
-    unconfirmed at the ceiling rather than as contradictions.  Within one
-    (D, p) the forms [a, b, c] and [a, -b, c] share a search.  A verdict
-    whose evidence fails `revalidate_verdict` is a contradiction.  A bound
-    below 1, a ceiling below the bound or above MAX_CEILING, a dmin below
-    -MAX_ABS_D (the census limit), or a window with no (D, p) cell raises
-    ValueError before any search.  The cells are checked one after another
-    in this process.
+    must produce a witness <= `ceiling` (default 50x bound); the cell's
+    `bound` is the first of bound, 10x bound and ceiling that holds the
+    witness, and cells without one are reported as unconfirmed at the
+    ceiling rather than as contradictions.  The window is checked one
+    discriminant at a time: the forms [a, b, c] and [a, -b, c] share one
+    `_smallest_witnesses` sweep for all primes of D, each prime searched
+    up to the larger bound its two verdicts need, and each cell keeps the
+    witness only if it lies within its own.  A verdict whose evidence
+    fails revalidation is a contradiction; each class's square is composed
+    once per discriminant.  A bound below 1, a ceiling below the bound or
+    above MAX_CEILING, a dmin below -MAX_ABS_D (the census limit), or a
+    window with no (D, p) cell raises ValueError before any search.  The
+    cells are checked one after another in this process.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -213,32 +242,39 @@ def verify_classification_grid(
     if dmin < -MAX_ABS_D:
         raise ValueError(f"dmin must be at least {-MAX_ABS_D}, got {dmin}")
     primes = primes_up_to(pmax)
-    pairs = [(D, p) for D in discriminants_in(dmin, dmax) for p in primes if D % p]
-    if not pairs:
+    discriminants = [D for D in discriminants_in(dmin, dmax) if any(D % p for p in primes)]
+    if not discriminants:
         raise ValueError(f"no (D, p) cell with D in [{dmin}, {dmax}] and p <= {pmax}")
     rungs = sorted({bound, min(10 * bound, ceiling), ceiling})
     cells = []
-    for D, p in pairs:
-        # [a, -b, c](x, -y) = [a, b, c](x, y): an inverse pair shares its witnesses
-        witnesses = {}
-        for v in pprim.classify_all(D, p):
-            f, _, cpp, route, _ = v
-            a, b, c = f
-            top = bound if cpp else ceiling
-            key = (a, abs(b), c, top)
-            if key not in witnesses:
-                witnesses[key] = brute_force_cpp(f, p, top).witness
-            witness = witnesses[key]
-            used = next((r for r in rungs if witness is not None and witness <= r), top)
-            if cpp:
-                status = STATUS_CONTRADICTION if witness is not None else STATUS_AGREES
-            else:
-                status = STATUS_AGREES if witness is not None else STATUS_UNCONFIRMED
-            if not revalidate_verdict(v):
-                status = STATUS_CONTRADICTION
-            cells.append(
-                GridCell(D, p, f, cpp, route, status, witness, used)
-            )
+    for D in discriminants:
+        verdicts = {p: pprim.classify_all(D, p) for p in primes if D % p}
+        # [a, -b, c](x, -y) = [a, b, c](x, y): an inverse pair shares its
+        # witnesses, searched up to the larger bound its members' verdicts need
+        searches = {}
+        for p, vs in verdicts.items():
+            for f, _, cpp, _, _ in vs:
+                a, b, c = f
+                _, need = searches.setdefault((a, abs(b), c), (f, {}))
+                need[p] = max(need.get(p, 0), bound if cpp else ceiling)
+        found = {key: _smallest_witnesses(f, need) for key, (f, need) in searches.items()}
+        squares = {}
+        for p, vs in verdicts.items():
+            for v in vs:
+                f, _, cpp, route, _ = v
+                a, b, c = f
+                top = bound if cpp else ceiling
+                witness = found[a, abs(b), c][p]
+                if witness is not None and witness > top:
+                    witness = None
+                used = next((r for r in rungs if witness is not None and witness <= r), top)
+                if cpp:
+                    status = STATUS_CONTRADICTION if witness is not None else STATUS_AGREES
+                else:
+                    status = STATUS_AGREES if witness is not None else STATUS_UNCONFIRMED
+                if not _revalidate(v, squares):
+                    status = STATUS_CONTRADICTION
+                cells.append(GridCell(D, p, f, cpp, route, status, witness, used))
     return GridReport(dmin, dmax, pmax, bound, ceiling, tuple(cells))
 
 
@@ -255,6 +291,13 @@ def revalidate_verdict(v: Verdict) -> bool:
     passing verdict's solution, a list of two ints, is checked by
     evaluating the square class at it.
     """
+    return _revalidate(v, {})
+
+
+def _revalidate(v: Verdict, squares: dict[BinaryForm, BinaryForm]) -> bool:
+    """`revalidate_verdict`, reading and filling `squares`, the squares of
+    the classes composed so far; the grid keeps one per discriminant, so
+    each class is squared once for all of its route-3 primes."""
     f, p, cpp, route, evidence = v
     if route == ROUTE_SYMBOL_MINUS_ONE:
         if evidence.keys() != {"witness"}:
@@ -278,7 +321,9 @@ def revalidate_verdict(v: Verdict) -> bool:
             and 4 * p * p == m * m - f.D * n * n
             and math.gcd(math.gcd(m, n), p) == 1
         )
-    square = compose(f, f)
+    square = squares.get(f)
+    if square is None:
+        square = squares[f] = compose(f, f)
     order = enumerate_classes(f.D).orders[f]
     facts = {"order": order, "square_form": list(square)}
     if route == ROUTE_ORDER_FOUR_SQUARE:

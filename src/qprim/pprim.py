@@ -124,14 +124,15 @@ class Verdict(NamedTuple):
 def classify_all(D: int, p: int) -> list[Verdict]:
     """Verdicts for every class of discriminant D, in census order.
 
-    Requires p prime, p not | D.  Routes 1 and 2 depend only on (D, p) and
-    settle the whole group.  Route 3 reads each class's order and square
-    off the group's power walk and tests the square against P^2 and P^-2;
-    one count of p^2 by P^2 supplies the solution every passing class
-    shares.
+    Requires p prime, p not | D, checked before the census is built.
+    Routes 1 and 2 depend only on (D, p) and settle the whole group.
+    Route 3 reads each class's order and square off the group's power walk
+    and tests the square against P^2 and P^-2; one count of p^2 by P^2
+    supplies the solution every passing class shares.
     """
-    group = enumerate_classes(D)
+    check_discriminant(D)
     check_prime_not_dividing(p, D)
+    group = enumerate_classes(D)
     if kronecker(D, p) == -1:
         # every solution of f = p^2*a has both coordinates divisible by p
         return [Verdict(x, p, False, ROUTE_SYMBOL_MINUS_ONE, {"witness": p * p * x.a})

@@ -110,14 +110,25 @@ def test_criterion_2():
 @criterion(3, "brute-force grid D in [-400,-3], p <= 23, N = 5000")
 def test_criterion_3():
     searches = Counter()
-    real = oracle.brute_force_cpp
+    calls = Counter()
 
-    def counting(f, p, bound):
-        searches[bound] += 1
-        return real(f, p, bound)
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    real_search = oracle._smallest_witnesses
+
+    def searching(f, bounds):
+        searches.update(bounds.values())
+        return real_search(f, bounds)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "brute_force_cpp", counting)
+        mp.setattr(oracle, "_smallest_witnesses", counting("pairs", searching))
+        for name in ("rep_profile", "compose"):
+            mp.setattr(oracle, name, counting(name, getattr(oracle, name)))
         t0 = time.perf_counter()
         report = verify_classification_grid(
             dmin=-400, dmax=-3, pmax=23, bound=5000, ceiling=250000
@@ -146,6 +157,10 @@ def test_criterion_3():
     # one search per negative cell, at the ceiling, and one per positive
     # cell, at the bound, each shared by the inverse pair [a, +-b, c]
     assert searches == {250000: 4967, 5000: 666}
+    # the 5633 (pair, p) searches share one value sweep per inverse pair:
+    # 754 pairs, swept in 2866 doubling windows; each class is squared once
+    # for all of its route-3 primes
+    assert calls == {"pairs": 754, "rep_profile": 2866, "compose": 969}
     # the whole report, every cell with its route, witness and rung
     payload = json.dumps(report.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(payload).hexdigest() == (

@@ -22,6 +22,7 @@ from qprim.oracle import (
     STATUS_UNCONFIRMED,
     BruteVerdict,
     _p_primitive,
+    _smallest_witnesses,
     brute_force_cpp,
     revalidate_verdict,
     verify_classification_grid,
@@ -70,6 +71,8 @@ def test_brute_force_cpp_matches_full_sweep():
     # reduced form: at 3000, or for a negative verdict without a witness by
     # 3000, at the largest bound checked.  A positive verdict has no witness
     # at any bound.
+    turn = 0
+    chosen = set()
     for D in discriminants_in(-200, -3):
         primes = [p for p in primes_up_to(23) if D % p]
         verdicts = {p: classify_all(D, p) for p in primes}
@@ -77,6 +80,7 @@ def test_brute_force_cpp_matches_full_sweep():
             a, b, c = x.triple()
             g = BinaryForm(a, b + 2 * a, a + b + c)
             mirror = BinaryForm(a, -b, c)
+            lists = {f: {} for f in (x, mirror, g)}
             for p in primes:
                 p2 = p * p
                 edges = [p2 * a * 2**k + d for k in (0, 1, 3) for d in (-1, 0, 1)]
@@ -91,6 +95,22 @@ def test_brute_force_cpp_matches_full_sweep():
                     for bound in bounds:
                         found = w if w is not None and w <= bound else None
                         assert brute_force_cpp(f, p, bound) == BruteVerdict(f, p, bound, found)
+                    lists[f][p] = (bounds, w)
+            # each form once more, all of its primes in one shared sweep, each
+            # prime at its own bound, taken in turn from its list
+            for f, per_prime in lists.items():
+                bounds = {}
+                for k, (p, (own, w)) in enumerate(per_prime.items()):
+                    j = (turn + k) % len(own)
+                    bounds[p] = own[j]
+                    chosen.add((p, len(own), j))
+                turn += 1
+                found = _smallest_witnesses(f, bounds)
+                for p, (own, w) in per_prime.items():
+                    assert found[p] == (w if w is not None and w <= bounds[p] else None)
+    # the turns reach every bound of every list a prime was given
+    for p, n in {(p, n) for p, n, _ in chosen}:
+        assert {j for q, m, j in chosen if (q, m) == (p, n)} == set(range(n)), (p, n)
 
 
 def test_brute_force_cpp_sweeps_only_to_witness(monkeypatch):
@@ -129,6 +149,14 @@ def test_brute_force_cpp_sweeps_only_to_witness(monkeypatch):
     assert bounds == [6, 12, 24, 48]
     assert checked == [25 * m for m in sorted(rep_profile(f, 35))]
     assert checked == [150, 425, 500, 600, 650, 875]
+    # primes share the sweep: 2 takes its witness 24 = 4 * 6 in the first
+    # window, and the windows then run up to the top 200 of 5, not 25000;
+    # 5 checks the same candidates as alone, and 3, below 3^2, has none
+    bounds.clear()
+    checked.clear()
+    assert _smallest_witnesses(f, {2: 10**5, 5: 5000, 3: 3}) == {2: 24, 5: 875, 3: None}
+    assert bounds == [6, 12, 24, 48]
+    assert checked == [24, 150, 425, 500, 600, 650, 875]
 
 
 def test_p_primitive_matches_rep_counts():
@@ -160,25 +188,37 @@ def test_brute_force_cpp_equals_full_sweep_wide():
     # every class of every D in [-500, -3] as its reduced form, [c, -b, a]
     # and [a, b + 2a, a + b + c], each p in {2, 3, 5, 7, 11, 13, 29} prime
     # to D, at bounds around p^2, p^2 a and the grid's scale; the reference
-    # sweeps run bound by bound so that its cache serves every prime
-    calls = found = 0
+    # sweeps run bound by bound so that its cache serves every prime.  Each
+    # form is then searched once more with all of its primes in one shared
+    # sweep, each prime at its own bound, taken in turn from its set.
+    calls = found = shared = shared_found = 0
+    turn = 0
     for D in discriminants_in(-500, -3):
         primes = [p for p in (2, 3, 5, 7, 11, 13, 29) if D % p]
         for x in enumerate_classes(D).classes:
             a, b, c = x.triple()
             bounds = {
-                p: {1, p * p - 1, p * p, p * p * a, p * p * a + 1, 2 * p * p, 777, 5000}
+                p: sorted({1, p * p - 1, p * p, p * p * a, p * p * a + 1, 2 * p * p, 777, 5000})
                 for p in primes
             }
             for f in (x, BinaryForm(c, -b, a), BinaryForm(a, b + 2 * a, a + b + c)):
+                refs = {}
                 for bound in sorted(set().union(*bounds.values())):
                     for p in primes:
                         if bound in bounds[p]:
                             v = brute_force_cpp(f, p, bound)
-                            assert v == brute_force_cpp_full_sweep(f, p, bound), (f, p, bound)
+                            refs[p, bound] = ref = brute_force_cpp_full_sweep(f, p, bound)
+                            assert v == ref, (f, p, bound)
                             calls += 1
                             found += v.witness is not None
+                own = {p: bounds[p][(turn + k) % len(bounds[p])] for k, p in enumerate(primes)}
+                turn += 1
+                for p, w in _smallest_witnesses(f, own).items():
+                    assert w == refs[p, own[p]].witness, (f, p, own[p])
+                    shared += 1
+                    shared_found += w is not None
     assert (calls, found) == (204759, 84675)
+    assert (shared, shared_found) == (26517, 11108)
 
 
 def test_brute_matches_classifier_small():
@@ -469,15 +509,15 @@ def test_grid_searches_each_inverse_pair_once(monkeypatch):
     # the negatives [1, 0, 14] and [2, 0, 7] are each searched once at the
     # ceiling and labelled with the first rung that holds their witness
     calls = []
-    real = oracle.brute_force_cpp
+    real = oracle._smallest_witnesses
 
-    def recording(f, p, bound):
-        calls.append((f.triple(), bound))
-        return real(f, p, bound)
+    def recording(f, bounds):
+        calls.extend((f.triple(), p, bound) for p, bound in bounds.items())
+        return real(f, bounds)
 
-    monkeypatch.setattr(oracle, "brute_force_cpp", recording)
+    monkeypatch.setattr(oracle, "_smallest_witnesses", recording)
     report = verify_classification_grid(-56, -56, 3, 5, ceiling=100)
-    assert calls == [((1, 0, 14), 100), ((2, 0, 7), 100), ((3, -2, 5), 5)]
+    assert calls == [((1, 0, 14), 3, 100), ((2, 0, 7), 3, 100), ((3, -2, 5), 3, 5)]
     cells = {c.form.triple(): (c.witness, c.bound, c.status) for c in report.cells}
     assert cells == {
         (1, 0, 14): (9, 50, STATUS_AGREES),
@@ -485,6 +525,33 @@ def test_grid_searches_each_inverse_pair_once(monkeypatch):
         (3, -2, 5): (None, 5, STATUS_AGREES),
         (3, 2, 5): (None, 5, STATUS_AGREES),
     }
+
+
+@pytest.mark.parametrize(
+    "p, bound, witness",
+    [
+        (3, 5000, None),  # made negative: no witness up to the ceiling
+        (11, 100, None),  # made positive: 363 lies above its own bound
+        (11, 1000, 363),  # made positive: 363 lies within it
+    ],
+)
+def test_grid_checks_each_member_of_a_pair_at_its_own_bound(monkeypatch, p, bound, witness):
+    # a classifier that flips the verdict of [3, 2, 5] at D = -56 and p, but
+    # not of its mirror [3, -2, 5]: the pair is searched once, up to the
+    # larger bound the two verdicts need, and each cell reads the search at
+    # its own bound, so the mirror's cell does not change
+    honest = verify_classification_grid(-56, -56, 11, bound)
+    real = pprim.classify_all
+
+    def flipping(D, q):
+        return [v._replace(completely_p_primitive=not v.completely_p_primitive)
+                if (q, v.cls) == (p, (3, 2, 5)) else v for v in real(D, q)]
+
+    monkeypatch.setattr(pprim, "classify_all", flipping)
+    report = verify_classification_grid(-56, -56, 11, bound)
+    changed = [(c.p, c.form, c.witness, c.status)
+               for c, h in zip(report.cells, honest.cells) if c != h]
+    assert changed == [(p, (3, 2, 5), witness, STATUS_CONTRADICTION)]
 
 
 @pytest.mark.parametrize("bound", [0, -5])

@@ -199,6 +199,23 @@ def test_classify_preconditions():
         classify_all(-56, 1)  # not prime
 
 
+def test_classify_checks_p_before_the_census(monkeypatch):
+    # a bad p is rejected without building the class group, which costs
+    # O(|D|) near the census limit
+    censuses = []
+
+    def recording(D):
+        censuses.append(D)
+        return enumerate_classes(D)
+
+    monkeypatch.setattr(pprim, "enumerate_classes", recording)
+    for p in (4, 7):
+        with pytest.raises(ValueError):
+            classify_all(-56, p)
+    assert censuses == []
+    assert len(classify_all(-56, 3)) == 4 and censuses == [-56]
+
+
 @pytest.mark.parametrize(
     "D, p, route",
     [
