@@ -2,7 +2,8 @@
 
 stdout carries data (JSON with alphabetically ordered keys by default);
 stderr carries diagnostics.  Exit codes: 0 success, 1 a verification
-sweep found a contradiction or the ternary identity report failed, 2 usage,
+sweep found a contradiction, or the ternary identity failed or found no
+change of basis to prove the equivalence, 2 usage,
 precondition or file error (a `spectrum --bound` above `repcount.MAX_BOUND`,
 a `ternary-demo --bound` above `ternary.MAX_BOUND`, a `represent` whose rows
 sum above `repcount.MAX_ROWS`, and a discriminant or `verify --dmin` below
@@ -130,7 +131,7 @@ def _cmd_isometry(args: argparse.Namespace) -> int:
     f = _parse_form(args.form, args.D)
     sols = pprim.solve_two_square(args.D, args.p)
     if not sols:
-        _emit({"D": args.D, "p": args.p, "form": list(f.triple()),
+        _emit({"D": args.D, "p": args.p, "form": list(f),
                "solvable": False})
         return 0
     sol = sols[0]
@@ -140,7 +141,7 @@ def _cmd_isometry(args: argparse.Namespace) -> int:
         {
             "D": args.D,
             "det": t.det,
-            "form": list(f.triple()),
+            "form": list(f),
             "m": sol.m,
             "matrix": t.rows(),
             "n": sol.n,

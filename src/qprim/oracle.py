@@ -30,8 +30,11 @@ evidence is compared as a whole, key for key, against facts derived here:
 the square by `compose`, once per class of the discriminant,
 `square_has_p_square` by `_p_primitive` of p^2 by that square, and a
 passing class's solution by evaluating the square at it.  The order is
-not re-derived: it is read from the census, `enumerate_classes(D).orders`,
-the same power walk that `classify_all` reads.
+read from the census, `enumerate_classes(D).orders`, the same power walk
+that `classify_all` reads, but the fact route 3 turns on is re-derived:
+ord(C) = 4 iff C^2 is ambiguous and not the principal form
+[1, D mod 2, (D mod 2 - D)/4], which is built from D, not read from the
+census.  A claimed order that disagrees with that fact is rejected.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from typing import NamedTuple
 from . import pprim
 from .classgroup import MAX_ABS_D, compose, enumerate_classes
 from .intarith import check_prime_not_dividing, primes_up_to
-from .qform import BinaryForm, discriminants_in
+from .qform import BinaryForm, discriminants_in, is_ambiguous
 from .pprim import (
     ROUTE_ORDER_FOUR_SQUARE,
     ROUTE_ORDER_FOUR_SQUARE_FAILED,
@@ -279,8 +282,9 @@ def verify_classification_grid(
 
 
 def revalidate_verdict(v: Verdict) -> bool:
-    """Re-derive every fact a verdict's evidence claims, except a route-3
-    class's order, which is read from the census.
+    """Re-derive every fact a verdict's evidence claims.  A route-3 class's
+    order is read from the census, and it must be 4 exactly when the
+    square is ambiguous and not principal.
 
     Every route's evidence must carry exactly the route's keys, and its
     numbers must be ints; evidence of another type or shape is rejected,
@@ -325,6 +329,11 @@ def _revalidate(v: Verdict, squares: dict[BinaryForm, BinaryForm]) -> bool:
     if square is None:
         square = squares[f] = compose(f, f)
     order = enumerate_classes(f.D).orders[f]
+    # ord(C) = 4 iff C^2 is not principal and has order 2; the principal
+    # form comes from D, not from the census that supplied `order`
+    D = f.D
+    if (order == 4) != (square != (1, D % 2, (D % 2 - D) // 4) and is_ambiguous(square)):
+        return False
     facts = {"order": order, "square_form": list(square)}
     if route == ROUTE_ORDER_FOUR_SQUARE:
         xy = evidence.get("solution")

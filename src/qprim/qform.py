@@ -76,6 +76,8 @@ class BinaryForm(_Coefficients):
         return reduce(self)
 
     def triple(self) -> tuple[int, int, int]:
+        """`tuple(self)`.  Only the benchmark's workloads and the tests
+        read it; library code must not call it."""
         return tuple(self)
 
     def __str__(self) -> str:

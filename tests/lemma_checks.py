@@ -6,14 +6,22 @@ the sums-of-two-squares witness search.  `qprim verify` re-checks each
 cell by its witness search and `oracle.revalidate_verdict` instead.
 The helpers only these checks and the tests call live here too: the
 divisor-sum mass formula, the automorph count omega, divisors, valuations,
-the action f o M on forms and the improper automorphs of ambiguous forms.
+the action f o M on forms and the improper automorphs of ambiguous forms,
+and the ternary lattice count `rep_count_table` with its determinant
+`det3`, the reference for `ternary.one_mod_three_values`.
 """
 
 import math
 import random
 
 from qprim.classgroup import compose, enumerate_classes, inverse_class
-from qprim.intarith import check_prime_not_dividing, is_prime, kronecker, prime_factors
+from qprim.intarith import (
+    ceil_div,
+    check_prime_not_dividing,
+    is_prime,
+    kronecker,
+    prime_factors,
+)
 from qprim.oracle import BruteVerdict, brute_force_cpp
 from qprim.pprim import build_isometry, solve_two_square
 from qprim.qform import (
@@ -24,6 +32,7 @@ from qprim.qform import (
     transformed_coefficients,
 )
 from qprim.repcount import enumerate_solutions, rep_counts, spectrum
+from qprim.ternary import TernaryForm
 
 #: coordinate bound of the vectors verify_reflection_parity checks
 REFLECTION_SAMPLE_BOUND = 15
@@ -220,3 +229,48 @@ def improper_automorph(f: BinaryForm) -> IntMap2:
         sigma = IntMap2(0, 1, 1, 0)
     assert sigma.det == -1 and apply_map(f, sigma) == f
     return sigma
+
+
+def det3(m) -> int:
+    """Determinant of a 3x3 integer matrix given by its rows."""
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def _coordinate_bounds(f: TernaryForm, bound: int) -> tuple[int, int, int]:
+    """Per-coordinate |v_i| limits for f(v) <= bound: v_i^2 <= N * (G^-1)_ii."""
+    h = f.doubled_gram()
+    det_h = det3(h)
+    out = []
+    for i in range(3):
+        j, k = [t for t in range(3) if t != i]
+        cof = h[j][j] * h[k][k] - h[j][k] * h[k][j]
+        out.append(math.isqrt(2 * bound * cof // det_h))
+    return tuple(out)
+
+
+def rep_count_table(f: TernaryForm, bound: int) -> dict[int, int]:
+    """Representation counts {n: #solutions of f = n} for 1 <= n <= bound,
+    by a lattice-point count over the box that holds the ellipsoid."""
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+    xmax, ymax, _ = _coordinate_bounds(f, bound)
+    counts: dict[int, int] = {}
+    xx, yy, zz, yz, zx, xy = f
+    zz2 = 2 * zz
+    for x in range(-xmax, xmax + 1):
+        for y in range(-ymax, ymax + 1):
+            rest = xx * x * x + yy * y * y + xy * x * y
+            lin = yz * y + zx * x
+            disc = lin * lin - 2 * zz2 * (rest - bound)
+            if disc < 0:
+                continue
+            s = math.isqrt(disc)
+            for z in range(ceil_div(-lin - s, zz2), (-lin + s) // zz2 + 1):
+                v = zz * z * z + lin * z + rest
+                if 1 <= v <= bound:
+                    counts[v] = counts.get(v, 0) + 1
+    return counts

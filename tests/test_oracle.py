@@ -277,6 +277,21 @@ def test_revalidate_rejects_doctored_evidence():
         assert not revalidate_verdict(v._replace(evidence=evidence)), solution
 
 
+def test_oracle_rederives_order_four_against_a_doctored_census(monkeypatch):
+    # a census walk that gives the principal class order 4 reaches the
+    # classifier and the oracle alike; the oracle re-derives ord(C) = 4 as
+    # "C^2 is ambiguous and not principal", which fails for C = 1
+    principal = BinaryForm(1, 0, 100)
+    monkeypatch.setitem(enumerate_classes(-400).orders, principal, 4)
+    v = next(v for v in classify_all(-400, 13) if v.cls == principal)
+    assert v.evidence["order"] == 4
+    assert not revalidate_verdict(v)
+    report = verify_classification_grid(-400, -400, 13, 5000)
+    statuses = {(c.form, c.p): c.status for c in report.cells}
+    assert statuses[principal, 13] == STATUS_CONTRADICTION
+    assert {c.form for c in report.contradictions} == {principal}
+
+
 @pytest.mark.slow
 def test_revalidate_every_verdict_of_wide_window():
     # every verdict of D in [-4000, -3] with p <= 53 re-derives its evidence

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from lemma_checks import det3, rep_count_table
 from qprim.ternary import (
     MAX_BOUND,
     REDUCED_SHAPE,
@@ -13,7 +14,6 @@ from qprim.ternary import (
     build_fm,
     build_tilde_fm,
     one_mod_three_values,
-    rep_count_table,
     spectrum_identity_report,
     substitute,
     unimodular_match,
@@ -90,12 +90,18 @@ def test_polar_is_the_cross_pairing():
         assert lhs == rhs
 
 
+def gram_det(f):
+    """det of the (half-integral) Gram matrix, det(2G)/8."""
+    return Fraction(det3(f.doubled_gram()), 8)
+
+
 def test_gram_determinants():
-    assert build_fm(1).gram_det() == Fraction(14)
-    # index-3 sublattice multiplies the determinant by 3^2
-    assert build_tilde_fm(1).gram_det() == Fraction(126)
-    assert TernaryForm(*REDUCED_SHAPE).gram_det() == Fraction(126)
-    assert TernaryForm(1, 1, 1, 1, 0, 0).gram_det() == Fraction(3, 4)
+    assert gram_det(build_fm(1)) == Fraction(14)
+    # index-3 sublattice multiplies the determinant by 3^2, and the change
+    # of basis to the reduced shape keeps it
+    assert gram_det(build_tilde_fm(1)) == Fraction(126)
+    assert gram_det(TernaryForm(*REDUCED_SHAPE)) == Fraction(126)
+    assert gram_det(TernaryForm(1, 1, 1, 1, 0, 0)) == Fraction(3, 4)
 
 
 def test_substitute_identity():
@@ -165,6 +171,8 @@ def test_unimodular_match_finds_change_of_basis():
         v = tuple(rng.randint(-8, 8) for _ in range(3))
         image = tuple(sum(rows[i][j] * v[j] for j in range(3)) for i in range(3))
         assert tilde.evaluate(*image) == target.evaluate(*v)
+    # so the two have the same theta series, here its prefix up to 200
+    assert rep_count_table(tilde, 200) == rep_count_table(target, 200)
 
 
 def test_unimodular_match_negative():
@@ -177,13 +185,10 @@ def test_spectrum_identity_report():
     assert report.ok
     assert report.sets_match
     assert report.sym_diff == (1,)
-    assert report.theta_match
-    assert report.gram_dets == (Fraction(126), Fraction(126))
     assert report.change_of_basis is not None
     assert report.change_det in (1, -1)
     payload = report.to_json()
     assert payload["sym_diff"] == [1]
-    assert payload["gram_dets"] == [126, 126]
     assert payload["sets_match"] is True
     with pytest.raises(ValueError):
         spectrum_identity_report(5)
@@ -194,7 +199,9 @@ def test_spectrum_identity_report():
 
 def test_spectrum_identity_report_without_change_of_basis():
     report = spectrum_identity_report(1000)
-    payload = report._replace(change_of_basis=None, change_det=None).to_json()
+    unproved = report._replace(change_of_basis=None, change_det=None)
+    assert report.ok and not unproved.ok
+    payload = unproved.to_json()
     assert payload["change_of_basis"] is None and payload["change_det"] is None
     json.dumps(payload)
     full = report.to_json()
