@@ -2,8 +2,8 @@
 
 stdout carries data (JSON with alphabetically ordered keys by default);
 stderr carries diagnostics.  Exit codes: 0 success, 1 a verification
-sweep found a contradiction, or the ternary identity failed or found no
-change of basis to prove the equivalence, 2 usage,
+sweep found a contradiction, or the ternary identity failed or its change
+of basis did not prove the equivalence, 2 usage,
 precondition or file error (a `spectrum --bound` above `repcount.MAX_BOUND`,
 a `ternary-demo --bound` above `ternary.MAX_BOUND`, a `represent` whose rows
 sum above `repcount.MAX_ROWS`, and a discriminant or `verify --dmin` below

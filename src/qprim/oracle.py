@@ -5,16 +5,8 @@ exhaustive enumeration (value sweeps and solution counts) and compared.
 A disagreement is reported as a contradiction, never suppressed.
 
 A witness against complete p-primitivity is an n that f represents only
-with p | x and p | y, so n = p^2 f(x/p, y/p): every witness up to N lies
-in p^2 * Q(f, N/p^2).  Every prime's search thus reads the same values m
-of f, and `_smallest_witnesses` serves several primes from one sweep.  It
-sweeps the values in windows that double from f's first coefficient a,
-and each prime checks its window's candidates p^2 m in ascending order
-with one early-stopping scan, `_p_primitive`: it walks only the rows of
-f(x, y) = p^2 m whose points are p-primitive and stops at the first row
-that holds a solution, which rejects the candidate; a candidate whose rows
-hold none is the witness.  A prime stops at its smallest witness p^2 m,
-or at its own N/p^2, and the sweep stops with the last prime.
+with p | x and p | y; `_smallest_witnesses` finds the smallest one for
+several primes from one sweep of the values of f.
 
 The classification grid works one discriminant at a time.  It classifies
 every prime of D, then searches each inverse pair [a, +-b, c] once for
@@ -45,7 +37,7 @@ from typing import NamedTuple
 
 from . import pprim
 from .classgroup import MAX_ABS_D, compose, enumerate_classes
-from .intarith import check_prime_not_dividing, primes_up_to
+from .intarith import is_prime, primes_up_to
 from .qform import BinaryForm, discriminants_in, is_ambiguous
 from .pprim import (
     ROUTE_ORDER_FOUR_SQUARE,
@@ -61,8 +53,9 @@ STATUS_CONTRADICTION = "contradiction"
 STATUS_UNCONFIRMED = "unconfirmed"
 
 #: largest witness-search ceiling the grid accepts: one search without a
-#: witness at the smallest prime, brute_force_cpp([1, 1, 2], 2, 10**6),
-#: takes about 0.7 s (2-vCPU VM)
+#: witness at the smallest prime,
+#: _smallest_witnesses(BinaryForm(1, 1, 2), {2: 10**6}), takes about
+#: 0.55 s (2-vCPU VM)
 MAX_CEILING = 10**6
 
 
@@ -98,28 +91,26 @@ def _p_primitive(f: BinaryForm, n: int, p: int) -> bool:
     return False
 
 
-class BruteVerdict(NamedTuple):
-    """Result of an exhaustive witness search up to a bound; `witness` is
-    None when no witness lies at or below it."""
-
-    form: BinaryForm
-    p: int
-    bound: int
-    witness: int | None
-
-
 def _smallest_witnesses(f: BinaryForm, bounds: dict[int, int]) -> dict[int, int | None]:
     """Smallest witness n <= bounds[p] of f for each prime p, or None, from
     one sweep of the values of f.
 
-    A witness for p is a candidate p^2 m, with m a value of f and
-    m <= bounds[p] // p^2, whose solutions all lie in pZ^2.  The values m
+    A witness for p is an n that f represents, but only with p | x and
+    p | y, so n = p^2 m with m = f(x/p, y/p) <= top = bounds[p] // p^2;
+    below p^2 there is nothing to sweep and no witness.  The values m of f
     are swept in windows lo < m <= hi, from hi = a (capped by the largest
     open top) with hi doubling up to it.  Within a window each open prime
-    checks its candidates in ascending order with `_p_primitive`, and it
-    closes at its first witness or once the window covers its top; the
-    sweep stops when every prime has closed.  Each prime thus checks the
-    same candidates, in the same order, as a search of its own.
+    checks its candidates p^2 m in ascending order with `_p_primitive`,
+    which scans only the rows whose solutions are p-primitive and stops at
+    the first that holds one; that rejects the candidate, and a candidate
+    whose rows hold none is the witness.  A prime closes at its first
+    witness or once the window covers its top, and the sweep stops when
+    every prime has closed.  Every value up to hi is checked before any
+    value above it, so each prime's witness is the smallest, and each prime
+    checks the same candidates, in the same order, as a search of its own.
+    For a reduced form, whose least value is a, a search that stops at
+    p^2 m sweeps a total bound below 4m, and one without a witness below
+    3 top.  The search is exhaustive for any form.
     """
     found = dict.fromkeys(bounds)
     tops = {p: bound // (p * p) for p, bound in bounds.items() if bound >= p * p}
@@ -134,29 +125,6 @@ def _smallest_witnesses(f: BinaryForm, bounds: dict[int, int]) -> dict[int, int 
                 del tops[p]
         lo, hi = hi, min(2 * hi, max(tops.values(), default=0))
     return found
-
-
-def brute_force_cpp(f: BinaryForm, p: int, bound: int) -> BruteVerdict:
-    """Smallest n <= bound represented by f but never p-primitively, if any.
-
-    Such an n has only solutions with p | x and p | y, so n = p^2 m with
-    m = f(x/p, y/p) <= top = bound // p^2.  The search is
-    `_smallest_witnesses` for the one prime: the values m of f are swept in
-    windows lo < m <= hi, from hi = min(a, top) with hi doubling up to top,
-    and each window's candidates p^2 m are checked in ascending order.
-    `_p_primitive` checks a candidate: it scans only the rows whose
-    solutions are p-primitive and stops at the first that holds one, which
-    rejects the candidate, so the rest of its rows are never scanned.  Every
-    value up to hi is checked before any value above it, so the witness is
-    the smallest, as from one sweep up to top.  For a reduced form, whose
-    least value is a, a search that stops at p^2 m sweeps a total bound
-    below 4m.  The search is exhaustive for any form; below p^2 there is
-    nothing to sweep and no witness.
-    """
-    check_prime_not_dividing(p, f.D)
-    if bound < 1:
-        raise ValueError(f"brute_force_cpp requires bound >= 1, got {bound}")
-    return BruteVerdict(f, p, bound, _smallest_witnesses(f, {p: bound})[p])
 
 
 class GridCell(NamedTuple):
@@ -282,9 +250,11 @@ def verify_classification_grid(
 
 
 def revalidate_verdict(v: Verdict) -> bool:
-    """Re-derive every fact a verdict's evidence claims.  A route-3 class's
-    order is read from the census, and it must be 4 exactly when the
-    square is ambiguous and not principal.
+    """Re-derive every fact a verdict's evidence claims.  p must be a prime
+    that does not divide D.  A route-3 class's order is read from the
+    census, so the class must be a reduced form of a discriminant within
+    MAX_ABS_D, and the order must be 4 exactly when the square is
+    ambiguous and not principal.
 
     Every route's evidence must carry exactly the route's keys, and its
     numbers must be ints; evidence of another type or shape is rejected,
@@ -295,13 +265,14 @@ def revalidate_verdict(v: Verdict) -> bool:
     passing verdict's solution, a list of two ints, is checked by
     evaluating the square class at it.
     """
-    return _revalidate(v, {})
+    return is_prime(v.p) and v.cls.D % v.p != 0 and _revalidate(v, {})
 
 
 def _revalidate(v: Verdict, squares: dict[BinaryForm, BinaryForm]) -> bool:
     """`revalidate_verdict`, reading and filling `squares`, the squares of
     the classes composed so far; the grid keeps one per discriminant, so
-    each class is squared once for all of its route-3 primes."""
+    each class is squared once for all of its route-3 primes.  p is not
+    checked here: the grid's primes are primes that do not divide D."""
     f, p, cpp, route, evidence = v
     if route == ROUTE_SYMBOL_MINUS_ONE:
         if evidence.keys() != {"witness"}:
@@ -325,13 +296,15 @@ def _revalidate(v: Verdict, squares: dict[BinaryForm, BinaryForm]) -> bool:
             and 4 * p * p == m * m - f.D * n * n
             and math.gcd(math.gcd(m, n), p) == 1
         )
+    D = f.D
+    order = enumerate_classes(D).orders.get(f) if D >= -MAX_ABS_D else None
+    if order is None:
+        return False
     square = squares.get(f)
     if square is None:
         square = squares[f] = compose(f, f)
-    order = enumerate_classes(f.D).orders[f]
     # ord(C) = 4 iff C^2 is not principal and has order 2; the principal
     # form comes from D, not from the census that supplied `order`
-    D = f.D
     if (order == 4) != (square != (1, D % 2, (D % 2 - D) // 4) and is_ambiguous(square)):
         return False
     facts = {"order": order, "square_form": list(square)}

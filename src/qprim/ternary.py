@@ -14,7 +14,8 @@ iff n - t^2 = g(y, z) for some t >= 0 and (y, z) with y - z = +-t
 
 The equivalence of tilde_f_1 with the shape [4, 6, 7, yz=6, zx=2, xy=0]
 is proved by a change of basis U with det U = +-1 and tilde_f_1 o U equal
-to the shape, found by a bounded search and checked by one substitution.
+to the shape; U is a constant, checked by its determinant and one
+substitution.
 Equivalent forms share every invariant, the theta series and the Gram
 determinant included, so U is the whole certificate.
 """
@@ -26,8 +27,6 @@ from typing import NamedTuple
 
 Vec3 = tuple[int, int, int]
 
-#: largest |entry| of a change of basis tried by unimodular_match
-ENTRY_BOUND = 3
 #: largest bound spectrum_identity_report accepts (about 0.4 s of work,
 #: 2-vCPU VM)
 MAX_BOUND = 10**6
@@ -116,38 +115,6 @@ def build_tilde_fm(m: int) -> TernaryForm:
     return substitute(build_fm(m), ((3, 0, 0), (1, 1, 0), (-1, 0, 1)))
 
 
-def unimodular_match(
-    f: TernaryForm, g: TernaryForm
-) -> tuple[tuple[tuple[int, int, int], ...], int] | None:
-    """Search for U (entries within ENTRY_BOUND, det +-1) with f o U = g.
-
-    Returns (rows of U, det U) for the first match in a deterministic
-    scan order, or None.  Columns are drawn from the bounded vectors
-    whose f-values hit g's diagonal.
-    """
-    span = range(-ENTRY_BOUND, ENTRY_BOUND + 1)
-    buckets: dict[int, list[Vec3]] = {g.xx: [], g.yy: [], g.zz: []}
-    for v in ((x, y, z) for x in span for y in span for z in span):
-        val = f.evaluate(*v)
-        if val in buckets:
-            buckets[val].append(v)
-    for c1 in buckets[g.xx]:
-        for c2 in buckets[g.yy]:
-            if f.polar(c1, c2) != g.xy:
-                continue
-            for c3 in buckets[g.zz]:
-                if f.polar(c2, c3) != g.yz or f.polar(c3, c1) != g.zx:
-                    continue
-                rows = tuple(
-                    (c1[i], c2[i], c3[i]) for i in range(3)
-                )
-                d = _det3(rows)
-                if d in (1, -1):
-                    assert substitute(f, (c1, c2, c3)) == g
-                    return rows, d
-    return None
-
-
 def one_mod_three_values(bound: int) -> tuple[set[int], set[int]]:
     """The values n <= bound, n = 1 mod 3, of f_1 and of tilde_f_1.
 
@@ -194,8 +161,8 @@ class SpectrumIdentityReport(NamedTuple):
     tilde_f_1 is the same sum with t = y - z (mod 3); see
     `one_mod_three_values`.
     change_of_basis: the rows of U, with det U = change_det = +-1 and
-    tilde_f_1 o U = REDUCED_SHAPE, or None if `unimodular_match` found
-    none.  The report is ok only with both: the identity and its proof.
+    tilde_f_1 o U = REDUCED_SHAPE, or None if CHANGE_OF_BASIS fails that
+    check.  The report is ok only with both: the identity and its proof.
     """
 
     bound: int
@@ -219,19 +186,25 @@ class SpectrumIdentityReport(NamedTuple):
 
 #: the reduced shape tilde_f_1 is expected to be equivalent to
 REDUCED_SHAPE = (4, 6, 7, 6, 2, 0)
+#: the rows of U, det U = 1, with tilde_f_1 o U = REDUCED_SHAPE
+CHANGE_OF_BASIS = ((0, 0, 1), (-1, 0, -1), (0, -1, 0))
 
 
 def spectrum_identity_report(bound: int) -> SpectrumIdentityReport:
     """Compare the 1 mod 3 values of f_1 and tilde_f_1 up to `bound`, and
     prove tilde_f_1 equivalent to the reduced shape [4,6,7,yz=6,zx=2,xy=0]
-    by a unimodular U with tilde_f_1 o U equal to it (`unimodular_match`
-    asserts the substitution).  A bound below 10 or above MAX_BOUND raises
-    ValueError."""
+    by U = CHANGE_OF_BASIS: det U = +-1 and tilde_f_1 o U equal to the
+    shape.  A bound below 10 or above MAX_BOUND raises ValueError."""
     if not 10 <= bound <= MAX_BOUND:
         raise ValueError(f"bound must be in [10, {MAX_BOUND}], got {bound}")
     lhs, rhs = one_mod_three_values(bound)
-    match = unimodular_match(build_tilde_fm(1), TernaryForm(*REDUCED_SHAPE))
-    rows, det = match if match is not None else (None, None)
+    rows = CHANGE_OF_BASIS
+    det = _det3(rows)
+    # the determinant first: substitute raises on a singular U, whose
+    # image is not definite
+    cols = tuple(zip(*rows))
+    proved = det in (1, -1) and substitute(build_tilde_fm(1), cols) == REDUCED_SHAPE
     return SpectrumIdentityReport(
-        bound, (lhs - {1}) == rhs, tuple(sorted(lhs ^ rhs)), rows, det
+        bound, (lhs - {1}) == rhs, tuple(sorted(lhs ^ rhs)),
+        rows if proved else None, det if proved else None,
     )

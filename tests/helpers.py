@@ -5,7 +5,6 @@ from functools import lru_cache
 
 from qprim.classgroup import ClassGroup, compose
 from qprim.intarith import ceil_div, is_prime
-from qprim.oracle import BruteVerdict
 from qprim.qform import BinaryForm
 
 
@@ -20,18 +19,19 @@ def composition_table(group: ClassGroup) -> list[list[int]]:
     return [[index[compose(x, y)] for y in group.classes] for x in group.classes]
 
 
-def brute_force_cpp_full_sweep(f: BinaryForm, p: int, bound: int) -> BruteVerdict:
+def brute_force_cpp_full_sweep(f: BinaryForm, p: int, bound: int) -> int | None:
     """Reference witness search: sweep every value of f up to bound and take
-    the smallest n whose solutions all have p | gcd(x, y).  The p^2-lattice
-    search in `oracle.brute_force_cpp` must return the same verdict."""
+    the smallest n whose solutions all have p | gcd(x, y), or None.  The
+    p^2-lattice search `oracle._smallest_witnesses` must return the same
+    witness."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if f.D % p == 0:
         raise ValueError(f"p = {p} divides the discriminant {f.D}")
     for n, gcd_all in _sorted_profile(f, bound):
         if gcd_all % p == 0:
-            return BruteVerdict(f, p, bound, n)
-    return BruteVerdict(f, p, bound, None)
+            return n
+    return None
 
 
 @lru_cache(maxsize=8)

@@ -22,7 +22,7 @@ from qprim.intarith import (
     kronecker,
     prime_factors,
 )
-from qprim.oracle import BruteVerdict, brute_force_cpp
+from qprim.oracle import _smallest_witnesses
 from qprim.pprim import build_isometry, solve_two_square
 from qprim.qform import (
     BinaryForm,
@@ -151,9 +151,10 @@ def verify_product_membership(D: int, p: int) -> bool:
     return checked > 0
 
 
-def verify_jones(k: int, p: int, bound: int) -> BruteVerdict:
-    """Witness search for x^2 + k*y^2 at an odd prime p it represents,
-    with gcd(p, 2k) = 1; the classical criterion predicts no witness."""
+def verify_jones(k: int, p: int, bound: int) -> int | None:
+    """Smallest witness up to bound for x^2 + k*y^2 at an odd prime p it
+    represents, with gcd(p, 2k) = 1, or None; the classical criterion
+    predicts None."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not is_prime(p) or p == 2 or math.gcd(p, 2 * k) != 1:
@@ -161,7 +162,7 @@ def verify_jones(k: int, p: int, bound: int) -> BruteVerdict:
     f = BinaryForm(1, 0, k)
     if not enumerate_solutions(f, p):
         raise ValueError(f"hypothesis not met: {p} is not represented by {f}")
-    return brute_force_cpp(f, p, bound)
+    return _smallest_witnesses(f, {p: bound})[p]
 
 
 def mass(n: int, D: int) -> int:

@@ -367,13 +367,15 @@ def test_ternary_demo_failing_report_exits_1(capsys, monkeypatch):
     code, payload, _ = run_json(capsys, ["ternary-demo", "--bound", "120"])
     assert code == 1
     assert payload["sets_match"] is False
-    # the identity holds, but without a change of basis it is unproved
+    # the identity holds, but without a change of basis it is unproved: a U
+    # with det -1 but the wrong image, and a singular one
     monkeypatch.setattr(ternary, "spectrum_identity_report", real)
-    monkeypatch.setattr(ternary, "unimodular_match", lambda f, g: None)
-    code, payload, _ = run_json(capsys, ["ternary-demo", "--bound", "120"])
-    assert code == 1
-    assert payload["sets_match"] is True
-    assert payload["change_of_basis"] is None and payload["change_det"] is None
+    for rows in (((0, 0, 1), (-1, 0, -1), (0, 1, 0)), ((0, 0, 0), (-1, 0, -1), (0, -1, 0))):
+        monkeypatch.setattr(ternary, "CHANGE_OF_BASIS", rows)
+        code, payload, _ = run_json(capsys, ["ternary-demo", "--bound", "120"])
+        assert code == 1, rows
+        assert payload["sets_match"] is True
+        assert payload["change_of_basis"] is None and payload["change_det"] is None
 
 
 def test_usage_errors(capsys):

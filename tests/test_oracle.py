@@ -20,10 +20,8 @@ from qprim.oracle import (
     STATUS_AGREES,
     STATUS_CONTRADICTION,
     STATUS_UNCONFIRMED,
-    BruteVerdict,
     _p_primitive,
     _smallest_witnesses,
-    brute_force_cpp,
     revalidate_verdict,
     verify_classification_grid,
 )
@@ -40,22 +38,9 @@ from qprim.repcount import rep_counts, rep_profile
 
 
 def test_brute_force_cpp_witnesses():
-    v = brute_force_cpp(BinaryForm(1, 0, 14), 3, 5000)
-    assert v.witness == 9
-    v = brute_force_cpp(BinaryForm(2, 0, 7), 3, 5000)
-    assert v.witness == 18
-    v = brute_force_cpp(BinaryForm(3, 2, 5), 3, 5000)
-    assert v.witness is None
-    assert v.form == BinaryForm(3, 2, 5) and v.p == 3 and v.bound == 5000
-
-
-def test_brute_force_cpp_preconditions():
-    with pytest.raises(ValueError):
-        brute_force_cpp(BinaryForm(1, 0, 14), 7, 100)  # p | D
-    with pytest.raises(ValueError):
-        brute_force_cpp(BinaryForm(1, 0, 14), 4, 100)
-    with pytest.raises(ValueError):
-        brute_force_cpp(BinaryForm(1, 0, 14), 3, 0)
+    assert _smallest_witnesses(BinaryForm(1, 0, 14), {3: 5000})[3] == 9
+    assert _smallest_witnesses(BinaryForm(2, 0, 7), {3: 5000})[3] == 18
+    assert _smallest_witnesses(BinaryForm(3, 2, 5), {3: 5000})[3] is None
 
 
 def test_brute_force_cpp_matches_full_sweep():
@@ -86,15 +71,14 @@ def test_brute_force_cpp_matches_full_sweep():
                 edges = [p2 * a * 2**k + d for k in (0, 1, 3) for d in (-1, 0, 1)]
                 negative = not verdicts[p][i].completely_p_primitive
                 large = [3000, 50000] if negative and p in (19, 23) else [3000]
-                ref = brute_force_cpp_full_sweep(x, p, 3000)
-                if negative and ref.witness is None:
-                    ref = brute_force_cpp_full_sweep(x, p, max(edges + large))
-                w = ref.witness
+                w = brute_force_cpp_full_sweep(x, p, 3000)
+                if negative and w is None:
+                    w = brute_force_cpp_full_sweep(x, p, max(edges + large))
                 small = [1, p2 - 1, p2, *edges]
                 for f, bounds in ((x, small + large), (mirror, small + large), (g, small)):
                     for bound in bounds:
                         found = w if w is not None and w <= bound else None
-                        assert brute_force_cpp(f, p, bound) == BruteVerdict(f, p, bound, found)
+                        assert _smallest_witnesses(f, {p: bound})[p] == found
                     lists[f][p] = (bounds, w)
             # each form once more, all of its primes in one shared sweep, each
             # prime at its own bound, taken in turn from its list
@@ -128,7 +112,7 @@ def test_brute_force_cpp_sweeps_only_to_witness(monkeypatch):
     monkeypatch.setattr(oracle, "rep_profile", recording)
     monkeypatch.setattr(oracle, "_p_primitive", checking)
     # the witness 9 = 3^2 * 1 lies in the first window, (0, a]
-    assert brute_force_cpp(BinaryForm(1, 0, 14), 3, 5000).witness == 9
+    assert _smallest_witnesses(BinaryForm(1, 0, 14), {3: 5000})[3] == 9
     assert bounds == [1]
     assert checked == [9]
     # no witness: windows double from a = 3 up to top = 5000 // 9, and
@@ -136,7 +120,7 @@ def test_brute_force_cpp_sweeps_only_to_witness(monkeypatch):
     bounds.clear()
     checked.clear()
     f = BinaryForm(3, 2, 5)
-    assert brute_force_cpp(f, 3, 5000).witness is None
+    assert _smallest_witnesses(f, {3: 5000})[3] is None
     assert bounds == [3, 6, 12, 24, 48, 96, 192, 384, 555]
     assert sum(bounds) < 3 * 555
     assert checked == [9 * m for m in sorted(rep_profile(f, 555))]
@@ -145,7 +129,7 @@ def test_brute_force_cpp_sweeps_only_to_witness(monkeypatch):
     bounds.clear()
     checked.clear()
     f = BinaryForm(6, 3, 17)
-    assert brute_force_cpp(f, 5, 5000).witness == 875
+    assert _smallest_witnesses(f, {5: 5000})[5] == 875
     assert bounds == [6, 12, 24, 48]
     assert checked == [25 * m for m in sorted(rep_profile(f, 35))]
     assert checked == [150, 425, 500, 600, 650, 875]
@@ -206,15 +190,15 @@ def test_brute_force_cpp_equals_full_sweep_wide():
                 for bound in sorted(set().union(*bounds.values())):
                     for p in primes:
                         if bound in bounds[p]:
-                            v = brute_force_cpp(f, p, bound)
+                            w = _smallest_witnesses(f, {p: bound})[p]
                             refs[p, bound] = ref = brute_force_cpp_full_sweep(f, p, bound)
-                            assert v == ref, (f, p, bound)
+                            assert w == ref, (f, p, bound)
                             calls += 1
-                            found += v.witness is not None
+                            found += w is not None
                 own = {p: bounds[p][(turn + k) % len(bounds[p])] for k, p in enumerate(primes)}
                 turn += 1
                 for p, w in _smallest_witnesses(f, own).items():
-                    assert w == refs[p, own[p]].witness, (f, p, own[p])
+                    assert w == refs[p, own[p]], (f, p, own[p])
                     shared += 1
                     shared_found += w is not None
     assert (calls, found) == (204759, 84675)
@@ -228,11 +212,8 @@ def test_brute_matches_classifier_small():
             if D % p == 0:
                 continue
             for v in classify_all(D, p):
-                brute = brute_force_cpp(v.cls, p, 3000)
-                if v.completely_p_primitive:
-                    assert brute.witness is None
-                else:
-                    assert brute.witness is not None
+                witness = _smallest_witnesses(v.cls, {p: 3000})[p]
+                assert (witness is None) == v.completely_p_primitive
 
 
 def test_revalidate_verdicts():
@@ -275,6 +256,20 @@ def test_revalidate_rejects_doctored_evidence():
     for solution in ([1], [1, 2, 3], None, [1, "2"], "ab", [-1.0, -1]):
         evidence = {**v.evidence, "solution": solution}
         assert not revalidate_verdict(v._replace(evidence=evidence)), solution
+    # p must be a prime that does not divide D = -56
+    failed = [v for v in classify_all(-56, 3) if v.route == ROUTE_ORDER_FOUR_SQUARE_FAILED]
+    assert [v.cls.triple() for v in failed] == [(1, 0, 14), (2, 0, 7)]
+    for v in failed:
+        assert revalidate_verdict(v)
+        for p in (1, 2, 7):
+            assert not revalidate_verdict(v._replace(p=p)), (v.cls, p)
+    # a route-3 class must be a reduced class of the census, within its limit
+    v = next(v for v in classify_all(-56, 3) if v.route == ROUTE_ORDER_FOUR_SQUARE)
+    assert not revalidate_verdict(v._replace(cls=BinaryForm(3, 8, 10)))
+    beyond = BinaryForm(1, 1, MAX_ABS_D // 4 + 1)
+    assert beyond.D < -MAX_ABS_D
+    for route_v in (v, failed[0]):
+        assert not revalidate_verdict(route_v._replace(cls=beyond))
 
 
 def test_oracle_rederives_order_four_against_a_doctored_census(monkeypatch):
@@ -361,8 +356,7 @@ def test_product_membership():
 
 def test_verify_jones():
     for k, p in ((1, 5), (2, 3), (5, 29)):
-        v = verify_jones(k, p, 2000)
-        assert v.witness is None
+        assert verify_jones(k, p, 2000) is None
     with pytest.raises(ValueError):
         verify_jones(1, 3, 100)  # 3 is not a sum of two squares
     with pytest.raises(ValueError):

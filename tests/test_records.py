@@ -3,7 +3,7 @@
 import pytest
 
 from qprim.classgroup import ClassGroup, enumerate_classes
-from qprim.oracle import brute_force_cpp, verify_classification_grid
+from qprim.oracle import verify_classification_grid
 from qprim.pprim import build_isometry, classify_all, solve_two_square
 from qprim.qform import BinaryForm
 from qprim.repcount import rep_counts
@@ -13,7 +13,6 @@ RECORDS = {
     "IntMap2": lambda: build_isometry(BinaryForm(1, 1, 1), solve_two_square(-3, 7)[0]),
     "RepRecord": lambda: rep_counts(BinaryForm(1, 0, 14), 9, 3),
     "Verdict": lambda: classify_all(-56, 3)[0],
-    "BruteVerdict": lambda: brute_force_cpp(BinaryForm(1, 0, 14), 3, 500),
     "GridCell": lambda: verify_classification_grid(-8, -3, 3, 50).cells[0],
     "GridReport": lambda: verify_classification_grid(-8, -3, 3, 50),
     "SpectrumIdentityReport": lambda: spectrum_identity_report(120),
