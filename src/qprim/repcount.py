@@ -84,32 +84,47 @@ def rep_counts(f: BinaryForm, n: int, p: int) -> RepRecord:
     return RepRecord(n, p, sols, r, r_star, r - r_star)
 
 
-def rep_profile(f: BinaryForm, bound: int) -> dict[int, int]:
-    """{n: r(n)} for every 1 <= n <= bound that f represents, from one sweep.
+def rep_profile(f: BinaryForm, bound: int, lo: int = 0) -> dict[int, int]:
+    """{n: r(n)} for every lo < n <= bound that f represents, from one sweep.
 
     The sweep visits one point of each pair (x, y), (-x, -y): the row
     y = 0 with x >= 1, and the rows y >= 1.  Each point therefore adds 2,
-    and the count of n equals len(enumerate_solutions(f, n)).
+    and the count of n equals len(enumerate_solutions(f, n)).  A row y
+    holds the values <= bound where |2ax + by| <= s = isqrt(4a bound -
+    |D|y^2), and of those the values > lo where |2ax + by| > t =
+    isqrt(4a lo - |D|y^2), if that radicand is >= 0; so the sweep walks
+    the shell lo < n <= bound, at most two runs of x per row, and never
+    the points inside it.
     """
     if bound < 1:
         raise ValueError(f"rep_profile requires bound >= 1, got {bound}")
     a, b, c = f
     abs_d = 4 * a * c - b * b
+    two_a = 2 * a
     # the row y = 0 holds (+-x, 0) with value a*x^2
-    counts = {a * x * x: 2 for x in range(1, math.isqrt(bound // a) + 1)}
+    counts = {a * x * x: 2
+              for x in range(math.isqrt(lo // a) + 1, math.isqrt(bound // a) + 1)}
     get = counts.get
     ymax = math.isqrt(4 * a * bound // abs_d)
     for y in range(1, ymax + 1):
-        disc = 4 * a * bound - abs_d * y * y
-        s = math.isqrt(disc)
-        xlo = ceil_div(-b * y - s, 2 * a)
-        xhi = (-b * y + s) // (2 * a)
-        cyy = c * y * y
+        dyy = abs_d * y * y
+        s = math.isqrt(4 * a * bound - dyy)
         by = b * y
+        xlo = ceil_div(-by - s, two_a)
+        xhi = (-by + s) // two_a
+        inner = 4 * a * lo - dyy
+        if inner >= 0:
+            # skip the run -t <= 2ax + by <= t of values <= lo
+            t = math.isqrt(inner)
+            runs = (range(xlo, ceil_div(-by - t, two_a)), range((t - by) // two_a + 1, xhi + 1))
+        else:
+            runs = (range(xlo, xhi + 1),)
+        cyy = c * y * y
         # |2ax + by| <= s keeps 1 <= v <= bound without a test
-        for x in range(xlo, xhi + 1):
-            v = (a * x + by) * x + cyy
-            counts[v] = get(v, 0) + 2
+        for xs in runs:
+            for x in xs:
+                v = (a * x + by) * x + cyy
+                counts[v] = get(v, 0) + 2
     return counts
 
 

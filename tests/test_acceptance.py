@@ -120,14 +120,20 @@ def test_criterion_3():
         return wrapper
 
     real_search = oracle._smallest_witnesses
+    real_profile = oracle.rep_profile
 
     def searching(f, bounds):
         searches.update(bounds.values())
         return real_search(f, bounds)
 
+    def sweeping(f, hi, lo):
+        calls["swept"] += hi - lo
+        return real_profile(f, hi, lo)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_smallest_witnesses", counting("pairs", searching))
-        for name in ("rep_profile", "compose"):
+        mp.setattr(oracle, "rep_profile", counting("rep_profile", sweeping))
+        for name in ("compose", "_p_primitive", "half_plane_solutions"):
             mp.setattr(oracle, name, counting(name, getattr(oracle, name)))
         t0 = time.perf_counter()
         report = verify_classification_grid(
@@ -158,9 +164,15 @@ def test_criterion_3():
     # cell, at the bound, each shared by the inverse pair [a, +-b, c]
     assert searches == {250000: 4967, 5000: 666}
     # the 5633 (pair, p) searches share one value sweep per inverse pair:
-    # 754 pairs, swept in 2866 doubling windows; each class is squared once
-    # for all of its route-3 primes
-    assert calls == {"pairs": 754, "rep_profile": 2866, "compose": 969}
+    # 754 pairs, swept in 2866 doubling windows, each only its shell
+    # lo < m <= hi, 56074 values wide in all.  Each fact is derived once per
+    # discriminant: each class is squared once for all of its route-3
+    # primes, each square up to inverse is scanned for p^2 once per p (1562
+    # scans for the 3722 route-3 negatives), and every route-1 witness is
+    # the search's own, so none is scanned again
+    assert calls == {
+        "pairs": 754, "rep_profile": 2866, "swept": 56074, "compose": 969, "_p_primitive": 1562
+    }
     # the whole report, every cell with its route, witness and rung
     payload = json.dumps(report.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(payload).hexdigest() == (

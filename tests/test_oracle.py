@@ -20,6 +20,7 @@ from qprim.oracle import (
     STATUS_AGREES,
     STATUS_CONTRADICTION,
     STATUS_UNCONFIRMED,
+    _first_imprimitive,
     _p_primitive,
     _smallest_witnesses,
     revalidate_verdict,
@@ -99,30 +100,41 @@ def test_brute_force_cpp_matches_full_sweep():
 
 def test_brute_force_cpp_sweeps_only_to_witness(monkeypatch):
     bounds = []
+    windows = []
     checked = []
+    real_scan = oracle._first_imprimitive
 
-    def recording(f, bound):
-        bounds.append(bound)
-        return rep_profile(f, bound)
+    def recording(f, hi, lo):
+        bounds.append(hi)
+        windows.append((lo, hi))
+        return rep_profile(f, hi, lo)
 
-    def checking(f, n, p):
-        checked.append(n)
-        return _p_primitive(f, n, p)
+    def read(candidates):
+        # the candidates the scan takes, one at a time
+        for n in candidates:
+            checked.append(n)
+            yield n
+
+    def checking(f, candidates, p):
+        return real_scan(f, read(candidates), p)
 
     monkeypatch.setattr(oracle, "rep_profile", recording)
-    monkeypatch.setattr(oracle, "_p_primitive", checking)
+    monkeypatch.setattr(oracle, "_first_imprimitive", checking)
     # the witness 9 = 3^2 * 1 lies in the first window, (0, a]
     assert _smallest_witnesses(BinaryForm(1, 0, 14), {3: 5000})[3] == 9
     assert bounds == [1]
     assert checked == [9]
-    # no witness: windows double from a = 3 up to top = 5000 // 9, and
-    # every candidate 9m, m <= 555, is checked once, in ascending order
+    # no witness: windows double from a = 3 up to top = 5000 // 9, each
+    # sweeps only its own shell lo < m <= hi, and every candidate 9m,
+    # m <= 555, is checked once, in ascending order
     bounds.clear()
+    windows.clear()
     checked.clear()
     f = BinaryForm(3, 2, 5)
     assert _smallest_witnesses(f, {3: 5000})[3] is None
     assert bounds == [3, 6, 12, 24, 48, 96, 192, 384, 555]
-    assert sum(bounds) < 3 * 555
+    assert windows == list(zip([0, *bounds], bounds))
+    assert sum(hi - lo for lo, hi in windows) == 555
     assert checked == [9 * m for m in sorted(rep_profile(f, 555))]
     # the witness 875 = 25 * 35 lies in the fourth window, (24, 48]: the
     # search checks the candidates below it in ascending order and stops
@@ -148,7 +160,10 @@ def test_p_primitive_matches_rep_counts():
     # class of every D in [-200, -3] as its reduced form, [c, -b, a] and
     # [a, b + 2a, a + b + c], each p <= 11 prime to D.  The shapes cover a
     # first coefficient divisible by p, and [2, 1, 2] at 2 and [3, 1, 3]
-    # at 3 one whose a and c are both divisible by p.
+    # at 3 one whose a and c are both divisible by p.  The batched scan
+    # takes the candidates n in ascending order, and again from just after
+    # each n it returns, so it must return every n without a p-primitive
+    # solution, in turn, and then None.
     both = set()
     for D in discriminants_in(-200, -3):
         primes = [p for p in primes_up_to(11) if D % p]
@@ -158,13 +173,25 @@ def test_p_primitive_matches_rep_counts():
                 for p in primes:
                     if f.a % p == 0 and f.c % p == 0:
                         both.add((*f, p))
-                    for n in range(p, 30 * p + 1, p):
+                    candidates = range(p, 30 * p + 1, p)
+                    imprimitive = []
+                    for n in candidates:
                         has = rep_counts(f, n, p).r_star_p > 0
                         assert _p_primitive(f, n, p) == has, (f, n, p)
+                        if not has:
+                            imprimitive.append(n)
+                    returned = []
+                    rest = candidates
+                    while (n := _first_imprimitive(f, rest, p)) is not None:
+                        returned.append(n)
+                        rest = range(n + p, 30 * p + 1, p)
+                    assert returned == imprimitive, (f, p)
     assert {(2, 1, 2, 2), (3, 1, 3, 3)} <= both
     # 8 = [2, 1, 2](1, -2) is 2-primitive, and [2, 1, 2] does not take 4
     assert _p_primitive(BinaryForm(2, 1, 2), 8, 2)
     assert not _p_primitive(BinaryForm(2, 1, 2), 4, 2)
+    assert _first_imprimitive(BinaryForm(2, 1, 2), [8, 4, 6], 2) == 4
+    assert _first_imprimitive(BinaryForm(2, 1, 2), [], 2) is None
 
 
 @pytest.mark.slow
@@ -514,9 +541,11 @@ def test_grid_rejects_ceiling_above_cap(monkeypatch):
 
 
 def test_grid_searches_each_inverse_pair_once(monkeypatch):
-    # D = -56, p = 3: [3, 2, 5] and [3, -2, 5] share one search at the bound;
-    # the negatives [1, 0, 14] and [2, 0, 7] are each searched once at the
-    # ceiling and labelled with the first rung that holds their witness
+    # D = -56, p = 3: [3, 2, 5] and [3, -2, 5] share one search, up to their
+    # smallest candidate 27 = 3^2 * 3 since the bound 5 lies below it, and
+    # report 27 as their bound; the negatives [1, 0, 14] and [2, 0, 7] are
+    # each searched once at the ceiling and labelled with the first rung
+    # that holds their witness
     calls = []
     real = oracle._smallest_witnesses
 
@@ -526,41 +555,159 @@ def test_grid_searches_each_inverse_pair_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "_smallest_witnesses", recording)
     report = verify_classification_grid(-56, -56, 3, 5, ceiling=100)
-    assert calls == [((1, 0, 14), 3, 100), ((2, 0, 7), 3, 100), ((3, -2, 5), 3, 5)]
+    assert calls == [((1, 0, 14), 3, 100), ((2, 0, 7), 3, 100), ((3, -2, 5), 3, 27)]
     cells = {c.form.triple(): (c.witness, c.bound, c.status) for c in report.cells}
     assert cells == {
         (1, 0, 14): (9, 50, STATUS_AGREES),
         (2, 0, 7): (18, 50, STATUS_AGREES),
-        (3, -2, 5): (None, 5, STATUS_AGREES),
-        (3, 2, 5): (None, 5, STATUS_AGREES),
+        (3, -2, 5): (None, 27, STATUS_AGREES),
+        (3, 2, 5): (None, 27, STATUS_AGREES),
     }
+
+
+def test_grid_searches_positive_cells_up_to_their_smallest_candidate(monkeypatch):
+    # a positive cell whose smallest candidate p^2 a lies above the bound is
+    # searched up to p^2 a, which it reports as its bound: at bound 1 the
+    # positives [3, +-2, 5] of D = -56 read 27 at p = 3 and 75 at p = 5
+    report = verify_classification_grid(-56, -56, 5, 1)
+    positives = {(c.form.triple(), c.p): (c.bound, c.status) for c in report.cells if c.cpp}
+    assert positives == {
+        ((3, -2, 5), 3): (27, STATUS_AGREES),
+        ((3, 2, 5), 3): (27, STATUS_AGREES),
+        ((3, -2, 5), 5): (75, STATUS_AGREES),
+        ((3, 2, 5), 5): (75, STATUS_AGREES),
+    }
+    # [1, 0, 14] made positive at p = 3, with its evidence taken on trust so
+    # that only the search judges it: its one candidate up to 9 = 3^2 * 1
+    # is the witness 9, above the bound 5
+    real = pprim.classify_all
+
+    def flipping(D, p):
+        return [v._replace(completely_p_primitive=True)
+                if (p, v.cls) == (3, (1, 0, 14)) else v for v in real(D, p)]
+
+    monkeypatch.setattr(pprim, "classify_all", flipping)
+    monkeypatch.setattr(oracle, "_revalidate", lambda *args: True)
+    report = verify_classification_grid(-56, -56, 3, 5)
+    cell = next(c for c in report.cells if c.form == (1, 0, 14))
+    assert (cell.cpp, cell.witness, cell.bound, cell.status) == (True, 9, 9, STATUS_CONTRADICTION)
+    assert [c.form for c in report.contradictions] == [cell.form]
+
+
+@pytest.mark.parametrize(
+    "witness, scanned, status",
+    [
+        (9, False, STATUS_AGREES),  # the search's own witness
+        (36, True, STATUS_AGREES),  # 6^2: another witness, scanned in full
+        (15, True, STATUS_CONTRADICTION),  # 1 + 14, taken 3-primitively
+        (22, False, STATUS_CONTRADICTION),  # not divisible by 3
+    ],
+)
+def test_grid_rescans_a_route_one_witness_the_search_did_not_find(
+    monkeypatch, witness, scanned, status
+):
+    # [1, 0, 14] at D = -56, p = 3 given route-1 evidence: a witness equal to
+    # the search's smallest, 9, is accepted on the search's scan, and any
+    # other is scanned again, alone
+    real = pprim.classify_all
+    calls = []
+    real_scan = oracle.half_plane_solutions
+
+    def doctoring(D, p):
+        return [v._replace(route=ROUTE_SYMBOL_MINUS_ONE, evidence={"witness": witness})
+                if (p, v.cls) == (3, (1, 0, 14)) else v for v in real(D, p)]
+
+    def scanning(f, n):
+        calls.append((f.triple(), n))
+        return real_scan(f, n)
+
+    monkeypatch.setattr(pprim, "classify_all", doctoring)
+    monkeypatch.setattr(oracle, "half_plane_solutions", scanning)
+    report = verify_classification_grid(-56, -56, 3, 5000)
+    cell = next(c for c in report.cells if c.form == (1, 0, 14))
+    assert (cell.witness, cell.status) == (9, status)
+    assert [c.form for c in report.contradictions] == ([] if status == STATUS_AGREES else [cell.form])
+    # only a route-1 check looks for a solution of the witness
+    assert calls == ([((1, 0, 14), witness)] if scanned else [])
+
+
+@pytest.mark.parametrize("form", [(3, -2, 17), (3, 2, 17), (6, -4, 9), (6, 4, 9)])
+def test_grid_flags_doctored_square_flag_among_shared_squares(monkeypatch, form):
+    # D = -200, p = 3: [3, 2, 17] and [6, -4, 9] square to [6, 4, 9], and
+    # [3, -2, 17] and [6, 4, 9] to its mirror [6, -4, 9]; the four share one
+    # scan of 9, and a doctored flag on any one of them is still caught
+    real = pprim.classify_all
+    scans = []
+    real_scan = oracle._p_primitive
+
+    def doctoring(D, p):
+        verdicts = real(D, p)
+        for i, v in enumerate(verdicts):
+            if v.cls == form:
+                assert v.route == ROUTE_ORDER_FOUR_SQUARE_FAILED
+                assert v.evidence["square_has_p_square"] is True
+                verdicts[i] = v._replace(evidence={**v.evidence, "square_has_p_square": False})
+        return verdicts
+
+    def scanning(f, n, p):
+        scans.append((f.triple(), n, p))
+        return real_scan(f, n, p)
+
+    honest = verify_classification_grid(-200, -200, 3, 5000)
+    assert honest.ok
+    monkeypatch.setattr(pprim, "classify_all", doctoring)
+    monkeypatch.setattr(oracle, "_p_primitive", scanning)
+    report = verify_classification_grid(-200, -200, 3, 5000)
+    assert [c.form for c in report.contradictions] == [form]
+    squares = {tuple(v.evidence["square_form"]) for v in real(-200, 3) if v.cls in
+               ((3, -2, 17), (3, 2, 17), (6, -4, 9), (6, 4, 9))}
+    assert squares == {(6, -4, 9), (6, 4, 9)}
+    assert len([s for s in scans if s[0] in squares]) == 1
+
+
+def _cells_changed_by_flipping(monkeypatch, D, form, p, bound):
+    # a classifier that flips the verdict of one class at D and p, but not
+    # of its mirror: the (p, form, witness, status) of each cell that moves
+    honest = verify_classification_grid(D, D, 11, bound)
+    real = pprim.classify_all
+
+    def flipping(D, q):
+        return [v._replace(completely_p_primitive=not v.completely_p_primitive)
+                if (q, v.cls) == (p, form) else v for v in real(D, q)]
+
+    monkeypatch.setattr(pprim, "classify_all", flipping)
+    report = verify_classification_grid(D, D, 11, bound)
+    return [(c.p, c.form, c.witness, c.status)
+            for c, h in zip(report.cells, honest.cells) if c != h]
 
 
 @pytest.mark.parametrize(
     "p, bound, witness",
     [
         (3, 5000, None),  # made negative: no witness up to the ceiling
-        (11, 100, None),  # made positive: 363 lies above its own bound
-        (11, 1000, 363),  # made positive: 363 lies within it
+        # made positive: searched up to its smallest candidate, the witness
+        # 363 = 11^2 * 3, above the bound
+        (11, 100, 363),
+        (11, 1000, 363),  # made positive: 363 lies within the bound
     ],
 )
 def test_grid_checks_each_member_of_a_pair_at_its_own_bound(monkeypatch, p, bound, witness):
-    # a classifier that flips the verdict of [3, 2, 5] at D = -56 and p, but
-    # not of its mirror [3, -2, 5]: the pair is searched once, up to the
-    # larger bound the two verdicts need, and each cell reads the search at
-    # its own bound, so the mirror's cell does not change
-    honest = verify_classification_grid(-56, -56, 11, bound)
-    real = pprim.classify_all
-
-    def flipping(D, q):
-        return [v._replace(completely_p_primitive=not v.completely_p_primitive)
-                if (q, v.cls) == (p, (3, 2, 5)) else v for v in real(D, q)]
-
-    monkeypatch.setattr(pprim, "classify_all", flipping)
-    report = verify_classification_grid(-56, -56, 11, bound)
-    changed = [(c.p, c.form, c.witness, c.status)
-               for c, h in zip(report.cells, honest.cells) if c != h]
+    # [3, 2, 5] at D = -56 flipped, but not its mirror [3, -2, 5]: the pair
+    # is searched once, up to the larger bound the two verdicts need, and
+    # each cell reads the search at its own bound, so the mirror's cell
+    # does not change
+    changed = _cells_changed_by_flipping(monkeypatch, -56, (3, 2, 5), p, bound)
     assert changed == [(p, (3, 2, 5), witness, STATUS_CONTRADICTION)]
+
+
+def test_grid_keeps_a_pair_witness_above_the_cells_own_bound(monkeypatch):
+    # [2, 1, 15] at D = -119 made positive at p = 3 and bound 100: the
+    # pair's smallest witness 162 lies above the cell's own bound, found by
+    # the search its negative mirror [2, -1, 15] needs up to the ceiling,
+    # so the cell reads no witness
+    changed = _cells_changed_by_flipping(monkeypatch, -119, (2, 1, 15), 3, 100)
+    assert changed == [(3, (2, 1, 15), None, STATUS_CONTRADICTION)]
+    assert _smallest_witnesses(BinaryForm(2, -1, 15), {3: 5000})[3] == 162
 
 
 @pytest.mark.parametrize("bound", [0, -5])

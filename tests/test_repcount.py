@@ -6,7 +6,7 @@ import pytest
 
 from lemma_checks import mass
 from qprim.classgroup import enumerate_classes, inverse_class
-from qprim.qform import BinaryForm
+from qprim.qform import BinaryForm, discriminants_in
 from qprim.repcount import (
     MAX_BOUND,
     RepRecord,
@@ -124,6 +124,25 @@ def test_rep_profile_matches_per_value_enumeration():
         assert rep_profile(f, bound) == {n: r for n, r in counts.items() if r}
     with pytest.raises(ValueError):
         rep_profile(BinaryForm(1, 0, 1), 0)
+
+
+def test_rep_profile_shell_matches_full_sweep():
+    # the shell lo < n <= hi is the full sweep to hi without the values up
+    # to lo: every class of every D in [-200, -3], with lo = 0 (the full
+    # sweep itself), lo = hi (nothing), and lo on both sides of the first
+    # row's least value a and inside the window
+    shells = 0
+    for D in discriminants_in(-200, -3):
+        for f in enumerate_classes(D).classes:
+            a = f.a
+            for hi in (1, a, 2 * a + 1, 97):
+                full = rep_profile(f, hi)
+                for lo in {0, 1, a - 1, a, hi // 2, hi - 1, hi}:
+                    if 0 <= lo <= hi:
+                        expected = {n: r for n, r in full.items() if n > lo}
+                        assert rep_profile(f, hi, lo) == expected, (f, hi, lo)
+                        shells += 1
+    assert shells > 5000
 
 
 def test_spectrum_examples():
