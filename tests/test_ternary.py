@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from lemma_checks import det3, rep_count_table
+from qprim import ternary
 from qprim.ternary import (
     CHANGE_OF_BASIS,
     MAX_BOUND,
@@ -190,6 +191,12 @@ def test_spectrum_identity_report():
         spectrum_identity_report(MAX_BOUND + 1)
 
 
+def test_spectrum_identity_report_at_max_bound():
+    report = spectrum_identity_report(MAX_BOUND)
+    assert report.ok
+    assert report.sym_diff == (1,)
+
+
 def test_spectrum_identity_report_without_change_of_basis():
     report = spectrum_identity_report(1000)
     unproved = report._replace(change_of_basis=None, change_det=None)
@@ -208,6 +215,10 @@ def one_mod_three_keys(table, bound):
     return {n for n in table if n % 3 == 1 and n <= bound}
 
 
+def set_bits(bits):
+    return {n for n, bit in enumerate(bin(bits)[:1:-1]) if bit == "1"}
+
+
 def test_one_mod_three_values_match_lattice_count():
     # every bound from 10 to 600 (each residue of the bound mod 3, and the
     # top bit of the bitset) and 5000; rep_count_table(f, 600) restricted
@@ -215,12 +226,28 @@ def test_one_mod_three_values_match_lattice_count():
     forms = (build_fm(1), build_tilde_fm(1))
     tables = [rep_count_table(f, 600) for f in forms]
     for bound in range(10, 601):
-        assert one_mod_three_values(bound) == tuple(
+        assert tuple(map(set_bits, one_mod_three_values(bound))) == tuple(
             one_mod_three_keys(t, bound) for t in tables
         ), bound
-    assert one_mod_three_values(5000) == tuple(
+    assert tuple(map(set_bits, one_mod_three_values(5000))) == tuple(
         one_mod_three_keys(rep_count_table(f, 5000), 5000) for f in forms
     )
+
+
+def test_spectrum_identity_report_sees_a_doctored_sweep(monkeypatch):
+    lhs, rhs = one_mod_three_values(300)
+    # 1 is a value of tilde_f_1: the sets now differ nowhere, yet 1 is
+    # missing from (values of f_1) - {1}
+    monkeypatch.setattr(ternary, "one_mod_three_values", lambda b: (lhs, rhs | 2))
+    report = spectrum_identity_report(300)
+    assert not report.sets_match and not report.ok
+    assert report.sym_diff == ()
+    # 4 = f_1(2, 0, 0) = tilde_f_1(0, 1, 0); drop it from tilde_f_1
+    assert lhs >> 4 & 1 and rhs >> 4 & 1
+    monkeypatch.setattr(ternary, "one_mod_three_values", lambda b: (lhs, rhs ^ 1 << 4))
+    report = spectrum_identity_report(300)
+    assert not report.sets_match and not report.ok
+    assert report.sym_diff == (1, 4)
 
 
 def test_spectrum_identity_lhs_rhs_congruent():
