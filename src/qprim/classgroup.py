@@ -26,12 +26,11 @@ class ClassGroup(NamedTuple):
     """All proper classes of one discriminant as reduced forms, sorted,
     with the order and the square of every class.
 
-    `identity` is the principal class, `classes[0]`: its reduced form
+    The principal class is `classes[0]`: its reduced form
     [1, D % 2, (D % 2 - D) / 4] is the only one with a = 1."""
 
     D: int
     classes: tuple[BinaryForm, ...]
-    identity: BinaryForm
     orders: dict[BinaryForm, int]
     squares: dict[BinaryForm, BinaryForm]
 
@@ -83,7 +82,7 @@ def enumerate_classes(D: int) -> ClassGroup:
             if y not in orders:
                 orders[y] = k // math.gcd(j, k)
                 squares[y] = powers[(2 * j - 1) % k]
-    return ClassGroup(D, classes, identity, orders, squares)
+    return ClassGroup(D, classes, orders, squares)
 
 
 def compose(x: BinaryForm, z: BinaryForm) -> BinaryForm:

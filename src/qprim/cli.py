@@ -2,13 +2,13 @@
 
 stdout carries data (JSON with alphabetically ordered keys by default);
 stderr carries diagnostics.  Exit codes: 0 success, 1 a verification
-sweep found a contradiction, or the ternary identity failed or its change
-of basis did not prove the equivalence, 2 usage,
-precondition or file error (a `spectrum --bound` above `repcount.MAX_BOUND`,
-a `ternary-demo --bound` above `ternary.MAX_BOUND`, a `represent` whose rows
-sum above `repcount.MAX_ROWS`, and a discriminant or `verify --dmin` below
--`classgroup.MAX_ABS_D` included).  `verify` runs its whole grid in this
-one process.
+sweep found a contradiction or left a cell unconfirmed, or the ternary
+identity failed or its change of basis did not prove the equivalence,
+2 usage, precondition or file error (a `spectrum --bound` above
+`repcount.MAX_BOUND`, a `ternary-demo --bound` above `ternary.MAX_BOUND`,
+a `represent` whose rows sum above `repcount.MAX_ROWS`, and a discriminant
+or `verify --dmin` below -`classgroup.MAX_ABS_D` included).  `verify`
+runs its whole grid in this one process.
 """
 
 from __future__ import annotations
@@ -129,12 +129,11 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_isometry(args: argparse.Namespace) -> int:
     f = _parse_form(args.form, args.D)
-    sols = pprim.solve_two_square(args.D, args.p)
-    if not sols:
+    sol = pprim.solve_two_square(args.D, args.p)
+    if sol is None:
         _emit({"D": args.D, "p": args.p, "form": list(f),
                "solvable": False})
         return 0
-    sol = sols[0]
     t = pprim.build_isometry(f, sol)
     p2 = args.p * args.p
     _emit(
@@ -172,7 +171,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report.to_json(), fh, sort_keys=True, indent=2)
         print(f"full report written to {args.json}", file=sys.stderr)
-    return 0 if report.ok else 1
+    return 0 if report.ok and not report.unconfirmed else 1
 
 
 def _cmd_ternary_demo(args: argparse.Namespace) -> int:

@@ -17,8 +17,10 @@ for the whole group and only route 3 looks at each class.  Route 3 is a
 group fact too: for p split, the ideals of norm p^2 that (p) does not
 divide lie in P^2 and P^-2, where P is the class of [p, b, (b^2 - D)/4p]
 with b^2 = D (mod 4p).  So a square class takes p^2 p-primitively iff it
-is P^2 or P^-2, and every passing class has the square P^2 = P^-2.  Each
-verdict carries machine-checkable evidence for its route.
+is P^2 or P^-2, and every passing class has the square P^2 = P^-2.  That
+square has order 2, so it is not principal and does not represent 1:
+every solution of p^2 by it is p-primitive, and one row scan finds the
+evidence.  Each verdict carries machine-checkable evidence for its route.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import NamedTuple
 from .classgroup import enumerate_classes, inverse_class
 from .intarith import check_prime_not_dividing, kronecker
 from .qform import BinaryForm, IntMap2, check_discriminant, reduce, transformed_coefficients
-from .repcount import rep_counts
+from .repcount import half_plane_solutions
 
 ROUTE_SYMBOL_MINUS_ONE = "symbol_minus_one"
 ROUTE_PRINCIPAL_SQUARE = "principal_square"
@@ -52,25 +54,25 @@ class TwoSquareSolution(NamedTuple):
     p: int
 
 
-def solve_two_square(D: int, p: int) -> list[TwoSquareSolution]:
-    """All (m, n) with m, n >= 0, 4p^2 = m^2 + |D|n^2, gcd(m, n, p) = 1.
+def solve_two_square(D: int, p: int) -> TwoSquareSolution | None:
+    """The (m, n) with m, n >= 0, 4p^2 = m^2 + |D|n^2, gcd(m, n, p) = 1 and
+    the least n, or None if there is none.
 
-    Sorted by n ascending; the scan over n <= sqrt(4p^2/|D|) is exhaustive.
-    Requires p prime and p not | D.  For (D/p) = -1 the list is empty: a
-    solution with p not | n makes D a square mod p (mod 8 for p = 2), and
-    p | n forces p | m.
+    The scan over n <= sqrt(4p^2/|D|) stops at the first solution.
+    Requires p prime and p not | D.  For (D/p) = -1 there is no solution:
+    a solution with p not | n makes D a square mod p (mod 8 for p = 2),
+    and p | n forces p | m.
     """
     check_discriminant(D)
     check_prime_not_dividing(p, D)
     abs_d = -D
     four_p2 = 4 * p * p
-    sols = []
     for n in range(math.isqrt(four_p2 // abs_d) + 1):
         rem = four_p2 - abs_d * n * n
         m = math.isqrt(rem)
-        if m * m == rem and math.gcd(math.gcd(m, n), p) == 1:
-            sols.append(TwoSquareSolution(m, n, p))
-    return sols
+        if m * m == rem and math.gcd(m, n, p) == 1:
+            return TwoSquareSolution(m, n, p)
+    return None
 
 
 def build_isometry(f: BinaryForm, sol: TwoSquareSolution) -> IntMap2:
@@ -127,8 +129,8 @@ def classify_all(D: int, p: int) -> list[Verdict]:
     Requires p prime, p not | D, checked before the census is built.
     Routes 1 and 2 depend only on (D, p) and settle the whole group.
     Route 3 reads each class's order and square off the group's power walk
-    and tests the square against P^2 and P^-2; one count of p^2 by P^2
-    supplies the solution every passing class shares.
+    and tests the square against P^2 and P^-2; one scan of p^2 by P^2 gives
+    the least solution, which every passing class carries.
     """
     check_discriminant(D)
     check_prime_not_dividing(p, D)
@@ -137,16 +139,16 @@ def classify_all(D: int, p: int) -> list[Verdict]:
         # every solution of f = p^2*a has both coordinates divisible by p
         return [Verdict(x, p, False, ROUTE_SYMBOL_MINUS_ONE, {"witness": p * p * x.a})
                 for x in group.classes]
-    sols = solve_two_square(D, p)
-    if sols:
-        m, n, _ = sols[0]
+    sol = solve_two_square(D, p)
+    if sol is not None:
+        m, n, _ = sol
         return [Verdict(x, p, True, ROUTE_PRINCIPAL_SQUARE, {"m": m, "n": n})
                 for x in group.classes]
     # (D/p) = 1, so b^2 = D (mod 4p) has a root b in [0, 2p)
     b = next(b for b in range(2 * p) if (b * b - D) % (4 * p) == 0)
     prime = reduce(BinaryForm(p, b, (b * b - D) // (4 * p)))
     p_squares = {group.squares[prime], group.squares[inverse_class(prime)]}
-    solution = None  # first p-primitive solution of p^2 by P^2
+    solution = None  # least solution of p^2 by P^2, p-primitive as P^2 != 1
     verdicts = []
     for x in group.classes:
         order, square = group.orders[x], group.squares[x]
@@ -154,8 +156,8 @@ def classify_all(D: int, p: int) -> list[Verdict]:
         square_form = list(square)
         if order == 4 and has_sq:
             if solution is None:
-                solution = next(xy for xy in rep_counts(square, p * p, p).solutions
-                                if math.gcd(*xy) % p != 0)
+                solution = min(uv for u, v in half_plane_solutions(square, p * p)
+                               for uv in ((u, v), (-u, -v)))
             verdicts.append(Verdict(x, p, True, ROUTE_ORDER_FOUR_SQUARE, {
                 "order": 4, "solution": list(solution), "square_form": square_form}))
         else:

@@ -24,9 +24,6 @@ class IntMap2(NamedTuple):
     def det(self) -> int:
         return self.m11 * self.m22 - self.m12 * self.m21
 
-    def __call__(self, x: int, y: int) -> tuple[int, int]:
-        return (self.m11 * x + self.m12 * y, self.m21 * x + self.m22 * y)
-
     def rows(self) -> list[list[int]]:
         return [[self.m11, self.m12], [self.m21, self.m22]]
 

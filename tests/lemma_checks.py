@@ -82,13 +82,13 @@ def verify_isometry_matrix_search(D: int, p: int) -> bool:
     isometry must itself land inside that box.
     """
     check_prime_not_dividing(p, D)
-    f = enumerate_classes(D).identity
+    f = enumerate_classes(D).classes[0]
     entry_bound = 2 * p * (math.isqrt(max(f.a, f.c)) + 1)
     found = _matrix_search(f, p, entry_bound)
-    sols = solve_two_square(D, p)
-    if not sols:
+    sol = solve_two_square(D, p)
+    if sol is None:
         return not found
-    t = build_isometry(f, sols[0])
+    t = build_isometry(f, sol)
     inside = all(abs(e) <= entry_bound for e in (t.m11, t.m12, t.m21, t.m22))
     return bool(found) and inside and t in found
 
@@ -105,7 +105,7 @@ def verify_reflection_parity(f: BinaryForm, q: int) -> bool:
     span = range(-REFLECTION_SAMPLE_BOUND, REFLECTION_SAMPLE_BOUND + 1)
     for x in span:
         for y in span:
-            sx, sy = sigma(x, y)
+            sx, sy = sigma.m11 * x + sigma.m12 * y, sigma.m21 * x + sigma.m22 * y
             for wx, wy in ((x - sx, y - sy), (x + sx, y + sy)):
                 val = f.evaluate(wx, wy)
                 if val != 0 and valuation(q, val) % 2 != 0:

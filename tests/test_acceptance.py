@@ -209,12 +209,12 @@ def test_criterion_5():
         for p in primes_up_to(23):
             if D % p == 0 or kronecker(D, p) != 1:
                 continue
-            sols = solve_two_square(D, p)
-            if not sols:
+            sol = solve_two_square(D, p)
+            if sol is None:
                 continue
             p2 = p * p
             for f in enumerate_classes(D).classes:
-                t = build_isometry(f, sols[0])
+                t = build_isometry(f, sol)
                 assert t.det == p2
                 assert transformed_coefficients(f, t) == (
                     p2 * f.a,

@@ -249,6 +249,19 @@ def test_verify_detects_corruption(capsys, monkeypatch):
     assert payload["contradictions"]
 
 
+def test_verify_exits_1_on_unconfirmed_cells(capsys):
+    # at --bound 1 the ceiling is 50, below the smallest witnesses of the
+    # negative classes [2, +-1, 4] of D = -31 at p = 5: not a
+    # contradiction, and not a pass either
+    code, payload, _ = run_json(
+        capsys,
+        ["verify", "--dmin", "-31", "--dmax", "-31", "--pmax", "5", "--bound", "1"],
+    )
+    assert code == 1
+    assert payload["ok"] is True and payload["contradictions"] == []
+    assert len(payload["unconfirmed"]) == 2
+
+
 @pytest.mark.parametrize(
     "window", [["--dmin", "-3", "--dmax", "-20"], ["--pmax", "1"]]
 )

@@ -19,7 +19,7 @@ from qprim.pprim import (
     solve_two_square,
 )
 from qprim.qform import BinaryForm, IntMap2, discriminants_in, transformed_coefficients
-from qprim.repcount import rep_counts, spectrum
+from qprim.repcount import enumerate_solutions, half_plane_solutions, rep_counts, spectrum
 
 
 def brute_two_square(D, p):
@@ -33,24 +33,19 @@ def brute_two_square(D, p):
 
 
 def test_solve_two_square_examples():
-    assert solve_two_square(-56, 3) == []
-    assert solve_two_square(-56, 5) == []
-    assert solve_two_square(-56, 23) == [TwoSquareSolution(10, 6, 23)]
-    assert solve_two_square(-3, 7) == [
-        TwoSquareSolution(13, 3, 7),
-        TwoSquareSolution(11, 5, 7),
-        TwoSquareSolution(2, 8, 7),
-    ]
-    assert solve_two_square(-4, 5) == [
-        TwoSquareSolution(8, 3, 5),
-        TwoSquareSolution(6, 4, 5),
-    ]
+    assert solve_two_square(-56, 3) is None
+    assert solve_two_square(-56, 5) is None
+    assert solve_two_square(-56, 23) == TwoSquareSolution(10, 6, 23)
+    # the least n of (13, 3), (11, 5) and (2, 8)
+    assert solve_two_square(-3, 7) == TwoSquareSolution(13, 3, 7)
+    # the least n of (8, 3) and (6, 4)
+    assert solve_two_square(-4, 5) == TwoSquareSolution(8, 3, 5)
 
 
 def test_solve_two_square_preconditions():
     with pytest.raises(ValueError):
         solve_two_square(-56, 7)  # p | D
-    assert solve_two_square(-56, 11) == []  # inert: no solution, no error
+    assert solve_two_square(-56, 11) is None  # inert: no solution, no error
     with pytest.raises(ValueError):
         solve_two_square(-56, 4)  # not prime
     for D in (-5, 0, 8):
@@ -59,24 +54,29 @@ def test_solve_two_square_preconditions():
 
 
 def test_solve_two_square_matches_box_scan():
+    # the box scan's solution with the least n (m >= 0 is fixed by n), and
+    # None exactly when the scan finds none, inert primes included
     for D in discriminants_in(-120, -3):
         for p in primes_up_to(23):
-            if kronecker(D, p) != 1:
+            if D % p == 0:
                 continue
-            got = {(s.m, s.n) for s in solve_two_square(D, p)}
-            assert got == brute_two_square(D, p)
-            for s in solve_two_square(D, p):
-                assert s.p == p and s.m >= 0 and s.n >= 0
+            scan = brute_two_square(D, p)
+            got = solve_two_square(D, p)
+            if not scan:
+                assert got is None
+                continue
+            m, n = min(scan, key=lambda mn: mn[1])
+            assert got == TwoSquareSolution(m, n, p)
 
 
 def test_two_square_solvability_matches_principal_rep():
     # (m, n) exists iff the principal form takes p^2 p-primitively
     for D in discriminants_in(-1000, -3):
-        ident = enumerate_classes(D).identity
+        ident = enumerate_classes(D).classes[0]
         for p in primes_up_to(50):
             if kronecker(D, p) != 1:
                 continue
-            solvable = bool(solve_two_square(D, p))
+            solvable = solve_two_square(D, p) is not None
             rec = rep_counts(ident, p * p, p)
             assert solvable == (rec.r_star_p > 0)
 
@@ -102,12 +102,12 @@ def test_build_isometry_properties_sweep():
         for p in primes_up_to(23):
             if kronecker(D, p) != 1:
                 continue
-            sols = solve_two_square(D, p)
-            if not sols:
+            sol = solve_two_square(D, p)
+            if sol is None:
                 continue
             p2 = p * p
             for f in enumerate_classes(D).classes:
-                t = build_isometry(f, sols[0])
+                t = build_isometry(f, sol)
                 entries = (t.m11, t.m12, t.m21, t.m22)
                 assert t.det == p2
                 assert transformed_coefficients(f, t) == (p2 * f.a, p2 * f.b, p2 * f.c)
@@ -127,7 +127,7 @@ def test_p_square_in_class():
     assert rep_counts(BinaryForm(1, 0, 14), 9, 3).r_star_p == 0
     assert evidence[(2, 0, 7)]["square_form"] == [1, 0, 14]
     assert evidence[(2, 0, 7)]["square_has_p_square"] is False
-    assert rep_counts(enumerate_classes(-3).identity, 49, 7).r_star_p > 0
+    assert rep_counts(enumerate_classes(-3).classes[0], 49, 7).r_star_p > 0
 
 
 def test_classify_examples_d56_p3():
@@ -247,9 +247,9 @@ def test_route_three_corollaries(monkeypatch):
 
     def counting(*args):
         calls.append(args)
-        return rep_counts(*args)
+        return half_plane_solutions(*args)
 
-    monkeypatch.setattr(pprim, "rep_counts", counting)
+    monkeypatch.setattr(pprim, "half_plane_solutions", counting)
     route_three_passes = 0
     for D in discriminants_in(-1500, -3):
         group = enumerate_classes(D)
@@ -262,10 +262,17 @@ def test_route_three_corollaries(monkeypatch):
             passing = sum(v.completely_p_primitive for v in verdicts)
             assert passing in sizes
             assert passing == 0 or -D <= 4 * p**4
-            # one count of p^2 by P^2, made only when some class passes route 3
-            routed = any(v.route == ROUTE_ORDER_FOUR_SQUARE for v in verdicts)
-            assert len(calls) == routed
-            route_three_passes += routed
+            # one scan of p^2 by P^2, made only when some class passes route 3
+            routed = [v for v in verdicts if v.route == ROUTE_ORDER_FOUR_SQUARE]
+            assert len(calls) == bool(routed)
+            route_three_passes += bool(routed)
+            # P^2 has order 2, so it does not represent 1 and every solution
+            # of p^2 by it is p-primitive; the evidence is the least of them
+            for v in routed:
+                square = BinaryForm(*v.evidence["square_form"])
+                sols = enumerate_solutions(square, p * p)
+                assert all(math.gcd(x, y) % p != 0 for x, y in sols)
+                assert v.evidence["solution"] == list(sols[0])
     assert route_three_passes > 0
 
 
@@ -300,7 +307,7 @@ def test_ambiguous_true_forces_principal_square():
             for v in classify_all(D, p):
                 if v.completely_p_primitive and group.orders[v.cls] <= 2:
                     assert v.route == ROUTE_PRINCIPAL_SQUARE
-                    assert rep_counts(group.identity, p * p, p).r_star_p > 0
+                    assert rep_counts(group.classes[0], p * p, p).r_star_p > 0
 
 
 def test_positive_classes_closed_under_p_squared_scaling():

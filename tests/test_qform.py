@@ -20,11 +20,22 @@ from qprim.qform import (
 
 
 def transformed_by_evaluation(f, m):
-    """Coefficients of f(m11*x + m12*y, m21*x + m22*y), read off pointwise."""
-    a = f.evaluate(*m(1, 0))
-    c = f.evaluate(*m(0, 1))
-    b = f.evaluate(*m(1, 1)) - a - c
+    """Coefficients of f(m11*x + m12*y, m21*x + m22*y), read off pointwise
+    at (x, y) = (1, 0), (0, 1) and (1, 1)."""
+    a = f.evaluate(m.m11, m.m21)
+    c = f.evaluate(m.m12, m.m22)
+    b = f.evaluate(m.m11 + m.m12, m.m21 + m.m22) - a - c
     return a, b, c
+
+
+def product(m, n):
+    """The matrix product m * n."""
+    return IntMap2(
+        m.m11 * n.m11 + m.m12 * n.m21,
+        m.m11 * n.m12 + m.m12 * n.m22,
+        m.m21 * n.m11 + m.m22 * n.m21,
+        m.m21 * n.m12 + m.m22 * n.m22,
+    )
 
 
 def random_unimodular(rng, span=5):
@@ -104,14 +115,6 @@ def test_transformed_coefficients_matches_evaluation():
 
 
 def test_apply_map_composes():
-    def product(m, n):
-        return IntMap2(
-            m.m11 * n.m11 + m.m12 * n.m21,
-            m.m11 * n.m12 + m.m12 * n.m22,
-            m.m21 * n.m11 + m.m22 * n.m21,
-            m.m21 * n.m12 + m.m22 * n.m22,
-        )
-
     rng = random.Random(23)
     for f in (BinaryForm(1, 0, 14), BinaryForm(2, 1, 3)):
         for _ in range(200):
@@ -232,8 +235,7 @@ def test_improper_automorph_properties():
             s = improper_automorph(f)
             assert s.det == -1
             assert transformed_coefficients(f, s) == f.triple()
-            for x, y in ((1, 0), (0, 1)):
-                assert s(*s(x, y)) == (x, y)
+            assert product(s, s) == IntMap2(1, 0, 0, 1)
 
 
 def test_raw_form_bypasses_validation():

@@ -10,7 +10,7 @@ from qprim.repcount import rep_counts
 from qprim.ternary import TernaryForm, build_fm, spectrum_identity_report
 
 RECORDS = {
-    "IntMap2": lambda: build_isometry(BinaryForm(1, 1, 1), solve_two_square(-3, 7)[0]),
+    "IntMap2": lambda: build_isometry(BinaryForm(1, 1, 1), solve_two_square(-3, 7)),
     "RepRecord": lambda: rep_counts(BinaryForm(1, 0, 14), 9, 3),
     "Verdict": lambda: classify_all(-56, 3)[0],
     "GridCell": lambda: verify_classification_grid(-8, -3, 3, 50).cells[0],
