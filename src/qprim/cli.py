@@ -6,9 +6,10 @@ sweep found a contradiction or left a cell unconfirmed, or the ternary
 identity failed or its change of basis did not prove the equivalence,
 2 usage, precondition or file error (a `spectrum --bound` above
 `repcount.MAX_BOUND`, a `ternary-demo --bound` above `ternary.MAX_BOUND`,
-a `represent` whose rows sum above `repcount.MAX_ROWS`, and a discriminant
-or `verify --dmin` below -`classgroup.MAX_ABS_D` included).  `verify`
-runs its whole grid in this one process.
+a `represent` whose rows sum above `repcount.MAX_ROWS`, a p or `verify
+--pmax` above `intarith.MAX_P`, and a discriminant or `verify --dmin`
+below -`classgroup.MAX_ABS_D` included).  `verify` runs its whole grid in
+this one process.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from collections.abc import Iterable
 
 from . import oracle, pprim, repcount, ternary
 from .classgroup import ambiguous_classes, enumerate_classes
+from .intarith import check_prime
 from .qform import BinaryForm
 
 FORMATS = ("json", "text", "tsv")
@@ -91,6 +93,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_represent(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ValueError(f"n must be >= 1, got {args.n}")
+    if args.p is not None:
+        check_prime(args.p)
     group = enumerate_classes(args.D)
     rows = sum(math.isqrt(4 * cls.a * args.n // -args.D) + 1 for cls in group.classes)
     if rows > repcount.MAX_ROWS:

@@ -16,12 +16,11 @@ verdict needs the search up to the sweep bound, or up to its smallest
 candidate p^2 a if that lies above, and a negative one up to a ceiling
 that defaults to 50x the bound; the pair is searched at each prime up to
 the larger need of its two members, and each cell reads the result at
-its own.  A negative cell is labelled with the first rung of the ladder
-bound, 10x bound, ceiling that holds its witness.  The grid then
-re-derives every verdict's evidence.  A route-1 witness must be a value
-of the class that `_p_primitive` rejects: one equal to the search's
-witness for the pair at p was found and scanned by the search, and any
-other is scanned in full.  Route-3 evidence is compared as a whole, key
+its own, which it reports as its `bound`.  The grid then re-derives
+every verdict's evidence.  A route-1 witness must be a value of the
+class that `_p_primitive` rejects: one equal to the search's witness for
+the pair at p was found and scanned by the search, and any other is
+scanned in full.  Route-3 evidence is compared as a whole, key
 for key, against facts derived once per class: its order, its square by
 `compose`, and the order-4 test.  The order is read from the census,
 `enumerate_classes(D).orders`, the same power walk that `classify_all`
@@ -42,7 +41,7 @@ from typing import NamedTuple
 
 from . import pprim
 from .classgroup import MAX_ABS_D, compose, enumerate_classes
-from .intarith import is_prime, primes_up_to
+from .intarith import MAX_P, is_prime, primes_up_to
 from .qform import BinaryForm, discriminants_in, is_ambiguous
 from .pprim import (
     ROUTE_ORDER_FOUR_SQUARE,
@@ -202,22 +201,23 @@ def verify_classification_grid(
     """Classify every (D, p, class) cell in the window and re-check it by
     an exhaustive witness search and by re-deriving its evidence.
 
-    Positive verdicts must show no witness <= max(bound, p^2 a), the
-    cell's `bound`: below the smallest candidate p^2 a there is nothing to
-    search.  Negative verdicts must produce a witness <= `ceiling`
-    (default 50x bound); the cell's `bound` is the first of bound, 10x
-    bound and ceiling that holds the witness, and cells without one are
-    reported as unconfirmed at the ceiling rather than as contradictions.
-    The window is checked one discriminant at a time: the forms [a, b, c]
-    and [a, -b, c] share one `_smallest_witnesses` sweep for all primes of
-    D, each prime searched up to the larger bound its two verdicts need,
-    and each cell keeps the witness only if it lies within its own.  A
-    verdict whose evidence fails revalidation is a contradiction; the
-    facts it is checked against are derived once per discriminant, as the
-    module docstring says.  A bound below 1, a ceiling below the bound or
-    above MAX_CEILING, a dmin below -MAX_ABS_D (the census limit), or a
-    window with no (D, p) cell raises ValueError before any search.  The
-    cells are checked one after another in this process.
+    Each cell is checked against one bound, which it reports as its
+    `bound`: max(bound, p^2 a) for a positive verdict, since below the
+    smallest candidate p^2 a there is nothing to search, and `ceiling`
+    (default 50x bound) for a negative one.  A cell is a contradiction if
+    its evidence fails revalidation or it is positive with a witness up to
+    its bound; otherwise it agrees if it is positive or has such a
+    witness, and is unconfirmed if not.  The window is checked one
+    discriminant at a time: the forms [a, b, c] and [a, -b, c] share one
+    `_smallest_witnesses` sweep for all primes of D, each prime searched
+    up to the larger bound its two verdicts need, and each cell keeps the
+    witness only if it lies within its own.  The facts the evidence is
+    checked against are derived once per discriminant, as the module
+    docstring says.  A bound below 1, a ceiling below the bound or above
+    MAX_CEILING, a dmin below -MAX_ABS_D (the census limit), a pmax above
+    `intarith.MAX_P`, or a window with no (D, p) cell raises ValueError
+    before any search.  The cells are checked one after another in this
+    process.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -231,52 +231,49 @@ def verify_classification_grid(
         )
     if dmin < -MAX_ABS_D:
         raise ValueError(f"dmin must be at least {-MAX_ABS_D}, got {dmin}")
+    if pmax > MAX_P:
+        raise ValueError(f"pmax must be at most {MAX_P}, got {pmax}")
     primes = primes_up_to(pmax)
     discriminants = [D for D in discriminants_in(dmin, dmax) if any(D % p for p in primes)]
     if not discriminants:
         raise ValueError(f"no (D, p) cell with D in [{dmin}, {dmax}] and p <= {pmax}")
-    rungs = sorted({bound, min(10 * bound, ceiling), ceiling})
     cells = []
     for D in discriminants:
         verdicts = {p: pprim.classify_all(D, p) for p in primes if D % p}
         # [a, -b, c](x, -y) = [a, b, c](x, y): an inverse pair shares its
         # witnesses, searched up to the larger bound its members' verdicts
         # need; a positive one needs at least its smallest candidate p^2 a
-        searches = {}
-        for p, vs in verdicts.items():
-            for f, _, cpp, _, _ in vs:
-                a, b, c = f
-                _, need = searches.setdefault((a, abs(b), c), (f, {}))
-                need[p] = max(need.get(p, 0), max(bound, p * p * a) if cpp else ceiling)
-        found = {key: _smallest_witnesses(f, need) for key, (f, need) in searches.items()}
-        squares, p_squares = {}, {}
+        checks, searches = [], {}
         for p, vs in verdicts.items():
             for v in vs:
-                f, _, cpp, route, _ = v
-                a, b, c = f
-                top = max(bound, p * p * a) if cpp else ceiling
-                searched = found[a, abs(b), c][p]
-                witness = searched if searched is not None and searched <= top else None
-                if cpp:
-                    status = STATUS_CONTRADICTION if witness is not None else STATUS_AGREES
-                    used = top
-                elif witness is not None:
-                    status = STATUS_AGREES
-                    used = next(r for r in rungs if witness <= r)
-                else:
-                    status, used = STATUS_UNCONFIRMED, ceiling
-                if not _revalidate(v, squares, p_squares, searched):
-                    status = STATUS_CONTRADICTION
-                cells.append(GridCell(D, p, f, cpp, route, status, witness, used))
+                a, b, c = v.cls
+                top = max(bound, p * p * a) if v.completely_p_primitive else ceiling
+                _, need = searches.setdefault((a, abs(b), c), (v.cls, {}))
+                need[p] = max(need.get(p, 0), top)
+                checks.append((v, top))
+        found = {key: _smallest_witnesses(f, need) for key, (f, need) in searches.items()}
+        squares, p_squares = {}, {}
+        for v, top in checks:
+            f, p, cpp, route, _ = v
+            searched = found[f.a, abs(f.b), f.c][p]
+            witness = searched if searched is not None and searched <= top else None
+            if not _revalidate(v, squares, p_squares, searched) or cpp and witness is not None:
+                status = STATUS_CONTRADICTION
+            elif cpp or witness is not None:
+                status = STATUS_AGREES
+            else:
+                status = STATUS_UNCONFIRMED
+            cells.append(GridCell(D, p, f, cpp, route, status, witness, top))
     return GridReport(dmin, dmax, pmax, bound, ceiling, tuple(cells))
 
 
 def revalidate_verdict(v: Verdict) -> bool:
     """Re-derive every fact a verdict's evidence claims.  p must be a prime
-    that does not divide D.  A route-3 class's order is read from the
-    census, so the class must be a reduced form of a discriminant within
-    MAX_ABS_D, and the order must be 4 exactly when the square is
-    ambiguous and not principal.
+    <= `intarith.MAX_P` that does not divide D, with the cap checked
+    first.  A route-3 class's order is read from the census, so the class
+    must be a reduced form of a discriminant within MAX_ABS_D, and the
+    order must be 4 exactly when the square is ambiguous and not
+    principal.
 
     Every route's evidence must carry exactly the route's keys, and its
     numbers must be ints; evidence of another type or shape is rejected,
@@ -287,7 +284,7 @@ def revalidate_verdict(v: Verdict) -> bool:
     passing verdict's solution, a list of two ints, is checked by
     evaluating the square class at it.
     """
-    return is_prime(v.p) and v.cls.D % v.p != 0 and _revalidate(v, {}, {})
+    return v.p <= MAX_P and is_prime(v.p) and v.cls.D % v.p != 0 and _revalidate(v, {}, {})
 
 
 def _revalidate(
@@ -307,6 +304,8 @@ def _revalidate(
     any other is scanned in full.  p is not checked here: the grid's
     primes are primes that do not divide D."""
     f, p, cpp, route, evidence = v
+    if not isinstance(evidence, dict):
+        return False
     if route == ROUTE_SYMBOL_MINUS_ONE:
         if evidence.keys() != {"witness"}:
             return False

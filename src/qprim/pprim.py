@@ -58,20 +58,21 @@ def solve_two_square(D: int, p: int) -> TwoSquareSolution | None:
     """The (m, n) with m, n >= 0, 4p^2 = m^2 + |D|n^2, gcd(m, n, p) = 1 and
     the least n, or None if there is none.
 
-    The scan over n <= sqrt(4p^2/|D|) stops at the first solution.
-    Requires p prime and p not | D.  For (D/p) = -1 there is no solution:
-    a solution with p not | n makes D a square mod p (mod 8 for p = 2),
-    and p | n forces p | m.
+    The equation is 4p^2 = (2x + ey)^2 + |D|y^2 for the principal form
+    [1, e, (e - D)/4] at p^2, with e = D mod 2, m = |2x + ey| and n = y.
+    So `half_plane_solutions` of p^2 by that form yields the solutions by
+    ascending n, and the scan stops at the first p-primitive one.
+    Requires p prime, p <= `intarith.MAX_P` and p not | D.  For
+    (D/p) = -1 there is no solution: a solution with p not | n makes D a
+    square mod p (mod 8 for p = 2), and p | n forces p | m.
     """
     check_discriminant(D)
     check_prime_not_dividing(p, D)
-    abs_d = -D
-    four_p2 = 4 * p * p
-    for n in range(math.isqrt(four_p2 // abs_d) + 1):
-        rem = four_p2 - abs_d * n * n
-        m = math.isqrt(rem)
-        if m * m == rem and math.gcd(m, n, p) == 1:
-            return TwoSquareSolution(m, n, p)
+    e = D % 2
+    for x, y in half_plane_solutions(BinaryForm(1, e, (e - D) // 4), p * p):
+        m = abs(2 * x + e * y)
+        if math.gcd(m, y, p) == 1:
+            return TwoSquareSolution(m, y, p)
     return None
 
 
@@ -126,7 +127,8 @@ class Verdict(NamedTuple):
 def classify_all(D: int, p: int) -> list[Verdict]:
     """Verdicts for every class of discriminant D, in census order.
 
-    Requires p prime, p not | D, checked before the census is built.
+    Requires p prime, p <= `intarith.MAX_P` and p not | D, checked before
+    the census is built.
     Routes 1 and 2 depend only on (D, p) and settle the whole group.
     Route 3 reads each class's order and square off the group's power walk
     and tests the square against P^2 and P^-2; one scan of p^2 by P^2 gives

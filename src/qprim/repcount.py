@@ -16,7 +16,7 @@ import math
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .intarith import ceil_div, is_prime
+from .intarith import ceil_div, check_prime
 from .qform import BinaryForm
 
 #: largest bound spectrum accepts (about 1 s and 45 MB at [1,1,1], 2-vCPU VM)
@@ -75,9 +75,9 @@ class RepRecord(NamedTuple):
 
 
 def rep_counts(f: BinaryForm, n: int, p: int) -> RepRecord:
-    """RepRecord for f(x, y) = n; a solution is p-primitive iff gcd(x, y, p) = 1."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    """RepRecord for f(x, y) = n; a solution is p-primitive iff gcd(x, y, p) = 1.
+    p must be a prime <= `intarith.MAX_P`, checked before any row."""
+    check_prime(p)
     sols = tuple(enumerate_solutions(f, n))
     r = len(sols)
     r_star = sum(1 for x, y in sols if math.gcd(x, y) % p != 0)
@@ -144,9 +144,9 @@ def spectrum(f: BinaryForm, bound: int, p: int) -> Spectrum:
     represented iff r(n) > r(n/p^2).  A solution with gcd(x, y) = g is g
     times a primitive solution of n/g^2, so the primitive counts follow
     from r by subtracting, in ascending n, those of each n/d^2 with d >= 2.
-    A bound below 1 or above MAX_BOUND raises ValueError before any sweep."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    A bound below 1 or above MAX_BOUND, or a p that is not a prime <=
+    `intarith.MAX_P`, raises ValueError before any sweep."""
+    check_prime(p)
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     if bound > MAX_BOUND:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: JSON payloads, formats, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from qprim import cli, oracle, pprim, repcount, ternary
+from qprim import cli, intarith, oracle, pprim, repcount, ternary
 from qprim.classgroup import MAX_ABS_D, enumerate_classes
+from qprim.intarith import MAX_P
 from qprim.pprim import ROUTE_PRINCIPAL_SQUARE, Verdict, classify_all
 from qprim.repcount import rep_counts, spectrum
 
@@ -187,6 +189,16 @@ def test_isometry_rejects_dividing_prime(capsys):
     assert code == 2
 
 
+def test_default_verify_stdout_is_pinned(capsys):
+    # the summary of the acceptance grid: its cell count, its bounds and no
+    # contradicted or unconfirmed cell, so no cell's own bound shows in it
+    assert cli.run(["verify"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "65fc40dad9fb9e43557b5feee34c3d189371245ab22e94fc105b8093c3f92a0e"
+    )
+
+
 def test_verify_small_grid(capsys):
     code, payload, _ = run_json(
         capsys,
@@ -308,6 +320,43 @@ def test_census_commands_reject_d_beyond_limit(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert f"|D| must be at most {MAX_ABS_D}" in captured.err
+
+
+# a prime above MAX_P, whose root walk and two-square rows would take
+# about a hundred times as long as at the cap
+BIG_P = "100000007"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "-23", BIG_P], f"p must be at most {MAX_P}, got {BIG_P}"),
+        (["isometry", "-23", BIG_P, "--form", "1,1,6"], f"p must be at most {MAX_P}"),
+        (["represent", "-23", "9", "--p", BIG_P], f"p must be at most {MAX_P}"),
+        (["spectrum", "-23", "--form", "1,1,6", "--bound", "10", "--p", BIG_P],
+         f"p must be at most {MAX_P}"),
+        (["verify", "--pmax", BIG_P], f"pmax must be at most {MAX_P}, got {BIG_P}"),
+    ],
+    ids=["classify", "isometry", "represent", "spectrum", "verify"],
+)
+def test_commands_reject_p_beyond_cap(capsys, monkeypatch, argv, message):
+    def no_work(*args):
+        raise AssertionError("p is checked against MAX_P before any work")
+
+    for module, name in [
+        (intarith, "is_prime"),
+        (pprim, "enumerate_classes"),
+        (cli, "enumerate_classes"),
+        (pprim, "half_plane_solutions"),
+        (repcount, "rep_profile"),
+        (oracle, "primes_up_to"),
+    ]:
+        monkeypatch.setattr(module, name, no_work)
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_verify_rejects_dmin_beyond_census_limit(capsys):

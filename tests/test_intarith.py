@@ -6,7 +6,17 @@ import random
 import pytest
 
 from lemma_checks import divisors, valuation
-from qprim.intarith import ext_gcd, is_prime, kronecker, prime_factors, primes_up_to
+from qprim import intarith
+from qprim.intarith import (
+    MAX_P,
+    check_prime,
+    check_prime_not_dividing,
+    ext_gcd,
+    is_prime,
+    kronecker,
+    prime_factors,
+    primes_up_to,
+)
 
 
 def legendre_by_squares(D, q):
@@ -22,6 +32,28 @@ def test_is_prime_matches_definition():
         assert is_prime(n) == (n > 1 and all(n % d for d in range(2, n)))
     assert is_prime(10**6 + 3)
     assert not is_prime(10**6 + 1)
+
+
+def test_check_prime_caps_p_before_trial_division(monkeypatch):
+    check_prime(999983)  # the largest prime below the cap
+    with pytest.raises(ValueError, match=f"p must be prime, got {MAX_P}"):
+        check_prime(MAX_P)
+    for p in (-3, 0, 1, 4):
+        with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+            check_prime(p)
+    with pytest.raises(ValueError, match="divides the discriminant"):
+        check_prime_not_dividing(7, -56)
+
+    def no_trial_division(n):
+        raise AssertionError("p is checked against MAX_P before is_prime")
+
+    monkeypatch.setattr(intarith, "is_prime", no_trial_division)
+    # 100000007 and 10^14 + 31 are primes above the cap
+    for p in (MAX_P + 1, 100000007, 10**14 + 31):
+        with pytest.raises(ValueError, match=f"p must be at most {MAX_P}, got {p}"):
+            check_prime(p)
+        with pytest.raises(ValueError, match=f"p must be at most {MAX_P}, got {p}"):
+            check_prime_not_dividing(p, -23)
 
 
 def test_primes_up_to():

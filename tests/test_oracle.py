@@ -283,12 +283,19 @@ def test_revalidate_rejects_doctored_evidence():
     for solution in ([1], [1, 2, 3], None, [1, "2"], "ab", [-1.0, -1]):
         evidence = {**v.evidence, "solution": solution}
         assert not revalidate_verdict(v._replace(evidence=evidence)), solution
-    # p must be a prime that does not divide D = -56
+    # evidence that is not a dict is rejected on every route
+    verdicts = [classify_all(-56, 11)[0], classify_all(-56, 23)[0], *classify_all(-56, 3)]
+    assert {v.route for v in verdicts} == set(pprim.ROUTES)
+    for v in verdicts:
+        for evidence in ([1], None, "x", 0):
+            assert not revalidate_verdict(v._replace(evidence=evidence)), (v.route, evidence)
+    # p must be a prime <= MAX_P that does not divide D = -56; 100000007 is
+    # a prime above the cap
     failed = [v for v in classify_all(-56, 3) if v.route == ROUTE_ORDER_FOUR_SQUARE_FAILED]
     assert [v.cls.triple() for v in failed] == [(1, 0, 14), (2, 0, 7)]
     for v in failed:
         assert revalidate_verdict(v)
-        for p in (1, 2, 7):
+        for p in (1, 2, 7, 100000007):
             assert not revalidate_verdict(v._replace(p=p)), (v.cls, p)
     # a route-3 class must be a reduced class of the census, within its limit
     v = next(v for v in classify_all(-56, 3) if v.route == ROUTE_ORDER_FOUR_SQUARE)
@@ -297,6 +304,17 @@ def test_revalidate_rejects_doctored_evidence():
     assert beyond.D < -MAX_ABS_D
     for route_v in (v, failed[0]):
         assert not revalidate_verdict(route_v._replace(cls=beyond))
+
+
+def test_grid_flags_evidence_that_is_not_a_dict(monkeypatch):
+    # every route of D = -56 up to p = 23, each verdict's evidence None
+    real = pprim.classify_all
+    monkeypatch.setattr(
+        pprim, "classify_all", lambda D, p: [v._replace(evidence=None) for v in real(D, p)]
+    )
+    report = verify_classification_grid(-56, -56, 23, 500)
+    assert {c.route for c in report.cells} == set(pprim.ROUTES)
+    assert report.contradictions == report.cells
 
 
 def test_oracle_rederives_order_four_against_a_doctored_census(monkeypatch):
@@ -394,20 +412,21 @@ def test_verify_jones():
         verify_jones(0, 5, 100)
 
 
-def test_escalation_ladder():
+def test_grid_labels_each_negative_cell_with_its_ceiling():
     # D = -56, p = 3: the negative classes [1,0,14] and [2,0,7] have the
-    # witnesses 9 and 18; each is labelled with the first of bound,
-    # 10x bound (capped by the ceiling) and ceiling that holds it
-    for bound, ceiling, labels, unconfirmed in [
-        (1, 100, [10, 100], 0),
-        (1, 12, [10, 12], 1),
-        (5, 12, [12, 12], 1),
-        (5, 5, [5, 5], 2),
+    # witnesses 9 and 18; each is searched once, up to the ceiling, and
+    # reports the ceiling as its bound, with or without a witness below it
+    for bound, ceiling, witnesses, unconfirmed in [
+        (1, 100, [9, 18], 0),
+        (1, 12, [9, None], 1),
+        (5, 12, [9, None], 1),
+        (5, 5, [None, None], 2),
     ]:
         report = verify_classification_grid(-56, -56, 3, bound, ceiling)
         negatives = [c for c in report.cells if not c.cpp]
         assert [c.form.triple() for c in negatives] == [(1, 0, 14), (2, 0, 7)]
-        assert [c.bound for c in negatives] == labels
+        assert [c.witness for c in negatives] == witnesses
+        assert [c.bound for c in negatives] == [ceiling, ceiling]
         assert len(report.unconfirmed) == unconfirmed
 
 
@@ -514,7 +533,7 @@ def test_grid_default_ceiling_confirms_every_cell():
 
 
 def test_grid_rejects_ceiling_below_bound():
-    # no rung would lie above the bound, so the ceiling would go unused
+    # a negative cell would be checked against less than a positive one
     with pytest.raises(ValueError):
         verify_classification_grid(-20, -3, 3, 5000, ceiling=100)
     with pytest.raises(ValueError):
@@ -544,8 +563,7 @@ def test_grid_searches_each_inverse_pair_once(monkeypatch):
     # D = -56, p = 3: [3, 2, 5] and [3, -2, 5] share one search, up to their
     # smallest candidate 27 = 3^2 * 3 since the bound 5 lies below it, and
     # report 27 as their bound; the negatives [1, 0, 14] and [2, 0, 7] are
-    # each searched once at the ceiling and labelled with the first rung
-    # that holds their witness
+    # each searched once at the ceiling, which they report as their bound
     calls = []
     real = oracle._smallest_witnesses
 
@@ -558,8 +576,8 @@ def test_grid_searches_each_inverse_pair_once(monkeypatch):
     assert calls == [((1, 0, 14), 3, 100), ((2, 0, 7), 3, 100), ((3, -2, 5), 3, 27)]
     cells = {c.form.triple(): (c.witness, c.bound, c.status) for c in report.cells}
     assert cells == {
-        (1, 0, 14): (9, 50, STATUS_AGREES),
-        (2, 0, 7): (18, 50, STATUS_AGREES),
+        (1, 0, 14): (9, 100, STATUS_AGREES),
+        (2, 0, 7): (18, 100, STATUS_AGREES),
         (3, -2, 5): (None, 27, STATUS_AGREES),
         (3, 2, 5): (None, 27, STATUS_AGREES),
     }
