@@ -6,6 +6,9 @@ overflow regardless of input size.
 
 from __future__ import annotations
 
+import math
+from itertools import compress
+
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality check (desk-scale inputs)."""
@@ -21,10 +24,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
-#: largest prime the library accepts: `classify_all` walks b over [0, 2p)
-#: and `solve_two_square` up to 2p/sqrt|D| rows, so near the limit one call
-#: takes at most 0.19 s (D = -3, -4, -23 and -56 at the twelve largest
-#: primes below 10^6, 2-vCPU VM)
+#: largest prime the library accepts: `solve_two_square` scans up to
+#: 2p/sqrt|D| rows, and `classify_all` takes its route-3 root b from
+#: `sqrt_mod` in O(log p) steps, so near the limit one `classify_all` takes
+#: at most 0.17 s (D = -3, -4, -23 and -56 at the twelve largest primes
+#: below 10^6, three runs, 2-vCPU VM)
 MAX_P = 10**6
 
 
@@ -45,8 +49,37 @@ def check_prime_not_dividing(p: int, D: int) -> None:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """Primes <= n in increasing order."""
-    return [p for p in range(2, n + 1) if is_prime(p)]
+    """Primes <= n in increasing order, by the sieve of Eratosthenes."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), sieve))
+
+
+def sqrt_mod(a: int, p: int) -> int:
+    """A root r in [0, p) of r^2 = a (mod p), for p prime and a a square
+    mod p, by Tonelli-Shanks: O(log p) products mod p after the search for
+    a non-residue z."""
+    a %= p
+    if a < 2:
+        return a
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    # invariants: r^2 = a t (mod p), c has order 2^m and t order dividing 2^(m-1)
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 def prime_factors(n: int) -> dict[int, int]:

@@ -20,7 +20,8 @@ its own, which it reports as its `bound`.  The grid then re-derives
 every verdict's evidence.  A route-1 witness must be a value of the
 class that `_p_primitive` rejects: one equal to the search's witness for
 the pair at p was found and scanned by the search, and any other is
-scanned in full.  Route-3 evidence is compared as a whole, key
+scanned in full, or rejected unscanned if that needs more than
+`repcount.MAX_ROWS` rows.  Route-3 evidence is compared as a whole, key
 for key, against facts derived once per class: its order, its square by
 `compose`, and the order-4 test.  The order is read from the census,
 `enumerate_classes(D).orders`, the same power walk that `classify_all`
@@ -28,9 +29,9 @@ reads, but the fact route 3 turns on is re-derived: ord(C) = 4 iff C^2
 is ambiguous and not the principal form [1, D mod 2, (D mod 2 - D)/4],
 which is built from D, not read from the census.  A claimed order that
 disagrees with that fact is rejected.  `square_has_p_square` is
-`_p_primitive` of p^2 by the square, scanned once per p and square up to
-inverse, and a passing class's solution is checked by evaluating the
-square at it.  `revalidate_verdict` alone derives every fact afresh.
+`_p_primitive` of p^2 by the square, scanned for each cell that claims
+it, and a passing class's solution is checked by evaluating the square
+at it.  `revalidate_verdict` alone derives every fact afresh.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .pprim import (
     ROUTE_SYMBOL_MINUS_ONE,
     Verdict,
 )
-from .repcount import half_plane_solutions, rep_profile
+from .repcount import MAX_ROWS, half_plane_solutions, rep_profile
 
 STATUS_AGREES = "agrees"
 STATUS_CONTRADICTION = "contradiction"
@@ -252,12 +253,12 @@ def verify_classification_grid(
                 need[p] = max(need.get(p, 0), top)
                 checks.append((v, top))
         found = {key: _smallest_witnesses(f, need) for key, (f, need) in searches.items()}
-        squares, p_squares = {}, {}
+        squares = {}
         for v, top in checks:
             f, p, cpp, route, _ = v
             searched = found[f.a, abs(f.b), f.c][p]
             witness = searched if searched is not None and searched <= top else None
-            if not _revalidate(v, squares, p_squares, searched) or cpp and witness is not None:
+            if not _revalidate(v, squares, searched) or cpp and witness is not None:
                 status = STATUS_CONTRADICTION
             elif cpp or witness is not None:
                 status = STATUS_AGREES
@@ -279,30 +280,30 @@ def revalidate_verdict(v: Verdict) -> bool:
     numbers must be ints; evidence of another type or shape is rejected,
     never raised on.  A route-1 witness n >= 1 must be divisible by p,
     represented by the class and never p-primitively (`_p_primitive`).
+    Evidence too large to check, a witness whose row scans could need
+    more than `repcount.MAX_ROWS` rows, is rejected before any row.
     Route-3 evidence must equal the derived facts key for key, with
     `square_has_p_square` from `_p_primitive` of p^2 by the square; a
     passing verdict's solution, a list of two ints, is checked by
     evaluating the square class at it.
     """
-    return v.p <= MAX_P and is_prime(v.p) and v.cls.D % v.p != 0 and _revalidate(v, {}, {})
+    return v.p <= MAX_P and is_prime(v.p) and v.cls.D % v.p != 0 and _revalidate(v, {})
 
 
 def _revalidate(
     v: Verdict,
     squares: dict[BinaryForm, tuple[int, BinaryForm] | None],
-    p_squares: dict[tuple[int, int, int, int], bool],
     searched: int | None = None,
 ) -> bool:
     """`revalidate_verdict`, reading and filling the facts that the grid
     derives once per discriminant.  `squares` maps a route-3 class to its
     census order and its square, or to None if the class is not in the
-    census or its order fails the order-4 test; `p_squares` maps a square
-    up to inverse, (a, |b|, c), and p to whether it takes p^2
-    p-primitively, since [a, -b, c](x, -y) = [a, b, c](x, y).  A route-1
-    witness equal to `searched`, the smallest witness the grid's search
-    found for the class at p, was scanned by that search and is accepted;
-    any other is scanned in full.  p is not checked here: the grid's
-    primes are primes that do not divide D."""
+    census or its order fails the order-4 test.  A route-1 witness equal
+    to `searched`, the grid's smallest witness for the class at p, was
+    scanned by the search and is accepted; any other is scanned in full,
+    or rejected if isqrt(4kn/|D|) >= MAX_ROWS for k = a + |b| + c, at least
+    the first coefficient of either scan.  p is not checked here: the
+    grid's primes are primes that do not divide D."""
     f, p, cpp, route, evidence = v
     if not isinstance(evidence, dict):
         return False
@@ -317,6 +318,7 @@ def _revalidate(
                 n == searched
                 or n >= 1
                 and n % p == 0
+                and math.isqrt(4 * (f.a + abs(f.b) + f.c) * n // -f.D) < MAX_ROWS
                 and next(half_plane_solutions(f, n), None) is not None
                 and not _p_primitive(f, n, p)
             )
@@ -349,10 +351,7 @@ def _revalidate(
             and math.gcd(*xy) % p != 0
         )
     if route == ROUTE_ORDER_FOUR_SQUARE_FAILED:
-        key = (square.a, abs(square.b), square.c, p)
-        if key not in p_squares:
-            p_squares[key] = _p_primitive(square, p * p, p)
-        has_sq = p_squares[key]
+        has_sq = _p_primitive(square, p * p, p)
         return (
             not cpp
             and (order != 4 or not has_sq)

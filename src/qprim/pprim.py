@@ -29,7 +29,7 @@ import math
 from typing import NamedTuple
 
 from .classgroup import enumerate_classes, inverse_class
-from .intarith import check_prime_not_dividing, kronecker
+from .intarith import check_prime_not_dividing, kronecker, sqrt_mod
 from .qform import BinaryForm, IntMap2, check_discriminant, reduce, transformed_coefficients
 from .repcount import half_plane_solutions
 
@@ -124,6 +124,15 @@ class Verdict(NamedTuple):
         }
 
 
+def _root_mod_4p(D: int, p: int) -> int:
+    """The root b in [0, 2p) of b^2 = D (mod 4p) for (D/p) = 1: the root r
+    of D mod p, or r + p, whichever has the parity of D, so that b^2 = D
+    (mod 4) too (at p = 2, D = 1 mod 8 and b = 1).  The other root, 2p - b,
+    gives the inverse class."""
+    r = sqrt_mod(D, p)
+    return r if (r - D) % 2 == 0 else r + p
+
+
 def classify_all(D: int, p: int) -> list[Verdict]:
     """Verdicts for every class of discriminant D, in census order.
 
@@ -146,8 +155,7 @@ def classify_all(D: int, p: int) -> list[Verdict]:
         m, n, _ = sol
         return [Verdict(x, p, True, ROUTE_PRINCIPAL_SQUARE, {"m": m, "n": n})
                 for x in group.classes]
-    # (D/p) = 1, so b^2 = D (mod 4p) has a root b in [0, 2p)
-    b = next(b for b in range(2 * p) if (b * b - D) % (4 * p) == 0)
+    b = _root_mod_4p(D, p)
     prime = reduce(BinaryForm(p, b, (b * b - D) // (4 * p)))
     p_squares = {group.squares[prime], group.squares[inverse_class(prime)]}
     solution = None  # least solution of p^2 by P^2, p-primitive as P^2 != 1

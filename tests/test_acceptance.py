@@ -169,11 +169,11 @@ def test_criterion_3():
     # 754 pairs, swept in 2866 doubling windows, each only its shell
     # lo < m <= hi, 56074 values wide in all.  Each fact is derived once per
     # discriminant: each class is squared once for all of its route-3
-    # primes, each square up to inverse is scanned for p^2 once per p (1562
-    # scans for the 3722 route-3 negatives), and every route-1 witness is
-    # the search's own, so none is scanned again
+    # primes, and every route-1 witness is the search's own, so none is
+    # scanned again.  Each route-3 negative scans its square for p^2 once
+    # (3722 scans)
     assert calls == {
-        "pairs": 754, "rep_profile": 2866, "swept": 56074, "compose": 969, "_p_primitive": 1562
+        "pairs": 754, "rep_profile": 2866, "swept": 56074, "compose": 969, "_p_primitive": 3722
     }
     # the whole report, every cell with its route, witness and bound
     payload = json.dumps(report.to_json(), sort_keys=True).encode()

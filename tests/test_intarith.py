@@ -16,6 +16,7 @@ from qprim.intarith import (
     kronecker,
     prime_factors,
     primes_up_to,
+    sqrt_mod,
 )
 
 
@@ -60,7 +61,30 @@ def test_primes_up_to():
     assert primes_up_to(1) == []
     assert primes_up_to(2) == [2]
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert primes_up_to(200) == [n for n in range(2, 201) if is_prime(n)]
+    # the sieve lists what the trial division accepts, for every n
+    expected = []
+    for n in range(-1, 2001):
+        if is_prime(n):
+            expected.append(n)
+        assert primes_up_to(n) == expected, n
+    primes = primes_up_to(10**6)
+    assert len(primes) == 78498 and primes[-1] == 999983
+
+
+def test_sqrt_mod():
+    # every square a mod p, 0 included, for every prime p below 600, and
+    # the largest primes below 10^6 of each residue mod 8 (p = 1 mod 8 takes
+    # the Tonelli-Shanks loop)
+    largest = {q % 8: q for q in primes_up_to(10**6) if q > 2}
+    assert largest == {1: 999961, 3: 999979, 5: 999917, 7: 999983}
+    for p in primes_up_to(600):
+        for a in {x * x % p for x in range(p)}:
+            r = sqrt_mod(a, p)
+            assert 0 <= r < p and r * r % p == a, (a, p)
+    for p in largest.values():
+        for x in (1, 2, 3, 12345, p - 1):
+            r = sqrt_mod(x * x, p)
+            assert r in (x, p - x), (x, p)
 
 
 def test_prime_factors_reconstruct():

@@ -306,6 +306,37 @@ def test_revalidate_rejects_doctored_evidence():
         assert not revalidate_verdict(route_v._replace(cls=beyond))
 
 
+def test_revalidate_rejects_witness_too_large_to_scan(monkeypatch):
+    # the scans of a witness n read the rows of f, or of [c, b, a] or
+    # [a + b + c, b + 2c, c], isqrt(4kn // |D|) + 1 of them for a first
+    # coefficient k <= a + |b| + c; a witness for which that bound exceeds
+    # MAX_ROWS is rejected before any row.  An honest witness p^2 a of a
+    # reduced form stays within 2p + 1 rows, since 4(a + |b| + c)a <= 4|D|;
+    # D = -3 meets that bound, and at the largest p it is scanned in full
+    v = classify_all(-3, 999983)[0]
+    assert v.route == ROUTE_SYMBOL_MINUS_ONE and revalidate_verdict(v)
+
+    def no_scan(*args):
+        raise AssertionError(f"scanned {args}")
+
+    monkeypatch.setattr(oracle, "half_plane_solutions", no_scan)
+    monkeypatch.setattr(oracle, "_p_primitive", no_scan)
+    v = classify_all(-56, 11)[0]
+    assert v.cls.triple() == (1, 0, 14)
+    assert not revalidate_verdict(v._replace(evidence={"witness": 121 * 10**30}))
+    # for [1, 0, 14], 4kn // |D| = 60n // 56: the last multiple of 11 below
+    # 56 MAX_ROWS^2 / 60 is scanned, the next one is not
+    edge = -(-56 * oracle.MAX_ROWS**2 // (60 * 11)) * 11
+    assert not revalidate_verdict(v._replace(evidence={"witness": edge}))
+    with pytest.raises(AssertionError, match="scanned"):
+        revalidate_verdict(v._replace(evidence={"witness": edge - 11}))
+    # 11 divides a, so [11, 1, 10^6] is scanned as [10^6, 1, 11]: about
+    # 10^8 rows where the rows of f number 331663
+    doctored = Verdict(BinaryForm(11, 1, 10**6), 11, False, ROUTE_SYMBOL_MINUS_ONE,
+                       {"witness": 11 * 10**16})
+    assert not revalidate_verdict(doctored)
+
+
 def test_grid_flags_evidence_that_is_not_a_dict(monkeypatch):
     # every route of D = -56 up to p = 23, each verdict's evidence None
     real = pprim.classify_all
@@ -652,11 +683,9 @@ def test_grid_rescans_a_route_one_witness_the_search_did_not_find(
 @pytest.mark.parametrize("form", [(3, -2, 17), (3, 2, 17), (6, -4, 9), (6, 4, 9)])
 def test_grid_flags_doctored_square_flag_among_shared_squares(monkeypatch, form):
     # D = -200, p = 3: [3, 2, 17] and [6, -4, 9] square to [6, 4, 9], and
-    # [3, -2, 17] and [6, 4, 9] to its mirror [6, -4, 9]; the four share one
-    # scan of 9, and a doctored flag on any one of them is still caught
+    # [3, -2, 17] and [6, 4, 9] to its mirror [6, -4, 9]; a doctored flag on
+    # any one of the four is caught, and only that one
     real = pprim.classify_all
-    scans = []
-    real_scan = oracle._p_primitive
 
     def doctoring(D, p):
         verdicts = real(D, p)
@@ -667,20 +696,14 @@ def test_grid_flags_doctored_square_flag_among_shared_squares(monkeypatch, form)
                 verdicts[i] = v._replace(evidence={**v.evidence, "square_has_p_square": False})
         return verdicts
 
-    def scanning(f, n, p):
-        scans.append((f.triple(), n, p))
-        return real_scan(f, n, p)
-
     honest = verify_classification_grid(-200, -200, 3, 5000)
     assert honest.ok
     monkeypatch.setattr(pprim, "classify_all", doctoring)
-    monkeypatch.setattr(oracle, "_p_primitive", scanning)
     report = verify_classification_grid(-200, -200, 3, 5000)
     assert [c.form for c in report.contradictions] == [form]
     squares = {tuple(v.evidence["square_form"]) for v in real(-200, 3) if v.cls in
                ((3, -2, 17), (3, 2, 17), (6, -4, 9), (6, 4, 9))}
     assert squares == {(6, -4, 9), (6, 4, 9)}
-    assert len([s for s in scans if s[0] in squares]) == 1
 
 
 def _cells_changed_by_flipping(monkeypatch, D, form, p, bound):

@@ -1,6 +1,7 @@
 """Two-square solutions, scaling isometries, and the classification routes."""
 
 import math
+import random
 
 import pytest
 
@@ -237,6 +238,21 @@ def test_classify_all_settles_pair_facts_once(monkeypatch, D, p, route):
     assert len(verdicts) == enumerate_classes(D).h
     assert route in {v.route for v in verdicts}
     assert calls["kronecker"] <= 1 and calls["solve_two_square"] <= 1
+
+
+def test_root_mod_4p():
+    # route 3's prime form [p, b, (b^2 - D)/4p] needs b^2 = D (mod 4p):
+    # every prime below 2000 and four of the largest below 10^6, each at
+    # 20 sampled D with (D/p) = 1
+    rng = random.Random(1)
+    for p in [*primes_up_to(2000), 999953, 999961, 999979, 999983]:
+        samples = 0
+        while samples < 20:
+            D = -rng.randrange(3, 10**7)
+            if D % 4 in (0, 1) and kronecker(D, p) == 1:
+                b = pprim._root_mod_4p(D, p)
+                assert 0 <= b < 2 * p and (b * b - D) % (4 * p) == 0, (D, p)
+                samples += 1
 
 
 def test_route_three_corollaries(monkeypatch):
