@@ -10,11 +10,11 @@ from typing import NamedTuple
 
 from . import qform
 from .intarith import ext_gcd
-from .qform import BinaryForm, check_discriminant, is_ambiguous
+from .qform import BinaryForm, check_discriminant, is_ambiguous, is_reduced
 
 #: largest |D| the census accepts: its loop runs O(|D|) times, and with the
-#: power walk it takes 0.19-0.22 s at the limit (three runs each at
-#: D = -9999991 and -10^7, 2-vCPU VM)
+#: power walk it takes 0.07-0.08 s at the limit (five runs each at
+#: D = -9999991 and -10^7, 2-vCPU Intel Xeon VM)
 MAX_ABS_D = 10**7
 
 #: discriminants whose census stays cached; a sweep over more evicts the
@@ -27,7 +27,10 @@ class ClassGroup(NamedTuple):
     with the order and the square of every class.
 
     The principal class is `classes[0]`: its reduced form
-    [1, D % 2, (D % 2 - D) / 4] is the only one with a = 1."""
+    [1, D % 2, (D % 2 - D) / 4] is the only one with a = 1.  A class and
+    its inverse, the mirror [a, -b, c], have the same order and mirror
+    squares; the census walks half of each cycle of powers and reads the
+    other half off the mirrors."""
 
     D: int
     classes: tuple[BinaryForm, ...]
@@ -43,30 +46,38 @@ class ClassGroup(NamedTuple):
 def enumerate_classes(D: int) -> ClassGroup:
     """Census of reduced forms: a <= sqrt(|D|/3), b = D (mod 2), 4a | b^2 - D.
 
+    The inverse of a reduced [a, b, c] is its mirror [a, -b, c], so the
+    loop tests only b >= 0 and emits [a, -b, c] too unless the form is
+    ambiguous (b = 0, b = a or a = c), the mirrors of one a first, by
+    ascending b: the forms come sorted, by a and then b (c follows).
+
     The order and square of every class come from one power walk per
     cyclic subgroup: if x has powers [x, x^2, ..., x^k = 1], then x^j has
     order k / gcd(j, k) and square x^(2j), entry (2j - 1) mod k of the
-    list.  The loops emit the forms sorted, by a and then b (c follows).
-    A D below -MAX_ABS_D raises ValueError before any work."""
+    list.  The walk composes only half of the cycle: it stops at the
+    first j where x^j equals the mirror of x^(j - 1), so k = 2j - 1, or
+    its own mirror, so k = 2j, and fills in x^(k - i) as the mirror of
+    x^i.  A D below -MAX_ABS_D raises ValueError before any work."""
     check_discriminant(D)
     if D < -MAX_ABS_D:
         raise ValueError(f"|D| must be at most {MAX_ABS_D}, got D = {D}")
     forms = []
     for a in range(1, math.isqrt(-D // 3) + 1):
         four_a = 4 * a
-        # b = D (mod 2): start at -a or -a + 1, whichever has D's parity
-        for b in range(-a + (a + D) % 2, a + 1, 2):
+        mirrors, row = [], []
+        for b in range(D % 2, a + 1, 2):
             num = b * b - D
             if num % four_a != 0:
                 continue
             c = num // four_a
-            if c < a:
+            if c < a or math.gcd(a, b, c) != 1:
                 continue
-            if b < 0 and (-b == a or a == c):
-                continue  # tie convention: b >= 0 when |b| = a or a = c
-            if math.gcd(a, math.gcd(b, c)) != 1:
-                continue
-            forms.append(BinaryForm(a, b, c))
+            row.append(BinaryForm(a, b, c))
+            if b != 0 and b != a and a != c:
+                mirrors.append(BinaryForm(a, -b, c))
+        mirrors.reverse()
+        forms += mirrors
+        forms += row
     classes = tuple(forms)
     identity = classes[0]
     orders: dict[BinaryForm, int] = {}
@@ -75,9 +86,20 @@ def enumerate_classes(D: int) -> ClassGroup:
         if x in orders:
             continue
         powers = [x]
-        while powers[-1] != identity:
-            powers.append(compose(powers[-1], x))
-        k = len(powers)
+        inverses = [identity]  # inverses[i] = x^-i
+        while True:
+            y = powers[-1]
+            if y == inverses[-1]:
+                k = 2 * len(powers) - 1
+                break
+            y_inv = inverse_class(y)
+            if y_inv == y:
+                k = 2 * len(powers)
+                break
+            inverses.append(y_inv)
+            powers.append(compose(y, x))
+        # x^(k - i) = x^-i for i = k - len(powers) - 1, ..., 1, then x^k = 1
+        powers += reversed(inverses[:k - len(powers)])
         for j, y in enumerate(powers, 1):
             if y not in orders:
                 orders[y] = k // math.gcd(j, k)
@@ -118,9 +140,13 @@ def compose(x: BinaryForm, z: BinaryForm) -> BinaryForm:
 
 
 def inverse_class(x: BinaryForm) -> BinaryForm:
-    """Inverse class: the mirror form [a,-b,c], reduced."""
+    """Inverse class: the mirror form [a,-b,c], reduced.  A reduced x
+    needs no reduction: its mirror is reduced, or x itself when x is
+    ambiguous (b = 0, b = a or a = c)."""
     a, b, c = x
-    return qform.reduce(BinaryForm(a, -b, c))
+    if not is_reduced(x):
+        return qform.reduce(BinaryForm(a, -b, c))
+    return x if b == 0 or b == a or a == c else BinaryForm(a, -b, c)
 
 
 def ambiguous_classes(group: ClassGroup) -> list[BinaryForm]:

@@ -6,10 +6,10 @@ sweep found a contradiction or left a cell unconfirmed, or the ternary
 identity failed or its change of basis did not prove the equivalence,
 2 usage, precondition or file error (a `spectrum --bound` above
 `repcount.MAX_BOUND`, a `ternary-demo --bound` above `ternary.MAX_BOUND`,
-a `represent` whose rows sum above `repcount.MAX_ROWS`, a p or `verify
---pmax` above `intarith.MAX_P`, and a discriminant or `verify --dmin`
-below -`classgroup.MAX_ABS_D` included).  `verify` runs its whole grid in
-this one process.
+a `represent` or a `verify` window whose rows sum above
+`repcount.MAX_ROWS`, a p or `verify --pmax` above `intarith.MAX_P`, and a
+discriminant or `verify --dmin` below -`classgroup.MAX_ABS_D` included).
+`verify` runs its whole grid in this one process.
 """
 
 from __future__ import annotations

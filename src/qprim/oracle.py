@@ -216,9 +216,10 @@ def verify_classification_grid(
     checked against are derived once per discriminant, as the module
     docstring says.  A bound below 1, a ceiling below the bound or above
     MAX_CEILING, a dmin below -MAX_ABS_D (the census limit), a pmax above
-    `intarith.MAX_P`, or a window with no (D, p) cell raises ValueError
-    before any search.  The cells are checked one after another in this
-    process.
+    `intarith.MAX_P`, a window with no (D, p) cell, or one whose (D, p)
+    pairs need more than `repcount.MAX_ROWS` `solve_two_square` rows in
+    all raises ValueError before any classification.  The cells are
+    checked one after another in this process.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -238,6 +239,15 @@ def verify_classification_grid(
     discriminants = [D for D in discriminants_in(dmin, dmax) if any(D % p for p in primes)]
     if not discriminants:
         raise ValueError(f"no (D, p) cell with D in [{dmin}, {dmax}] and p <= {pmax}")
+    # `solve_two_square` scans isqrt(4p^2 / |D|) + 1 rows for each (D, p);
+    # the sum is checked one discriminant at a time, so a window far over
+    # the cap is refused after little more than MAX_ROWS steps
+    rows = 0
+    for D in discriminants:
+        rows += sum(math.isqrt(4 * p * p // -D) + 1 for p in primes if D % p)
+        if rows > MAX_ROWS:
+            raise ValueError(f"the window's (D, p) pairs need at least {rows} "
+                             f"two-square rows, more than {MAX_ROWS}")
     cells = []
     for D in discriminants:
         verdicts = {p: pprim.classify_all(D, p) for p in primes if D % p}

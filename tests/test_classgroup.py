@@ -5,6 +5,7 @@ import math
 import pytest
 
 from helpers import composition_table
+from qprim import classgroup
 from qprim.classgroup import (
     CACHED_GROUPS,
     MAX_ABS_D,
@@ -128,6 +129,73 @@ def test_census_matches_triple_loop():
 def test_census_matches_triple_loop_wide():
     for dmax in range(-3, -10**5, -5000):
         assert_census_matches_triple_loop(max(dmax - 4999, -10**5), dmax)
+
+
+def full_walk_census(D):
+    """Reference census with no mirror logic: every b in [-a, a] of D's
+    parity is tested, and each power walk composes its way around the
+    whole cycle x, x^2, ..., x^k = 1."""
+    forms = []
+    for a in range(1, math.isqrt(-D // 3) + 1):
+        for b in range(-a + (a + D) % 2, a + 1, 2):
+            if (b * b - D) % (4 * a):
+                continue
+            c = (b * b - D) // (4 * a)
+            if c < a or b < 0 and (-b == a or a == c):
+                continue
+            if math.gcd(math.gcd(a, b), c) == 1:
+                forms.append(BinaryForm(a, b, c))
+    classes = tuple(forms)
+    orders, squares = {}, {}
+    for x in classes:
+        if x in orders:
+            continue
+        powers = [x]
+        while powers[-1] != classes[0]:
+            powers.append(compose(powers[-1], x))
+        k = len(powers)
+        for j, y in enumerate(powers, 1):
+            if y not in orders:
+                orders[y] = k // math.gcd(j, k)
+                squares[y] = powers[(2 * j - 1) % k]
+    return ClassGroup(D, classes, orders, squares)
+
+
+@pytest.mark.parametrize(
+    "ds", [discriminants_in(-4000, -3), [-9999991, -(10**7)]], ids=["to_4000", "at_limit"]
+)
+def test_census_matches_full_power_walk(ds):
+    # the half walk and the b >= 0 loop give the same group as walking
+    # every cycle in full; uncached, so the window does not fill the cache
+    for D in ds:
+        assert enumerate_classes.__wrapped__(D) == full_walk_census(D)
+
+
+def test_census_inversion_invariants():
+    # a class and its inverse, the mirror, share their order, and the
+    # square of the inverse is the inverse of the square
+    for D in discriminants_in(-4000, -3):
+        g = enumerate_classes.__wrapped__(D)
+        for x in g.classes:
+            x_inv = inverse_class(x)
+            assert x_inv in g.orders
+            assert g.orders[x_inv] == g.orders[x]
+            assert g.squares[x_inv] == inverse_class(g.squares[x])
+
+
+def test_census_composes_half_of_each_cycle(monkeypatch):
+    # 5988 compositions over D in [-2000, -3]; the full walk takes 14200
+    calls = 0
+
+    def counting(x, z):
+        nonlocal calls
+        calls += 1
+        return compose(x, z)
+
+    monkeypatch.setattr(classgroup, "compose", counting)
+    for D in discriminants_in(-2000, -3):
+        enumerate_classes.__wrapped__(D)
+    assert calls == 5988
 
 
 def test_census_complete_under_reduction():

@@ -368,6 +368,21 @@ def test_verify_rejects_dmin_beyond_census_limit(capsys):
     assert f"dmin must be at least {-MAX_ABS_D}, got {dmin}" in captured.err
 
 
+def test_verify_rejects_window_over_two_square_rows(capsys, monkeypatch):
+    # one discriminant, but 78497 primes whose two-square rows sum to
+    # 15659639408: refused before any classification
+    def no_classification(D, p):
+        raise AssertionError("the window's rows are checked before any classification")
+
+    monkeypatch.setattr(pprim, "classify_all", no_classification)
+    code = cli.run(["verify", "--dmin", "-23", "--dmax", "-23", "--pmax", str(MAX_P)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert (f"need at least 15659639408 two-square rows, more than {repcount.MAX_ROWS}"
+            in captured.err)
+
+
 def test_python_m_qprim_runs_cli():
     src = Path(cli.__file__).resolve().parents[1]
     golden = Path(__file__).resolve().parent / "golden" / "classify_-56_3.json"

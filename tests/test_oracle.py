@@ -764,6 +764,21 @@ def test_grid_rejects_dmin_beyond_census_limit(dmin):
         verify_classification_grid(dmin, dmin, 3, 100)
 
 
+def test_grid_rejects_window_over_two_square_rows(monkeypatch):
+    # the window D in [-60, -3], p <= 7 needs 217 `solve_two_square` rows
+    # in all, isqrt(4p^2 / |D|) + 1 per (D, p); one fewer is refused before
+    # any classification, and the last discriminant tips the sum over
+    calls = []
+    monkeypatch.setattr(pprim, "classify_all", lambda D, p: calls.append((D, p)) or [])
+    monkeypatch.setattr(oracle, "MAX_ROWS", 216)
+    with pytest.raises(ValueError, match="need at least 217 two-square rows, more than 216"):
+        verify_classification_grid(-60, -3, 7, 500)
+    assert calls == []
+    monkeypatch.setattr(oracle, "MAX_ROWS", 217)
+    verify_classification_grid(-60, -3, 7, 500)
+    assert len(calls) == 85  # every (D, p) pair, p not | D
+
+
 def test_grid_rejects_window_without_cells():
     with pytest.raises(ValueError):
         verify_classification_grid(-3, -20, 23, 100)

@@ -191,6 +191,12 @@ def test_inverse_rep():
     assert inverse_class(BinaryForm(2, 0, 7)) == BinaryForm(2, 0, 7)
     assert inverse_class(BinaryForm(1, 1, 6)) == BinaryForm(1, 1, 6)
     assert inverse_class(BinaryForm(2, 1, 3)) == BinaryForm(2, -1, 3)
+    assert inverse_class(BinaryForm(2, 2, 3)) == BinaryForm(2, 2, 3)  # b = a
+    assert inverse_class(BinaryForm(3, 1, 3)) == BinaryForm(3, 1, 3)  # a = c
+    # an unreduced input: the mirror is reduced, [5, -2, 3] ~ [3, 2, 5]
+    assert inverse_class(BinaryForm(5, 2, 3)) == BinaryForm(3, 2, 5)
+    assert inverse_class(BinaryForm(3, 8, 10)) == reduce(BinaryForm(3, -8, 10))
+    assert inverse_class(BinaryForm(3, -3, 5)) == BinaryForm(3, 3, 5)
     # involution
     for D in discriminants_in(-500, -3):
         for cls in enumerate_classes(D).classes:
