@@ -13,8 +13,8 @@ from .intarith import ext_gcd
 from .qform import BinaryForm, check_discriminant, is_ambiguous, is_reduced
 
 #: largest |D| the census accepts: its loop runs O(|D|) times, and with the
-#: power walk it takes 0.07-0.08 s at the limit (five runs each at
-#: D = -9999991 and -10^7, 2-vCPU Intel Xeon VM)
+#: power walk it takes 0.09-0.11 s at the limit (medians of fifteen runs
+#: each at D = -9999991 and -10^7, 2-vCPU Intel Xeon VM)
 MAX_ABS_D = 10**7
 
 #: discriminants whose census stays cached; a sweep over more evicts the
@@ -49,7 +49,9 @@ def enumerate_classes(D: int) -> ClassGroup:
     The inverse of a reduced [a, b, c] is its mirror [a, -b, c], so the
     loop tests only b >= 0 and emits [a, -b, c] too unless the form is
     ambiguous (b = 0, b = a or a = c), the mirrors of one a first, by
-    ascending b: the forms come sorted, by a and then b (c follows).
+    ascending b: the forms come sorted, by a and then b (c follows).  It
+    records each form's mirror as it builds it, an ambiguous form being
+    its own, and the walk below reads every inverse from that record.
 
     The order and square of every class come from one power walk per
     cyclic subgroup: if x has powers [x, x^2, ..., x^k = 1], then x^j has
@@ -62,6 +64,7 @@ def enumerate_classes(D: int) -> ClassGroup:
     if D < -MAX_ABS_D:
         raise ValueError(f"|D| must be at most {MAX_ABS_D}, got D = {D}")
     forms = []
+    mirror: dict[BinaryForm, BinaryForm] = {}  # the inverse of each class
     for a in range(1, math.isqrt(-D // 3) + 1):
         four_a = 4 * a
         mirrors, row = [], []
@@ -72,9 +75,14 @@ def enumerate_classes(D: int) -> ClassGroup:
             c = num // four_a
             if c < a or math.gcd(a, b, c) != 1:
                 continue
-            row.append(BinaryForm(a, b, c))
+            f = BinaryForm(a, b, c)
+            row.append(f)
             if b != 0 and b != a and a != c:
-                mirrors.append(BinaryForm(a, -b, c))
+                g = BinaryForm(a, -b, c)
+                mirrors.append(g)
+                mirror[f], mirror[g] = g, f
+            else:
+                mirror[f] = f
         mirrors.reverse()
         forms += mirrors
         forms += row
@@ -92,7 +100,7 @@ def enumerate_classes(D: int) -> ClassGroup:
             if y == inverses[-1]:
                 k = 2 * len(powers) - 1
                 break
-            y_inv = inverse_class(y)
+            y_inv = mirror[y]
             if y_inv == y:
                 k = 2 * len(powers)
                 break
@@ -142,7 +150,8 @@ def compose(x: BinaryForm, z: BinaryForm) -> BinaryForm:
 def inverse_class(x: BinaryForm) -> BinaryForm:
     """Inverse class: the mirror form [a,-b,c], reduced.  A reduced x
     needs no reduction: its mirror is reduced, or x itself when x is
-    ambiguous (b = 0, b = a or a = c)."""
+    ambiguous (b = 0, b = a or a = c).  The census walk does not call it:
+    it reads the mirrors its own forms loop built."""
     a, b, c = x
     if not is_reduced(x):
         return qform.reduce(BinaryForm(a, -b, c))

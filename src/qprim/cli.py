@@ -7,8 +7,10 @@ identity failed or its change of basis did not prove the equivalence,
 2 usage, precondition or file error (a `spectrum --bound` above
 `repcount.MAX_BOUND`, a `ternary-demo --bound` above `ternary.MAX_BOUND`,
 a `represent` or a `verify` window whose rows sum above
-`repcount.MAX_ROWS`, a p or `verify --pmax` above `intarith.MAX_P`, and a
-discriminant or `verify --dmin` below -`classgroup.MAX_ABS_D` included).
+`repcount.MAX_ROWS`, a `verify` window whose discriminants sum above
+`classgroup.MAX_ABS_D` in |D|, a p or `verify --pmax` above
+`intarith.MAX_P`, and a discriminant or `verify --dmin` below
+-`classgroup.MAX_ABS_D` included).
 `verify` runs its whole grid in this one process.
 """
 

@@ -43,7 +43,7 @@ from typing import NamedTuple
 from . import pprim
 from .classgroup import MAX_ABS_D, compose, enumerate_classes
 from .intarith import MAX_P, is_prime, primes_up_to
-from .qform import BinaryForm, discriminants_in, is_ambiguous
+from .qform import BinaryForm, is_ambiguous, is_discriminant
 from .pprim import (
     ROUTE_ORDER_FOUR_SQUARE,
     ROUTE_ORDER_FOUR_SQUARE_FAILED,
@@ -216,9 +216,12 @@ def verify_classification_grid(
     checked against are derived once per discriminant, as the module
     docstring says.  A bound below 1, a ceiling below the bound or above
     MAX_CEILING, a dmin below -MAX_ABS_D (the census limit), a pmax above
-    `intarith.MAX_P`, a window with no (D, p) cell, or one whose (D, p)
-    pairs need more than `repcount.MAX_ROWS` `solve_two_square` rows in
-    all raises ValueError before any classification.  The cells are
+    `intarith.MAX_P`, a window whose discriminants sum to more than
+    MAX_ABS_D in |D| (each costs a census and witness searches, and one
+    census at the limit is the most the window may cost), a window with
+    no (D, p) cell, or one whose (D, p) pairs need more than
+    `repcount.MAX_ROWS` `solve_two_square` rows in all raises ValueError
+    before any classification.  The cells are
     checked one after another in this process.
     """
     if bound < 1:
@@ -236,7 +239,19 @@ def verify_classification_grid(
     if pmax > MAX_P:
         raise ValueError(f"pmax must be at most {MAX_P}, got {pmax}")
     primes = primes_up_to(pmax)
-    discriminants = [D for D in discriminants_in(dmin, dmax) if any(D % p for p in primes)]
+    # a census of D runs O(|D|) steps, so the window's census work is the
+    # sum of |D| over its discriminants, capped at one census at the limit;
+    # summed one discriminant at a time, a window far over the cap is
+    # refused after a few thousand steps, and the list stays that short
+    work, discriminants = 0, []
+    for D in range(dmin, min(dmax, -3) + 1):
+        if is_discriminant(D):
+            work -= D
+            if work > MAX_ABS_D:
+                raise ValueError(f"the window's discriminants sum to at least {work} in |D|, "
+                                 f"more than {MAX_ABS_D}, the census work at the limit")
+            if any(D % p for p in primes):
+                discriminants.append(D)
     if not discriminants:
         raise ValueError(f"no (D, p) cell with D in [{dmin}, {dmax}] and p <= {pmax}")
     # `solve_two_square` scans isqrt(4p^2 / |D|) + 1 rows for each (D, p);

@@ -142,36 +142,42 @@ def classify_all(D: int, p: int) -> list[Verdict]:
     Route 3 reads each class's order and square off the group's power walk
     and tests the square against P^2 and P^-2; one scan of p^2 by P^2 gives
     the least solution, which every passing class carries.
+    Each verdict is built by `tuple.__new__`, the C call that the
+    generated NamedTuple constructor wraps in a Python function that
+    checks nothing.
     """
     check_discriminant(D)
     check_prime_not_dividing(p, D)
     group = enumerate_classes(D)
+    new = tuple.__new__
+    p2 = p * p
     if kronecker(D, p) == -1:
         # every solution of f = p^2*a has both coordinates divisible by p
-        return [Verdict(x, p, False, ROUTE_SYMBOL_MINUS_ONE, {"witness": p * p * x.a})
+        return [new(Verdict, (x, p, False, ROUTE_SYMBOL_MINUS_ONE, {"witness": p2 * x.a}))
                 for x in group.classes]
     sol = solve_two_square(D, p)
     if sol is not None:
         m, n, _ = sol
-        return [Verdict(x, p, True, ROUTE_PRINCIPAL_SQUARE, {"m": m, "n": n})
+        return [new(Verdict, (x, p, True, ROUTE_PRINCIPAL_SQUARE, {"m": m, "n": n}))
                 for x in group.classes]
+    orders, squares = group.orders, group.squares
     b = _root_mod_4p(D, p)
     prime = reduce(BinaryForm(p, b, (b * b - D) // (4 * p)))
-    p_squares = {group.squares[prime], group.squares[inverse_class(prime)]}
+    p_squares = {squares[prime], squares[inverse_class(prime)]}
     solution = None  # least solution of p^2 by P^2, p-primitive as P^2 != 1
     verdicts = []
     for x in group.classes:
-        order, square = group.orders[x], group.squares[x]
+        order, square = orders[x], squares[x]
         has_sq = square in p_squares
         square_form = list(square)
         if order == 4 and has_sq:
             if solution is None:
-                solution = min(uv for u, v in half_plane_solutions(square, p * p)
+                solution = min(uv for u, v in half_plane_solutions(square, p2)
                                for uv in ((u, v), (-u, -v)))
-            verdicts.append(Verdict(x, p, True, ROUTE_ORDER_FOUR_SQUARE, {
-                "order": 4, "solution": list(solution), "square_form": square_form}))
+            verdicts.append(new(Verdict, (x, p, True, ROUTE_ORDER_FOUR_SQUARE, {
+                "order": 4, "solution": list(solution), "square_form": square_form})))
         else:
-            verdicts.append(Verdict(x, p, False, ROUTE_ORDER_FOUR_SQUARE_FAILED, {
+            verdicts.append(new(Verdict, (x, p, False, ROUTE_ORDER_FOUR_SQUARE_FAILED, {
                 "order": order, "square_form": square_form,
-                "square_has_p_square": has_sq}))
+                "square_has_p_square": has_sq})))
     return verdicts

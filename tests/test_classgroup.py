@@ -184,7 +184,9 @@ def test_census_inversion_invariants():
 
 
 def test_census_composes_half_of_each_cycle(monkeypatch):
-    # 5988 compositions over D in [-2000, -3]; the full walk takes 14200
+    # 5988 compositions over D in [-2000, -3]; the full walk takes 14200.
+    # The walk reads each power's inverse off the mirrors its forms loop
+    # built, and never calls inverse_class
     calls = 0
 
     def counting(x, z):
@@ -192,9 +194,13 @@ def test_census_composes_half_of_each_cycle(monkeypatch):
         calls += 1
         return compose(x, z)
 
+    def no_inverse(x):
+        raise AssertionError("the census walk reads its own mirrors")
+
     monkeypatch.setattr(classgroup, "compose", counting)
+    monkeypatch.setattr(classgroup, "inverse_class", no_inverse)
     for D in discriminants_in(-2000, -3):
-        enumerate_classes.__wrapped__(D)
+        assert enumerate_classes.__wrapped__(D) == full_walk_census(D)
     assert calls == 5988
 
 

@@ -383,6 +383,22 @@ def test_verify_rejects_window_over_two_square_rows(capsys, monkeypatch):
             in captured.err)
 
 
+def test_verify_rejects_window_over_census_work(capsys, monkeypatch):
+    # 2.5 * 10^6 discriminants, few two-square rows at p = 2, but a census
+    # each: refused by the sum of |D| before any census
+    def no_census(*args):
+        raise AssertionError("the window's census work is checked before any census")
+
+    monkeypatch.setattr(pprim, "classify_all", no_census)
+    monkeypatch.setattr(oracle, "enumerate_classes", no_census)
+    monkeypatch.setattr(pprim, "enumerate_classes", no_census)
+    code = cli.run(["verify", "--dmin", str(-MAX_ABS_D), "--dmax", "-3", "--pmax", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"sum to at least {2 * MAX_ABS_D - 1} in |D|, more than {MAX_ABS_D}" in captured.err
+
+
 def test_python_m_qprim_runs_cli():
     src = Path(cli.__file__).resolve().parents[1]
     golden = Path(__file__).resolve().parent / "golden" / "classify_-56_3.json"

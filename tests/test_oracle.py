@@ -779,6 +779,23 @@ def test_grid_rejects_window_over_two_square_rows(monkeypatch):
     assert len(calls) == 85  # every (D, p) pair, p not | D
 
 
+def test_grid_rejects_window_over_census_work(monkeypatch):
+    # a census of D costs O(|D|), so the window's sum of |D| is capped at
+    # MAX_ABS_D: D = -10^7 alone is classified, and the next discriminant,
+    # -9999999, tips the window over before any census
+    report = verify_classification_grid(-MAX_ABS_D, -MAX_ABS_D, 3, 1, ceiling=1)
+    assert len(report.cells) == enumerate_classes(-MAX_ABS_D).h and report.ok
+
+    def no_census(*args):
+        raise AssertionError("the window's census work is checked before any census")
+
+    monkeypatch.setattr(pprim, "classify_all", no_census)
+    monkeypatch.setattr(oracle, "enumerate_classes", no_census)
+    message = f"sum to at least {2 * MAX_ABS_D - 1} in [|]D[|], more than {MAX_ABS_D}"
+    with pytest.raises(ValueError, match=message):
+        verify_classification_grid(-MAX_ABS_D, -MAX_ABS_D + 1, 3, 1, ceiling=1)
+
+
 def test_grid_rejects_window_without_cells():
     with pytest.raises(ValueError):
         verify_classification_grid(-3, -20, 23, 100)

@@ -15,6 +15,7 @@ from qprim.pprim import (
     ROUTE_SYMBOL_MINUS_ONE,
     ROUTES,
     TwoSquareSolution,
+    Verdict,
     build_isometry,
     classify_all,
     solve_two_square,
@@ -238,6 +239,20 @@ def test_classify_all_settles_pair_facts_once(monkeypatch, D, p, route):
     assert len(verdicts) == enumerate_classes(D).h
     assert route in {v.route for v in verdicts}
     assert calls["kronecker"] <= 1 and calls["solve_two_square"] <= 1
+
+
+def test_classify_all_builds_exact_verdicts():
+    # the verdicts are built by tuple.__new__, not the NamedTuple
+    # constructor: each must still be exactly a five-field Verdict, on
+    # every route
+    routes = set()
+    for D, p in [(-56, 3), (-56, 5), (-56, 11), (-56, 23), (-2604, 11)]:
+        for v in classify_all(D, p):
+            assert type(v) is Verdict and len(v) == 5
+            assert tuple(v._asdict()) == Verdict._fields
+            assert Verdict(**v._asdict()) == v
+            routes.add(v.route)
+    assert routes == set(ROUTES)
 
 
 def test_root_mod_4p():
