@@ -1,4 +1,4 @@
-"""Exact integer helpers: primes, factorization, Kronecker symbol, ext_gcd.
+"""Exact integer helpers: primes, factorization, Kronecker symbol.
 
 Everything works on plain Python ints, so products like 4*a1*a2 never
 overflow regardless of input size.
@@ -103,7 +103,7 @@ def prime_factors(n: int) -> dict[int, int]:
     return out
 
 
-def _kronecker_prime(D: int, p: int) -> int:
+def kronecker_prime(D: int, p: int) -> int:
     """Kronecker symbol (D/p) at a single prime p."""
     if p == 2:
         if D % 2 == 0:
@@ -126,7 +126,7 @@ def kronecker(D: int, k: int) -> int:
         raise ValueError(f"kronecker requires k >= 1, got {k}")
     sign = 1
     for p, e in prime_factors(k).items():
-        s = _kronecker_prime(D, p)
+        s = kronecker_prime(D, p)
         if s == 0:
             return 0
         if s == -1 and e % 2 == 1:
@@ -138,17 +138,3 @@ def ceil_div(p: int, q: int) -> int:
     """Ceiling of p / q for q > 0."""
     return -((-p) // q)
 
-
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y

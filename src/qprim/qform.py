@@ -93,11 +93,6 @@ def check_discriminant(D: int) -> None:
         raise ValueError(f"{D} is not a valid negative discriminant")
 
 
-def discriminants_in(dmin: int, dmax: int) -> list[int]:
-    """Valid negative discriminants in [dmin, dmax], ascending."""
-    return [D for D in range(dmin, min(dmax, -3) + 1) if is_discriminant(D)]
-
-
 def transformed_coefficients(f: BinaryForm, M: IntMap2) -> tuple[int, int, int]:
     """Coefficients of f(m11*x + m12*y, m21*x + m22*y), without validation.
 
@@ -124,12 +119,13 @@ def is_reduced(f: BinaryForm) -> bool:
     return True
 
 
-def reduce(f: BinaryForm) -> BinaryForm:
+def reduce(f: tuple[int, int, int]) -> BinaryForm:
     """Gauss reduction: the reduced form properly equivalent to f.
 
     Two det-1 steps run on the coefficients until the form is reduced:
     the shift (x, y) |-> (x + t*y, y) taking b into (-a, a], and the swap
-    (x, y) |-> (-y, x) taking [a, b, c] to [c, -b, a].
+    (x, y) |-> (-y, x) taking [a, b, c] to [c, -b, a].  f may be a bare
+    triple: only the reduced form is built, and checked.
     """
     a, b, c = f
     if b * b - 4 * a * c >= 0 or a <= 0:

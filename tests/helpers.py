@@ -5,12 +5,17 @@ from functools import lru_cache
 
 from qprim.classgroup import ClassGroup, compose
 from qprim.intarith import ceil_div, is_prime
-from qprim.qform import BinaryForm
+from qprim.qform import BinaryForm, is_discriminant
 
 
 def raw_form(a: int, b: int, c: int) -> BinaryForm:
     """BinaryForm bypassing constructor validation.  Negative tests only."""
     return tuple.__new__(BinaryForm, (a, b, c))
+
+
+def discriminants_in(dmin: int, dmax: int) -> list[int]:
+    """Valid negative discriminants in [dmin, dmax], ascending."""
+    return [D for D in range(dmin, min(dmax, -3) + 1) if is_discriminant(D)]
 
 
 def composition_table(group: ClassGroup) -> list[list[int]]:

@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+from helpers import discriminants_in
 from lemma_checks import mass, verify_jones, verify_reflection_parity
 from qprim import oracle
 from qprim.classgroup import ambiguous_classes, enumerate_classes
@@ -29,7 +30,6 @@ from qprim.pprim import (
 from qprim.qform import (
     BinaryForm,
     IntMap2,
-    discriminants_in,
     is_ambiguous,
     transformed_coefficients,
 )

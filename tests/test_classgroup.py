@@ -1,10 +1,11 @@
 """Class enumeration and Dirichlet composition, cross-checked two ways."""
 
 import math
+import random
 
 import pytest
 
-from helpers import composition_table
+from helpers import composition_table, discriminants_in
 from qprim import classgroup
 from qprim.classgroup import (
     CACHED_GROUPS,
@@ -15,22 +16,29 @@ from qprim.classgroup import (
     enumerate_classes,
     inverse_class,
 )
+from qprim.intarith import kronecker, prime_factors
 from qprim.pprim import classify_all
-from qprim.qform import BinaryForm, discriminants_in, is_reduced, reduce
+from qprim.qform import BinaryForm, is_discriminant, is_reduced, reduce
 
 
 def brute_compose(f, g):
-    """All composites obtained from every solution of the congruence system."""
+    """All composites obtained from every solution B in [0, 2A) of the
+    congruence system.  With e > 1 the first two congruences and the
+    square one leave more than one class (D = -76: B = 2 and 6 for
+    [4, 2, 5] with itself); the beta congruence picks out one."""
     a1, b1 = f.a, f.b
     a2, b2 = g.a, g.b
     D = f.D
-    e = math.gcd(a1, math.gcd(a2, (b1 + b2) // 2))
+    beta = (b1 + b2) // 2
+    e = math.gcd(a1, math.gcd(a2, beta))
     A = a1 // e * (a2 // e)
     out = set()
     for B in range(2 * A):
         if (B - b1) % (2 * a1 // e):
             continue
         if (B - b2) % (2 * a2 // e):
+            continue
+        if (beta * B - (b1 * b2 + D) // 2) % (2 * a1 * a2 // e):
             continue
         if (B * B - D) % (4 * A):
             continue
@@ -87,6 +95,7 @@ def test_enumerate_classes_wellformed():
         assert g.D == D
         assert len(set(g.classes)) == g.h >= 1
         for f in g.classes:
+            assert type(f) is BinaryForm
             assert f.D == D
             assert is_reduced(f)
         assert list(g.classes) == sorted(g.classes)
@@ -171,6 +180,38 @@ def test_census_matches_full_power_walk(ds):
         assert enumerate_classes.__wrapped__(D) == full_walk_census(D)
 
 
+@pytest.mark.slow
+def test_census_matches_full_power_walk_large():
+    # ten seeded D in [-10^7, -10^6], where the sieve of first
+    # coefficients strikes out the most a
+    rng = random.Random(31)
+    ds = []
+    while len(ds) < 10:
+        D = rng.randint(-(10**7), -(10**6))
+        if is_discriminant(D):
+            ds.append(D)
+    for D in ds:
+        assert enumerate_classes.__wrapped__(D) == full_walk_census(D)
+
+
+def test_skipped_first_coefficients_hold_no_form():
+    # the census skips exactly the a that a prime q with (D/q) = -1
+    # divides, and a plain loop finds no b in [0, a] with 4a | b^2 - D
+    # for any of them
+    for D in discriminants_in(-4000, -3):
+        top = math.isqrt(-D // 3)
+        tried = classgroup._first_coefficients(D)
+        assert tried == sorted(set(tried))
+        skipped = set(range(1, top + 1)).difference(tried)
+        assert skipped == {
+            a
+            for a in range(1, top + 1)
+            if any(kronecker(D, q) == -1 for q in prime_factors(a))
+        }
+        for a in skipped:
+            assert all((b * b - D) % (4 * a) for b in range(a + 1))
+
+
 def test_census_inversion_invariants():
     # a class and its inverse, the mirror, share their order, and the
     # square of the inverse is the inverse of the square
@@ -225,6 +266,37 @@ def test_compose_examples():
     assert compose(BinaryForm(2, 0, 7), BinaryForm(2, 0, 7)) == BinaryForm(1, 0, 14)
     assert compose(BinaryForm(2, 0, 7), f) == BinaryForm(3, -2, 5)
     assert compose(BinaryForm(2, 1, 3), BinaryForm(2, 1, 3)) == BinaryForm(2, -1, 3)
+
+
+# pairs whose Bezout step is not the coprime one, by D: gcd(a1, a2) > 1
+# with e = gcd(a1, a2, (b1 + b2)/2) = 1, and e > 1 below and at gcd(a1, a2),
+# (b1 + b2)/2 zero and negative among them
+BEZOUT_PAIRS = {
+    "-55_gcd2_e1": ((2, -1, 7), (4, 3, 4), 2, 1),
+    "-455_gcd6_e1": ((6, -1, 19), (12, 11, 12), 6, 1),
+    "-1007_gcd9_e1": ((9, -1, 28), (18, 17, 18), 9, 1),
+    "-1775_gcd12_e1": ((12, -1, 37), (24, 23, 24), 12, 1),
+    "-20_square_e2": ((2, 2, 3), (2, 2, 3), 2, 2),
+    "-56_mirrors_e3": ((3, -2, 5), (3, 2, 5), 3, 3),
+    "-76_square_gcd4_e2": ((4, 2, 5), (4, 2, 5), 4, 2),
+    "-455_gcd6_e2": ((6, 5, 20), (12, 11, 12), 6, 2),
+    "-455_gcd6_e3": ((6, -5, 20), (12, 11, 12), 6, 3),
+    "-455_gcd6_e6": ((6, 1, 19), (12, 11, 12), 6, 6),
+    "-1143_gcd9_e3": ((9, -3, 32), (18, 15, 19), 9, 3),
+    "-1775_gcd12_e3": ((12, 7, 38), (24, 23, 24), 12, 3),
+    "-1775_gcd12_e4": ((12, -7, 38), (24, 23, 24), 12, 4),
+    "-1775_gcd12_e12": ((12, 1, 37), (24, 23, 24), 12, 12),
+    "-2000_gcd12_e2_negative": ((12, -8, 43), (24, -20, 25), 12, 2),
+}
+
+
+@pytest.mark.parametrize("x, z, g, e", BEZOUT_PAIRS.values(), ids=BEZOUT_PAIRS.keys())
+def test_compose_bezout_pairs_match_congruence_scan(x, z, g, e):
+    x, z = BinaryForm(*x), BinaryForm(*z)
+    assert math.gcd(x.a, z.a) == g
+    assert math.gcd(g, (x.b + z.b) // 2) == e
+    assert brute_compose(x, z) == {compose(x, z)}
+    assert brute_compose(z, x) == {compose(z, x)}
 
 
 def test_compose_rejects_mixed_discriminants():

@@ -1,8 +1,5 @@
 """Number-theory helpers checked against definition-level oracles."""
 
-import math
-import random
-
 import pytest
 
 from lemma_checks import divisors, valuation
@@ -11,7 +8,6 @@ from qprim.intarith import (
     MAX_P,
     check_prime,
     check_prime_not_dividing,
-    ext_gcd,
     is_prime,
     kronecker,
     prime_factors,
@@ -182,14 +178,4 @@ def test_divisors_matches_filter():
         assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
     with pytest.raises(ValueError):
         divisors(0)
-
-
-def test_ext_gcd():
-    rng = random.Random(7)
-    for _ in range(500):
-        a = rng.randint(-300, 300)
-        b = rng.randint(-300, 300)
-        g, x, y = ext_gcd(a, b)
-        assert g == math.gcd(a, b)
-        assert a * x + b * y == g
 

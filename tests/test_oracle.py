@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import brute_force_cpp_full_sweep, raw_form
+from helpers import brute_force_cpp_full_sweep, discriminants_in, raw_form
 from lemma_checks import (
     verify_isometry_matrix_search,
     verify_jones,
@@ -34,17 +34,17 @@ from qprim.pprim import (
     Verdict,
     classify_all,
 )
-from qprim.qform import BinaryForm, discriminants_in, is_ambiguous
+from qprim.qform import BinaryForm, is_ambiguous
 from qprim.repcount import rep_counts, rep_profile
 
 
-def test_brute_force_cpp_witnesses():
+def test_smallest_witnesses_witnesses():
     assert _smallest_witnesses(BinaryForm(1, 0, 14), {3: 5000})[3] == 9
     assert _smallest_witnesses(BinaryForm(2, 0, 7), {3: 5000})[3] == 18
     assert _smallest_witnesses(BinaryForm(3, 2, 5), {3: 5000})[3] is None
 
 
-def test_brute_force_cpp_matches_full_sweep():
+def test_smallest_witnesses_matches_full_sweep():
     # every class of every D in [-200, -3] with p <= 23, at bounds around
     # p^2, around the edges p^2 a 2^k (k = 0, 1, 3) of the ascending search's
     # windows, and at 3000; at 50000 the cells the grid escalates, negative
@@ -98,7 +98,7 @@ def test_brute_force_cpp_matches_full_sweep():
         assert {j for q, m, j in chosen if (q, m) == (p, n)} == set(range(n)), (p, n)
 
 
-def test_brute_force_cpp_sweeps_only_to_witness(monkeypatch):
+def test_smallest_witnesses_sweeps_only_to_witness(monkeypatch):
     bounds = []
     windows = []
     checked = []
@@ -195,7 +195,7 @@ def test_p_primitive_matches_rep_counts():
 
 
 @pytest.mark.slow
-def test_brute_force_cpp_equals_full_sweep_wide():
+def test_smallest_witnesses_equals_full_sweep_wide():
     # every class of every D in [-500, -3] as its reduced form, [c, -b, a]
     # and [a, b + 2a, a + b + c], each p in {2, 3, 5, 7, 11, 13, 29} prime
     # to D, at bounds around p^2, p^2 a and the grid's scale; the reference

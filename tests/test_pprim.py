@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from helpers import discriminants_in
 from qprim import pprim
 from qprim.classgroup import ambiguous_classes, enumerate_classes
 from qprim.intarith import kronecker, primes_up_to
@@ -20,7 +21,7 @@ from qprim.pprim import (
     classify_all,
     solve_two_square,
 )
-from qprim.qform import BinaryForm, IntMap2, discriminants_in, transformed_coefficients
+from qprim.qform import BinaryForm, IntMap2, transformed_coefficients
 from qprim.repcount import enumerate_solutions, half_plane_solutions, rep_counts, spectrum
 
 

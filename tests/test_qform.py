@@ -4,13 +4,12 @@ import random
 
 import pytest
 
-from helpers import raw_form
+from helpers import discriminants_in, raw_form
 from lemma_checks import apply_map, improper_automorph, omega
 from qprim.classgroup import enumerate_classes, inverse_class
 from qprim.qform import (
     BinaryForm,
     IntMap2,
-    discriminants_in,
     is_ambiguous,
     is_discriminant,
     is_reduced,

@@ -4,9 +4,10 @@ import math
 
 import pytest
 
+from helpers import discriminants_in
 from lemma_checks import mass
 from qprim.classgroup import enumerate_classes, inverse_class
-from qprim.qform import BinaryForm, discriminants_in
+from qprim.qform import BinaryForm
 from qprim.repcount import (
     MAX_BOUND,
     RepRecord,
