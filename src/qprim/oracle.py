@@ -6,7 +6,9 @@ A disagreement is reported as a contradiction, never suppressed.
 
 A witness against complete p-primitivity is an n that f represents only
 with p | x and p | y; `_smallest_witnesses` finds the smallest one for
-several primes from one sweep of the values of f.
+several primes from one sweep of the values of f.  It sets up each
+prime's row scan once, and takes the first window of a reduced form,
+which holds a alone, without a sweep.
 
 The classification grid works one discriminant at a time, and derives
 each brute-force fact once for it, for every cell to read.  It classifies
@@ -21,8 +23,8 @@ every verdict's evidence.  A route-1 witness must be a value of the
 class that `_p_primitive` rejects: one equal to the search's witness for
 the pair at p was found and scanned by the search, and any other is
 scanned in full, or rejected unscanned if that needs more than
-`repcount.MAX_ROWS` rows.  Route-3 evidence is compared as a whole, key
-for key, against facts derived once per class: its order, its square by
+`repcount.MAX_ROWS` rows.  Route-3 evidence is compared key by key
+against facts derived once per class: its order, its square by
 `compose`, and the order-4 test.  The order is read from the census,
 `enumerate_classes(D).orders`, the same power walk that `classify_all`
 reads, but the fact route 3 turns on is re-derived: ord(C) = 4 iff C^2
@@ -59,43 +61,54 @@ STATUS_UNCONFIRMED = "unconfirmed"
 
 #: largest witness-search ceiling the grid accepts: one search without a
 #: witness at the smallest prime,
-#: _smallest_witnesses(BinaryForm(1, 1, 2), {2: 10**6}), takes about
-#: 0.45 s (2-vCPU VM)
+#: _smallest_witnesses(BinaryForm(1, 1, 2), {2: 10**6}), takes 0.39-0.60 s
+#: (2-vCPU VM)
 MAX_CEILING = 10**6
 
 
 def _p_primitive(f: BinaryForm, n: int, p: int) -> bool:
-    """Whether f(x, y) = n, for p | n, has a solution with gcd(x, y, p) = 1;
+    """Whether f(x, y) = n, for p | n, has a solution with gcd(x, y, p) = 1:
     the scan of `_first_imprimitive` for the one candidate n."""
-    return _first_imprimitive(f, (n,), p) is None
+    return _first_imprimitive(_scan(f, p, 1), (n,), n, p) is None
 
 
-def _first_imprimitive(f: BinaryForm, candidates: Iterable[int], p: int) -> int | None:
-    """The first n of `candidates`, each divisible by p, that f does not
-    represent with gcd(x, y, p) = 1, or None.
+def _scan(f: BinaryForm, p: int, scale: int) -> tuple[int, int, int, int]:
+    """The coefficients (b, |D|, 2a, 4a scale) of the scans of f at p.
 
     The scan needs a first coefficient prime to p.  If p divides a, it
     uses f(y, x) = [c, b, a], or if p divides c too, f(x, x + y) =
     [a + b + c, b + 2c, c], whose first coefficient is b mod p, prime to p
     since p does not divide D = b^2 - 4ac; both maps are bijections of Z^2
-    that keep gcd(x, y, p).  With p prime to a and dividing n, a solution
-    with p | y has a x^2 = 0 mod p, so p | x too, and every solution with
-    y prime to p is p-primitive.  So only those rows y >= 1 are scanned,
-    by 4an = (2ax + by)^2 + |D|y^2, and the scan of n stops at the first
-    row that holds a solution.  It runs from the top row down: a row near
-    the top of the ellipse f = n covers a longer arc of it than a row near
-    y = 0, so a solution tends to come sooner (on the acceptance grid,
-    93901 rows tested instead of 153955 from the bottom up).  The
-    candidates are read one at a time, and none after the first returned.
-    """
+    that keep gcd(x, y, p)."""
     a, b, c = f
     if a % p == 0:
         a, b, c = (c, b, a) if c % p else (a + b + c, b + 2 * c, c)
-    abs_d = 4 * a * c - b * b
-    two_a = 2 * a
+    return b, 4 * a * c - b * b, 2 * a, 4 * a * scale
+
+
+def _first_imprimitive(scan: tuple[int, int, int, int], values: Iterable[int], top: int,
+                       p: int) -> int | None:
+    """The first m of the ascending `values`, up to top, for which f does
+    not represent n = scale m, divisible by p, with gcd(x, y, p) = 1, or
+    None; `scan` is `_scan(f, p, scale)`, worked out once for all of them.
+
+    With p prime to a and dividing n, a solution with p | y has
+    a x^2 = 0 mod p, so p | x too, and every solution with y prime to p is
+    p-primitive.  So only those rows y >= 1 are scanned, by
+    4an = (2ax + by)^2 + |D|y^2, and the scan of n stops at the first row
+    that holds a solution.  It runs from the top row down: a row near the
+    top of the ellipse f = n covers a longer arc of it than a row near
+    y = 0, so a solution tends to come sooner (the acceptance grid's
+    searches test 91179 rows instead of 151070 from the bottom up).  The
+    values are read one at a time, and none after the first returned or
+    the first above top.
+    """
+    b, abs_d, two_a, k = scan
     isqrt = math.isqrt
-    for n in candidates:
-        four_an = 4 * a * n
+    for m in values:
+        if m > top:
+            break
+        four_an = k * m
         for y in range(isqrt(four_an // abs_d), 0, -1):
             if y % p:
                 disc = four_an - abs_d * y * y
@@ -103,7 +116,7 @@ def _first_imprimitive(f: BinaryForm, candidates: Iterable[int], p: int) -> int 
                 if s * s == disc and ((s - b * y) % two_a == 0 or (s + b * y) % two_a == 0):
                     break
         else:
-            return n
+            return m
     return None
 
 
@@ -114,31 +127,39 @@ def _smallest_witnesses(f: BinaryForm, bounds: dict[int, int]) -> dict[int, int 
     A witness for p is an n that f represents, but only with p | x and
     p | y, so n = p^2 m with m = f(x/p, y/p) <= top = bounds[p] // p^2;
     below p^2 there is nothing to sweep and no witness.  The values m of f
-    are swept in windows lo < m <= hi, from hi = a (capped by the largest
-    open top) with hi doubling up to it, each window a shell of its own
-    that `rep_profile` walks without the points below lo.  Within a window
-    each open prime passes its candidates p^2 m, in ascending order, to
-    one `_first_imprimitive` scan, which rejects a candidate at the first
-    row that holds a p-primitive solution and returns the first candidate
+    are taken in windows lo < m <= hi, from hi = a (capped by the largest
+    open top) with hi doubling up to it.  A form with |b| <= a <= c, such
+    as a reduced one, takes no value below a, so its first window holds a
+    alone and is not swept; every other window is a shell that
+    `rep_profile` walks without the points below lo.  Each prime's scan is
+    set up once by `_scan`, and within a window each open prime reads its
+    candidates p^2 m straight off the window's sorted values, up to its
+    top, in one `_first_imprimitive` call, which rejects a candidate at
+    the first row that holds a p-primitive solution and returns the first
     whose rows hold none: the witness.  A prime closes at its first
     witness or once the window covers its top, and the sweep stops when
     every prime has closed.  Every value up to hi is checked before any
     value above it, so each prime's witness is the smallest, and each prime
     checks the same candidates, in the same order, as a search of its own.
-    The shells tile (0, hi], so each value point is visited once: for a
-    reduced form, whose least value is a, a search that stops at p^2 m
-    sweeps up to hi < 2m, and one without a witness up to top.  The search
-    is exhaustive for any form.
+    The windows tile (0, hi], so each value point is visited at most once:
+    for a reduced form, whose least value is a, a search that stops at
+    p^2 m sweeps up to hi < 2m, and one without a witness up to top.  The
+    search is exhaustive for any form.
     """
     found = dict.fromkeys(bounds)
     tops = {p: bound // (p * p) for p, bound in bounds.items() if bound >= p * p}
-    lo, hi = 0, min(f.a, max(tops.values(), default=0))
+    scans = {p: _scan(f, p, p * p) for p in tops}
+    a, b, c = f
+    lo, hi = 0, min(a, max(tops.values(), default=0))
     while tops:
-        values = sorted(rep_profile(f, hi, lo))
+        # the first window of a form with |b| <= a <= c holds a alone, which
+        # no prime takes if every top lies below a
+        values = sorted(rep_profile(f, hi, lo)) if lo or not abs(b) <= a <= c else [a]
         for p, top in list(tops.items()):
-            p2 = p * p
-            found[p] = _first_imprimitive(f, [p2 * m for m in values if m <= top], p)
-            if found[p] is not None or hi >= top:
+            m = _first_imprimitive(scans[p], values, top, p)
+            if m is not None:
+                found[p] = p * p * m
+            if m is not None or hi >= top:
                 del tops[p]
         lo, hi = hi, min(2 * hi, max(tops.values(), default=0))
     return found
@@ -264,6 +285,7 @@ def verify_classification_grid(
             raise ValueError(f"the window's (D, p) pairs need at least {rows} "
                              f"two-square rows, more than {MAX_ROWS}")
     cells = []
+    new = tuple.__new__  # as `pprim.classify_all` builds each Verdict
     for D in discriminants:
         verdicts = {p: pprim.classify_all(D, p) for p in primes if D % p}
         # [a, -b, c](x, -y) = [a, b, c](x, y): an inverse pair shares its
@@ -271,17 +293,21 @@ def verify_classification_grid(
         # need; a positive one needs at least its smallest candidate p^2 a
         checks, searches = [], {}
         for p, vs in verdicts.items():
+            p2 = p * p
             for v in vs:
-                a, b, c = v.cls
-                top = max(bound, p * p * a) if v.completely_p_primitive else ceiling
-                _, need = searches.setdefault((a, abs(b), c), (v.cls, {}))
-                need[p] = max(need.get(p, 0), top)
-                checks.append((v, top))
+                f, _, cpp, _, _ = v
+                a, b, c = f
+                top = max(bound, p2 * a) if cpp else ceiling
+                key = a, abs(b), c
+                _, need = searches.setdefault(key, (f, {}))
+                if need.get(p, 0) < top:
+                    need[p] = top
+                checks.append((v, top, key))
         found = {key: _smallest_witnesses(f, need) for key, (f, need) in searches.items()}
         squares = {}
-        for v, top in checks:
+        for v, top, key in checks:
             f, p, cpp, route, _ = v
-            searched = found[f.a, abs(f.b), f.c][p]
+            searched = found[key][p]
             witness = searched if searched is not None and searched <= top else None
             if not _revalidate(v, squares, searched) or cpp and witness is not None:
                 status = STATUS_CONTRADICTION
@@ -289,16 +315,17 @@ def verify_classification_grid(
                 status = STATUS_AGREES
             else:
                 status = STATUS_UNCONFIRMED
-            cells.append(GridCell(D, p, f, cpp, route, status, witness, top))
+            cells.append(new(GridCell, (D, p, f, cpp, route, status, witness, top)))
     return GridReport(dmin, dmax, pmax, bound, ceiling, tuple(cells))
 
 
 def revalidate_verdict(v: Verdict) -> bool:
-    """Re-derive every fact a verdict's evidence claims.  p must be a prime
-    <= `intarith.MAX_P` that does not divide D, with the cap checked
-    first.  A route-3 class's order is read from the census, so the class
-    must be a reduced form of a discriminant within MAX_ABS_D, and the
-    order must be 4 exactly when the square is ambiguous and not
+    """Re-derive every fact a verdict's evidence claims.  The class must be
+    a `BinaryForm`, and p an int that is a prime <= `intarith.MAX_P` and
+    does not divide D, with the cap checked first; any other is rejected,
+    never raised on.  A route-3 class's order is read from the census, so
+    the class must be a reduced form of a discriminant within MAX_ABS_D,
+    and the order must be 4 exactly when the square is ambiguous and not
     principal.
 
     Every route's evidence must carry exactly the route's keys, and its
@@ -312,19 +339,22 @@ def revalidate_verdict(v: Verdict) -> bool:
     passing verdict's solution, a list of two ints, is checked by
     evaluating the square class at it.
     """
-    return v.p <= MAX_P and is_prime(v.p) and v.cls.D % v.p != 0 and _revalidate(v, {})
+    f, p = v.cls, v.p
+    return (isinstance(f, BinaryForm) and isinstance(p, int)
+            and p <= MAX_P and is_prime(p) and f.D % p != 0 and _revalidate(v, {}))
 
 
 def _revalidate(
     v: Verdict,
-    squares: dict[BinaryForm, tuple[int, BinaryForm] | None],
+    squares: dict[BinaryForm, tuple[int, BinaryForm, list[int]] | None],
     searched: int | None = None,
 ) -> bool:
     """`revalidate_verdict`, reading and filling the facts that the grid
     derives once per discriminant.  `squares` maps a route-3 class to its
-    census order and its square, or to None if the class is not in the
-    census or its order fails the order-4 test.  A route-1 witness equal
-    to `searched`, the grid's smallest witness for the class at p, was
+    `_order_and_square`: its census order and its square, or None if the
+    class is not in the census or its order fails the order-4 test; the
+    evidence is compared with them key by key.  A route-1 witness equal to
+    `searched`, the grid's smallest witness for the class at p, was
     scanned by the search and is accepted; any other is scanned in full,
     or rejected if isqrt(4kn/|D|) >= MAX_ROWS for k = a + |b| + c, at least
     the first coefficient of either scan.  p is not checked here: the
@@ -332,12 +362,13 @@ def _revalidate(
     f, p, cpp, route, evidence = v
     if not isinstance(evidence, dict):
         return False
+    # each route's evidence holds its keys and no other: as many keys, each
+    # read by `get`, whose None no check accepts
     if route == ROUTE_SYMBOL_MINUS_ONE:
-        if evidence.keys() != {"witness"}:
-            return False
-        n = evidence["witness"]
+        n = evidence.get("witness")
         return (
             not cpp
+            and len(evidence) == 1
             and isinstance(n, int)
             and (
                 n == searched
@@ -349,27 +380,26 @@ def _revalidate(
             )
         )
     if route == ROUTE_PRINCIPAL_SQUARE:
-        if evidence.keys() != {"m", "n"}:
-            return False
-        m, n = evidence["m"], evidence["n"]
+        m, n = evidence.get("m"), evidence.get("n")
         return (
             cpp
+            and len(evidence) == 2
             and isinstance(m, int) and isinstance(n, int)
             and 4 * p * p == m * m - f.D * n * n
             and math.gcd(math.gcd(m, n), p) == 1
         )
     if f not in squares:
         squares[f] = _order_and_square(f)
-    if squares[f] is None:
+    facts = squares[f]
+    if not (facts and len(evidence) == 3 and evidence.get("order") == facts[0]
+            and evidence.get("square_form") == facts[2]):
         return False
-    order, square = squares[f]
-    facts = {"order": order, "square_form": list(square)}
+    order, square, _ = facts
     if route == ROUTE_ORDER_FOUR_SQUARE:
         xy = evidence.get("solution")
         return (
             cpp
             and order == 4
-            and evidence == {**facts, "solution": xy}
             and isinstance(xy, list) and len(xy) == 2
             and all(isinstance(t, int) for t in xy)
             and square.evaluate(*xy) == p * p
@@ -380,16 +410,17 @@ def _revalidate(
         return (
             not cpp
             and (order != 4 or not has_sq)
-            and evidence == {**facts, "square_has_p_square": has_sq}
+            and evidence.get("square_has_p_square") == has_sq
         )
     return False
 
 
-def _order_and_square(f: BinaryForm) -> tuple[int, BinaryForm] | None:
-    """The census order of the class f and its square C^2 by `compose`, or
-    None if f is not a class of the census or its order fails the test:
-    ord(C) = 4 iff C^2 is not principal and has order 2, with the principal
-    form built from D, not read from the census that supplied the order."""
+def _order_and_square(f: BinaryForm) -> tuple[int, BinaryForm, list[int]] | None:
+    """The census order of the class f, its square C^2 by `compose` and the
+    square as a list, or None if f is not a class of the census or its
+    order fails the test: ord(C) = 4 iff C^2 is not principal and has order
+    2, with the principal form built from D, not read from the census that
+    supplied the order."""
     D = f.D
     order = enumerate_classes(D).orders.get(f) if D >= -MAX_ABS_D else None
     if order is None:
@@ -397,4 +428,4 @@ def _order_and_square(f: BinaryForm) -> tuple[int, BinaryForm] | None:
     square = compose(f, f)
     if (order == 4) != (square != (1, D % 2, (D % 2 - D) // 4) and is_ambiguous(square)):
         return None
-    return order, square
+    return order, square, list(square)

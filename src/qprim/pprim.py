@@ -29,7 +29,7 @@ import math
 from typing import NamedTuple
 
 from .classgroup import enumerate_classes, inverse_class
-from .intarith import check_prime_not_dividing, kronecker, sqrt_mod
+from .intarith import check_prime_not_dividing, kronecker_prime, sqrt_mod
 from .qform import BinaryForm, IntMap2, check_discriminant, reduce, transformed_coefficients
 from .repcount import half_plane_solutions
 
@@ -151,7 +151,7 @@ def classify_all(D: int, p: int) -> list[Verdict]:
     group = enumerate_classes(D)
     new = tuple.__new__
     p2 = p * p
-    if kronecker(D, p) == -1:
+    if kronecker_prime(D, p) == -1:
         # every solution of f = p^2*a has both coordinates divisible by p
         return [new(Verdict, (x, p, False, ROUTE_SYMBOL_MINUS_ONE, {"witness": p2 * x.a}))
                 for x in group.classes]

@@ -166,14 +166,15 @@ def test_criterion_3():
     # cell, at the bound, each shared by the inverse pair [a, +-b, c]
     assert searches == {250000: 4967, 5000: 666}
     # the 5633 (pair, p) searches share one value sweep per inverse pair:
-    # 754 pairs, swept in 2866 doubling windows, each only its shell
-    # lo < m <= hi, 56074 values wide in all.  Each fact is derived once per
+    # 754 pairs, swept in 2112 doubling windows, each only its shell
+    # lo < m <= hi, 53226 values wide in all; each pair's first window
+    # (0, a] holds a alone and is not swept.  Each fact is derived once per
     # discriminant: each class is squared once for all of its route-3
     # primes, and every route-1 witness is the search's own, so none is
     # scanned again.  Each route-3 negative scans its square for p^2 once
     # (3722 scans)
     assert calls == {
-        "pairs": 754, "rep_profile": 2866, "swept": 56074, "compose": 969, "_p_primitive": 3722
+        "pairs": 754, "rep_profile": 2112, "swept": 53226, "compose": 969, "_p_primitive": 3722
     }
     # the whole report, every cell with its route, witness and bound
     payload = json.dumps(report.to_json(), sort_keys=True).encode()

@@ -98,6 +98,14 @@ def test_smallest_witnesses_matches_full_sweep():
         assert {j for q, m, j in chosen if (q, m) == (p, n)} == set(range(n)), (p, n)
 
 
+def test_first_window_of_a_reduced_form_holds_a_alone():
+    # the fact the search's unswept first window rests on: a reduced form
+    # takes no value below a, so the values up to a are a alone
+    for D in discriminants_in(-4000, -3):
+        for f in enumerate_classes(D).classes:
+            assert sorted(rep_profile(f, f.a)) == [f.a], f
+
+
 def test_smallest_witnesses_sweeps_only_to_witness(monkeypatch):
     bounds = []
     windows = []
@@ -109,32 +117,35 @@ def test_smallest_witnesses_sweeps_only_to_witness(monkeypatch):
         windows.append((lo, hi))
         return rep_profile(f, hi, lo)
 
-    def read(candidates):
-        # the candidates the scan takes, one at a time
-        for n in candidates:
-            checked.append(n)
-            yield n
+    def read(values, top, p):
+        # the candidates p^2 m the scan takes, one at a time, up to its top
+        for m in values:
+            if m <= top:
+                checked.append(p * p * m)
+            yield m
 
-    def checking(f, candidates, p):
-        return real_scan(f, read(candidates), p)
+    def checking(scan, values, top, p):
+        return real_scan(scan, read(values, top, p), top, p)
 
     monkeypatch.setattr(oracle, "rep_profile", recording)
     monkeypatch.setattr(oracle, "_first_imprimitive", checking)
-    # the witness 9 = 3^2 * 1 lies in the first window, (0, a]
+    # the witness 9 = 3^2 * 1 lies in the first window, (0, a], which holds
+    # a alone and is not swept
     assert _smallest_witnesses(BinaryForm(1, 0, 14), {3: 5000})[3] == 9
-    assert bounds == [1]
+    assert bounds == []
     assert checked == [9]
-    # no witness: windows double from a = 3 up to top = 5000 // 9, each
-    # sweeps only its own shell lo < m <= hi, and every candidate 9m,
-    # m <= 555, is checked once, in ascending order
+    # no witness: after the unswept first window (0, 3], windows double from
+    # a = 3 up to top = 5000 // 9, each sweeps only its own shell
+    # lo < m <= hi, and every candidate 9m, m <= 555, is checked once, in
+    # ascending order
     bounds.clear()
     windows.clear()
     checked.clear()
     f = BinaryForm(3, 2, 5)
     assert _smallest_witnesses(f, {3: 5000})[3] is None
-    assert bounds == [3, 6, 12, 24, 48, 96, 192, 384, 555]
-    assert windows == list(zip([0, *bounds], bounds))
-    assert sum(hi - lo for lo, hi in windows) == 555
+    assert bounds == [6, 12, 24, 48, 96, 192, 384, 555]
+    assert windows == list(zip([3, *bounds], bounds))
+    assert sum(hi - lo for lo, hi in windows) == 555 - 3
     assert checked == [9 * m for m in sorted(rep_profile(f, 555))]
     # the witness 875 = 25 * 35 lies in the fourth window, (24, 48]: the
     # search checks the candidates below it in ascending order and stops
@@ -142,7 +153,7 @@ def test_smallest_witnesses_sweeps_only_to_witness(monkeypatch):
     checked.clear()
     f = BinaryForm(6, 3, 17)
     assert _smallest_witnesses(f, {5: 5000})[5] == 875
-    assert bounds == [6, 12, 24, 48]
+    assert bounds == [12, 24, 48]
     assert checked == [25 * m for m in sorted(rep_profile(f, 35))]
     assert checked == [150, 425, 500, 600, 650, 875]
     # primes share the sweep: 2 takes its witness 24 = 4 * 6 in the first
@@ -151,8 +162,17 @@ def test_smallest_witnesses_sweeps_only_to_witness(monkeypatch):
     bounds.clear()
     checked.clear()
     assert _smallest_witnesses(f, {2: 10**5, 5: 5000, 3: 3}) == {2: 24, 5: 875, 3: None}
-    assert bounds == [6, 12, 24, 48]
+    assert bounds == [12, 24, 48]
     assert checked == [24, 150, 425, 500, 600, 650, 875]
+    # a form with a value below a, here [c, -b, a] = [5, -2, 3], has its
+    # first window swept like the rest
+    bounds.clear()
+    windows.clear()
+    checked.clear()
+    f = BinaryForm(5, -2, 3)
+    assert _smallest_witnesses(f, {3: 5000})[3] is None
+    assert windows[0] == (0, 5)
+    assert checked == [9 * m for m in sorted(rep_profile(f, 555))]
 
 
 def test_p_primitive_matches_rep_counts():
@@ -182,16 +202,21 @@ def test_p_primitive_matches_rep_counts():
                             imprimitive.append(n)
                     returned = []
                     rest = candidates
-                    while (n := _first_imprimitive(f, rest, p)) is not None:
+                    scan = oracle._scan(f, p, 1)
+                    while (n := _first_imprimitive(scan, rest, 30 * p, p)) is not None:
                         returned.append(n)
                         rest = range(n + p, 30 * p + 1, p)
                     assert returned == imprimitive, (f, p)
+                    # a top below the first imprimitive n ends the scan before it
+                    top = imprimitive[0] - 1 if imprimitive else 15 * p
+                    assert _first_imprimitive(scan, candidates, top, p) is None
     assert {(2, 1, 2, 2), (3, 1, 3, 3)} <= both
     # 8 = [2, 1, 2](1, -2) is 2-primitive, and [2, 1, 2] does not take 4
     assert _p_primitive(BinaryForm(2, 1, 2), 8, 2)
     assert not _p_primitive(BinaryForm(2, 1, 2), 4, 2)
-    assert _first_imprimitive(BinaryForm(2, 1, 2), [8, 4, 6], 2) == 4
-    assert _first_imprimitive(BinaryForm(2, 1, 2), [], 2) is None
+    scan = oracle._scan(BinaryForm(2, 1, 2), 2, 1)
+    assert _first_imprimitive(scan, [8, 4, 6], 8, 2) == 4
+    assert _first_imprimitive(scan, [], 8, 2) is None
 
 
 @pytest.mark.slow
@@ -297,6 +322,20 @@ def test_revalidate_rejects_doctored_evidence():
         assert revalidate_verdict(v)
         for p in (1, 2, 7, 100000007):
             assert not revalidate_verdict(v._replace(p=p)), (v.cls, p)
+    # p must be an int and the class a BinaryForm, on every route: a float
+    # or str p, or a tuple or list class, is rejected, never raised on.
+    # Each route's evidence holds exactly its keys: one more, or one of
+    # them renamed, is rejected
+    for v in verdicts:
+        assert revalidate_verdict(v)
+        assert not revalidate_verdict(v._replace(evidence={**v.evidence, "bogus": 1}))
+        for key in v.evidence:
+            renamed = {("bogus" if k == key else k): x for k, x in v.evidence.items()}
+            assert not revalidate_verdict(v._replace(evidence=renamed)), (v.route, key)
+        for p in (float(v.p), str(v.p)):
+            assert not revalidate_verdict(v._replace(p=p)), (v.route, p)
+        for cls in (tuple(v.cls), list(v.cls)):
+            assert not revalidate_verdict(v._replace(cls=cls)), (v.route, cls)
     # a route-3 class must be a reduced class of the census, within its limit
     v = next(v for v in classify_all(-56, 3) if v.route == ROUTE_ORDER_FOUR_SQUARE)
     assert not revalidate_verdict(v._replace(cls=BinaryForm(3, 8, 10)))
