@@ -24,11 +24,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-#: largest prime the library accepts: `solve_two_square` scans up to
-#: 2p/sqrt|D| rows, and `classify_all` takes its route-3 root b from
-#: `sqrt_mod` in O(log p) steps, so near the limit one `classify_all` takes
-#: at most 0.17 s (D = -3, -4, -23 and -56 at the twelve largest primes
-#: below 10^6, three runs, 2-vCPU VM)
+#: largest prime the library accepts.  It bounds `is_prime`'s trial
+#: division, about sqrt(p)/2 steps, and the verify grid's rescans: a
+#: route-1 witness p^2 a that the witness search did not reach is scanned
+#: over up to 2pa/sqrt|D| rows.  The classifier itself takes O(log p)
+#: steps (`sqrt_mod` and two reductions), so near the limit one
+#: `classify_all` takes 0.06-0.13 ms, the trial division included (medians
+#: of 20 runs, D = -3, -4, -23, -56 and -2604 at the twelve largest primes
+#: below 10^6, census cached, 2-vCPU VM)
 MAX_P = 10**6
 
 

@@ -240,10 +240,13 @@ def verify_classification_grid(
     `intarith.MAX_P`, a window whose discriminants sum to more than
     MAX_ABS_D in |D| (each costs a census and witness searches, and one
     census at the limit is the most the window may cost), a window with
-    no (D, p) cell, or one whose (D, p) pairs need more than
-    `repcount.MAX_ROWS` `solve_two_square` rows in all raises ValueError
-    before any classification.  The cells are
-    checked one after another in this process.
+    no (D, p) cell, or one whose (D, p) pairs hold more than
+    `repcount.MAX_ROWS` two-square rows in all raises ValueError before any
+    classification.  The two-square rows of a pair are the
+    isqrt(4p^2/|D|) + 1 rows of p^2 by the principal form, which the
+    route-1 revalidation of an inert pair scans in full when its witness
+    p^2 lies beyond the witness search.  The cells are checked one after
+    another in this process.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -275,9 +278,12 @@ def verify_classification_grid(
                 discriminants.append(D)
     if not discriminants:
         raise ValueError(f"no (D, p) cell with D in [{dmin}, {dmax}] and p <= {pmax}")
-    # `solve_two_square` scans isqrt(4p^2 / |D|) + 1 rows for each (D, p);
-    # the sum is checked one discriminant at a time, so a window far over
-    # the cap is refused after little more than MAX_ROWS steps
+    # p^2 by the principal form has isqrt(4p^2 / |D|) + 1 rows; for an
+    # inert p whose witness p^2 lies beyond the search, the route-1
+    # revalidation scans all of them, and 2pa/sqrt|D| rows for a class
+    # [a, b, c]: 0.52 s for the three cells of D = -23 at p = 999959.  The
+    # sum is checked one discriminant at a time, so a window far over the
+    # cap is refused after little more than MAX_ROWS steps
     rows = 0
     for D in discriminants:
         rows += sum(math.isqrt(4 * p * p // -D) + 1 for p in primes if D % p)
@@ -321,12 +327,13 @@ def verify_classification_grid(
 
 def revalidate_verdict(v: Verdict) -> bool:
     """Re-derive every fact a verdict's evidence claims.  The class must be
-    a `BinaryForm`, and p an int that is a prime <= `intarith.MAX_P` and
-    does not divide D, with the cap checked first; any other is rejected,
-    never raised on.  A route-3 class's order is read from the census, so
-    the class must be a reduced form of a discriminant within MAX_ABS_D,
-    and the order must be 4 exactly when the square is ambiguous and not
-    principal.
+    a `BinaryForm`, the verdict a bool, and p an int that is a prime
+    <= `intarith.MAX_P` and does not divide D, with the cap checked first;
+    any other is rejected, never raised on.  An int is of type `int`
+    exactly, so a bool is not one.  A route-3 class's order is read from
+    the census, so the class must be a reduced form of a discriminant
+    within MAX_ABS_D, and the order must be 4 exactly when the square is
+    ambiguous and not principal.
 
     Every route's evidence must carry exactly the route's keys, and its
     numbers must be ints; evidence of another type or shape is rejected,
@@ -335,13 +342,14 @@ def revalidate_verdict(v: Verdict) -> bool:
     Evidence too large to check, a witness whose row scans could need
     more than `repcount.MAX_ROWS` rows, is rejected before any row.
     Route-3 evidence must equal the derived facts key for key, with
-    `square_has_p_square` from `_p_primitive` of p^2 by the square; a
-    passing verdict's solution, a list of two ints, is checked by
-    evaluating the square class at it.
+    `square_has_p_square` the bool `_p_primitive` gives for p^2 by the
+    square, not an int equal to it; a passing verdict's solution, a list
+    of two ints, is checked by evaluating the square class at it.
     """
     f, p = v.cls, v.p
-    return (isinstance(f, BinaryForm) and isinstance(p, int)
-            and p <= MAX_P and is_prime(p) and f.D % p != 0 and _revalidate(v, {}))
+    return (isinstance(f, BinaryForm) and type(v.completely_p_primitive) is bool
+            and type(p) is int and p <= MAX_P and is_prime(p) and f.D % p != 0
+            and _revalidate(v, {}))
 
 
 def _revalidate(
@@ -369,7 +377,7 @@ def _revalidate(
         return (
             not cpp
             and len(evidence) == 1
-            and isinstance(n, int)
+            and type(n) is int
             and (
                 n == searched
                 or n >= 1
@@ -384,15 +392,17 @@ def _revalidate(
         return (
             cpp
             and len(evidence) == 2
-            and isinstance(m, int) and isinstance(n, int)
+            and type(m) is int and type(n) is int
             and 4 * p * p == m * m - f.D * n * n
             and math.gcd(math.gcd(m, n), p) == 1
         )
     if f not in squares:
         squares[f] = _order_and_square(f)
     facts = squares[f]
-    if not (facts and len(evidence) == 3 and evidence.get("order") == facts[0]
-            and evidence.get("square_form") == facts[2]):
+    claimed_order, square_form = evidence.get("order"), evidence.get("square_form")
+    if not (facts and len(evidence) == 3 and type(claimed_order) is int
+            and claimed_order == facts[0] and square_form == facts[2]
+            and type(square_form[0]) is type(square_form[1]) is type(square_form[2]) is int):
         return False
     order, square, _ = facts
     if route == ROUTE_ORDER_FOUR_SQUARE:
@@ -401,7 +411,7 @@ def _revalidate(
             cpp
             and order == 4
             and isinstance(xy, list) and len(xy) == 2
-            and all(isinstance(t, int) for t in xy)
+            and all(type(t) is int for t in xy)
             and square.evaluate(*xy) == p * p
             and math.gcd(*xy) % p != 0
         )
@@ -410,7 +420,7 @@ def _revalidate(
         return (
             not cpp
             and (order != 4 or not has_sq)
-            and evidence.get("square_has_p_square") == has_sq
+            and evidence.get("square_has_p_square") is has_sq
         )
     return False
 

@@ -13,14 +13,19 @@ D < 0 and a prime p not dividing D the decision runs in three routes:
      p-primitively represents p^2.
 
 Routes 1 and 2 are facts about (D, p), so `classify_all` decides them once
-for the whole group and only route 3 looks at each class.  Route 3 is a
-group fact too: for p split, the ideals of norm p^2 that (p) does not
-divide lie in P^2 and P^-2, where P is the class of [p, b, (b^2 - D)/4p]
-with b^2 = D (mod 4p).  So a square class takes p^2 p-primitively iff it
-is P^2 or P^-2, and every passing class has the square P^2 = P^-2.  That
-square has order 2, so it is not principal and does not represent 1:
-every solution of p^2 by it is p-primitive, and one row scan finds the
-evidence.  Each verdict carries machine-checkable evidence for its route.
+for the whole group and only route 3 looks at each class.  For p split,
+let P be the class of [p, b, (b^2 - D)/4p] with b^2 = D (mod 4p).  The
+proper representations of p^2 by a class correspond to the roots of
+B^2 = D (mod 4p^2) whose forms [p^2, B, (B^2 - D)/4p^2] lie in it (Cox,
+Lemma 2.3), and for p not | D those forms are P o P and its mirror, of the
+classes P^2 and P^-2.  Each takes p^2 at (1, 0), so one Gauss reduction of
+each, carrying that point, settles both routes: route 2 holds iff P^2 is
+principal, and the reduced point gives (m, n).  In route 3 a square class
+takes p^2 p-primitively iff it is P^2 or P^-2, and every passing class has
+the square P^2 = P^-2.  That square has order 2, so it is not principal
+and does not represent 1: its solutions of p^2 are the two reduced points
+and their negatives, all p-primitive, and the least is the evidence.
+Each verdict carries machine-checkable evidence for its route.
 """
 
 from __future__ import annotations
@@ -28,10 +33,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .classgroup import enumerate_classes, inverse_class
+from .classgroup import enumerate_classes
 from .intarith import check_prime_not_dividing, kronecker_prime, sqrt_mod
-from .qform import BinaryForm, IntMap2, check_discriminant, reduce, transformed_coefficients
-from .repcount import half_plane_solutions
+from .qform import (
+    BinaryForm, IntMap2, check_discriminant, reduce_carrying, transformed_coefficients,
+)
 
 ROUTE_SYMBOL_MINUS_ONE = "symbol_minus_one"
 ROUTE_PRINCIPAL_SQUARE = "principal_square"
@@ -58,22 +64,53 @@ def solve_two_square(D: int, p: int) -> TwoSquareSolution | None:
     """The (m, n) with m, n >= 0, 4p^2 = m^2 + |D|n^2, gcd(m, n, p) = 1 and
     the least n, or None if there is none.
 
-    The equation is 4p^2 = (2x + ey)^2 + |D|y^2 for the principal form
-    [1, e, (e - D)/4] at p^2, with e = D mod 2, m = |2x + ey| and n = y.
-    So `half_plane_solutions` of p^2 by that form yields the solutions by
-    ascending n, and the scan stops at the first p-primitive one.
     Requires p prime, p <= `intarith.MAX_P` and p not | D.  For
     (D/p) = -1 there is no solution: a solution with p not | n makes D a
-    square mod p (mod 8 for p = 2), and p | n forces p | m.
+    square mod p (mod 8 for p = 2), and p | n forces p | m.  Otherwise it
+    is `_two_square` of P^2, from `_prime_squares`.
     """
     check_discriminant(D)
     check_prime_not_dividing(p, D)
-    e = D % 2
-    for x, y in half_plane_solutions(BinaryForm(1, e, (e - D) // 4), p * p):
-        m = abs(2 * x + e * y)
-        if math.gcd(m, y, p) == 1:
-            return TwoSquareSolution(m, y, p)
-    return None
+    squares = _prime_squares(D, p)
+    return None if squares is None else _two_square(D, p, squares[0])
+
+
+def _prime_squares(D: int, p: int) -> tuple[tuple[BinaryForm, int, int], ...] | None:
+    """The reduced forms of P^2 and P^-2, each with the point where it
+    takes p^2, or None if (D/p) = -1.
+
+    With b from `_root_mod_4p` and c = (b^2 - D)/4p, the square of
+    P = [p, b, c] is [p^2, B, (B^2 - D)/4p^2] with B = b - 2p (c b^-1 mod p),
+    the B = b (mod 2p) with B^2 = D (mod 4p^2) (Cox, section 3); b is prime
+    to p since p does not divide D.  P^-1 = [p, -b, c] squares to the mirror
+    [p^2, -B, (B^2 - D)/4p^2].  Both take p^2 at (1, 0), and
+    `reduce_carrying` follows that point.
+    """
+    if kronecker_prime(D, p) == -1:
+        return None
+    b = _root_mod_4p(D, p)
+    B = b - 2 * p * ((b * b - D) // (4 * p) * pow(b, -1, p) % p)
+    C = (B * B - D) // (4 * p * p)
+    return reduce_carrying((p * p, B, C), 1, 0), reduce_carrying((p * p, -B, C), 1, 0)
+
+
+def _two_square(D: int, p: int, square: tuple[BinaryForm, int, int]) -> TwoSquareSolution | None:
+    """Route 2's (m, n) from P^2 reduced with its point (x, y), or None if
+    P^2 is not principal.
+
+    The principal form [1, e, (e - D)/4], e = D mod 2, takes p^2 at (x, y)
+    iff 4p^2 = (2x + ey)^2 + |D|y^2.  Its p-primitive solutions are proper,
+    so they are the unit images of the points of P^2 and P^-2, and the
+    improper automorph (x, y) |-> (x + ey, -y), which takes the first to
+    the second, keeps m = |2x + ey| and n = |y|.  Only [1, 1, 1] and
+    [1, 0, 1] have units other than -1: they also take (x, y) to (-y, x + y)
+    and (-x - y, x), or to (-y, x).
+    """
+    f, x, y = square
+    if f.a != 1:
+        return None
+    n = min(abs(y), abs(x), abs(x + y)) if D == -3 else min(abs(y), abs(x)) if D == -4 else abs(y)
+    return TwoSquareSolution(math.isqrt(4 * p * p + D * n * n), n, p)
 
 
 def build_isometry(f: BinaryForm, sol: TwoSquareSolution) -> IntMap2:
@@ -138,10 +175,12 @@ def classify_all(D: int, p: int) -> list[Verdict]:
 
     Requires p prime, p <= `intarith.MAX_P` and p not | D, checked before
     the census is built.
-    Routes 1 and 2 depend only on (D, p) and settle the whole group.
-    Route 3 reads each class's order and square off the group's power walk
-    and tests the square against P^2 and P^-2; one scan of p^2 by P^2 gives
-    the least solution, which every passing class carries.
+    Routes 1 and 2 depend only on (D, p) and settle the whole group: one
+    `_prime_squares` gives (D/p) and the reduced P^2 and P^-2 with their
+    points at p^2, and route 2 holds iff P^2 is principal.  Route 3 reads
+    each class's order and square off the group's power walk and tests the
+    square against P^2 and P^-2; every passing class carries the least of
+    the two points and their negatives.
     Each verdict is built by `tuple.__new__`, the C call that the
     generated NamedTuple constructor wraps in a Python function that
     checks nothing.
@@ -151,29 +190,28 @@ def classify_all(D: int, p: int) -> list[Verdict]:
     group = enumerate_classes(D)
     new = tuple.__new__
     p2 = p * p
-    if kronecker_prime(D, p) == -1:
+    prime_squares = _prime_squares(D, p)
+    if prime_squares is None:
         # every solution of f = p^2*a has both coordinates divisible by p
         return [new(Verdict, (x, p, False, ROUTE_SYMBOL_MINUS_ONE, {"witness": p2 * x.a}))
                 for x in group.classes]
-    sol = solve_two_square(D, p)
+    sol = _two_square(D, p, prime_squares[0])
     if sol is not None:
         m, n, _ = sol
         return [new(Verdict, (x, p, True, ROUTE_PRINCIPAL_SQUARE, {"m": m, "n": n}))
                 for x in group.classes]
     orders, squares = group.orders, group.squares
-    b = _root_mod_4p(D, p)
-    prime = reduce(BinaryForm(p, b, (b * b - D) // (4 * p)))
-    p_squares = {squares[prime], squares[inverse_class(prime)]}
-    solution = None  # least solution of p^2 by P^2, p-primitive as P^2 != 1
+    (s1, x1, y1), (s2, x2, y2) = prime_squares
+    p_squares = {s1, s2}
+    # a passing class's square P^2 = P^-2 takes p^2 at these four points
+    # only, all p-primitive
+    solution = min((x1, y1), (-x1, -y1), (x2, y2), (-x2, -y2))
     verdicts = []
     for x in group.classes:
         order, square = orders[x], squares[x]
         has_sq = square in p_squares
         square_form = list(square)
         if order == 4 and has_sq:
-            if solution is None:
-                solution = min(uv for u, v in half_plane_solutions(square, p2)
-                               for uv in ((u, v), (-u, -v)))
             verdicts.append(new(Verdict, (x, p, True, ROUTE_ORDER_FOUR_SQUARE, {
                 "order": 4, "solution": list(solution), "square_form": square_form})))
         else:

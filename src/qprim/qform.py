@@ -120,12 +120,19 @@ def is_reduced(f: BinaryForm) -> bool:
 
 
 def reduce(f: tuple[int, int, int]) -> BinaryForm:
-    """Gauss reduction: the reduced form properly equivalent to f.
+    """Gauss reduction: the reduced form properly equivalent to f.  f may
+    be a bare triple: only the reduced form is built, and checked."""
+    return reduce_carrying(f, 0, 0)[0]
+
+
+def reduce_carrying(f: tuple[int, int, int], x: int, y: int) -> tuple[BinaryForm, int, int]:
+    """The reduced form g properly equivalent to f, with the point (x', y')
+    where g takes f(x, y).
 
     Two det-1 steps run on the coefficients until the form is reduced:
     the shift (x, y) |-> (x + t*y, y) taking b into (-a, a], and the swap
-    (x, y) |-> (-y, x) taking [a, b, c] to [c, -b, a].  f may be a bare
-    triple: only the reduced form is built, and checked.
+    (x, y) |-> (-y, x) taking [a, b, c] to [c, -b, a].  The point moves
+    by their inverses, (x, y) |-> (x - t*y, y) and (x, y) |-> (y, -x).
     """
     a, b, c = f
     if b * b - 4 * a * c >= 0 or a <= 0:
@@ -134,13 +141,14 @@ def reduce(f: tuple[int, int, int]) -> BinaryForm:
         if b <= -a or b > a:
             t = (a - b) // (2 * a)  # shifts b into (-a, a]
             b, c = b + 2 * a * t, (a * t + b) * t + c
-        elif a > c or (a == c and b < 0):
-            a, b, c = c, -b, a
-        else:
+            x -= t * y
+        if a < c or (a == c and b >= 0):
             break
+        a, b, c = c, -b, a
+        x, y = y, -x
     g = BinaryForm(a, b, c)
     assert is_reduced(g)
-    return g
+    return g, x, y
 
 
 def is_ambiguous(f: BinaryForm) -> bool:

@@ -5,7 +5,9 @@ from functools import lru_cache
 
 from qprim.classgroup import ClassGroup, compose
 from qprim.intarith import ceil_div, is_prime
+from qprim.pprim import TwoSquareSolution
 from qprim.qform import BinaryForm, is_discriminant
+from qprim.repcount import half_plane_solutions
 
 
 def raw_form(a: int, b: int, c: int) -> BinaryForm:
@@ -16,6 +18,19 @@ def raw_form(a: int, b: int, c: int) -> BinaryForm:
 def discriminants_in(dmin: int, dmax: int) -> list[int]:
     """Valid negative discriminants in [dmin, dmax], ascending."""
     return [D for D in range(dmin, min(dmax, -3) + 1) if is_discriminant(D)]
+
+
+def two_square_scan(D: int, p: int) -> TwoSquareSolution | None:
+    """Reference for `pprim.solve_two_square`: 4p^2 = (2x + ey)^2 + |D|y^2
+    for the principal form [1, e, (e - D)/4] at p^2, with e = D mod 2, so
+    `half_plane_solutions` of p^2 by that form yields the solutions by
+    ascending n = y, and the scan stops at the first p-primitive one."""
+    e = D % 2
+    for x, y in half_plane_solutions(BinaryForm(1, e, (e - D) // 4), p * p):
+        m = abs(2 * x + e * y)
+        if math.gcd(m, y, p) == 1:
+            return TwoSquareSolution(m, y, p)
+    return None
 
 
 def composition_table(group: ClassGroup) -> list[list[int]]:

@@ -322,8 +322,8 @@ def test_census_commands_reject_d_beyond_limit(capsys, argv):
     assert f"|D| must be at most {MAX_ABS_D}" in captured.err
 
 
-# a prime above MAX_P, whose root walk and two-square rows would take
-# about a hundred times as long as at the cap
+# a prime above MAX_P, whose trial division would take about ten times as
+# long as at the cap, and whose verify rescans a hundred times as long
 BIG_P = "100000007"
 
 
@@ -347,7 +347,8 @@ def test_commands_reject_p_beyond_cap(capsys, monkeypatch, argv, message):
         (intarith, "is_prime"),
         (pprim, "enumerate_classes"),
         (cli, "enumerate_classes"),
-        (pprim, "half_plane_solutions"),
+        (pprim, "_prime_squares"),
+        (repcount, "half_plane_solutions"),
         (repcount, "rep_profile"),
         (oracle, "primes_up_to"),
     ]:

@@ -336,6 +336,31 @@ def test_revalidate_rejects_doctored_evidence():
             assert not revalidate_verdict(v._replace(p=p)), (v.route, p)
         for cls in (tuple(v.cls), list(v.cls)):
             assert not revalidate_verdict(v._replace(cls=cls)), (v.route, cls)
+    # a bool is not an int, nor an int a bool, though each equals the other:
+    # {"m": True, "n": True} solves 16 = m^2 + 15n^2, the principal class
+    # has order True, and 0 and 1 stand for False and True
+    v = classify_all(-15, 2)[0]
+    assert v.evidence == {"m": 1, "n": 1} and revalidate_verdict(v)
+    assert not revalidate_verdict(v._replace(evidence={"m": True, "n": True}))
+    assert not revalidate_verdict(v._replace(completely_p_primitive=1))
+    principal = failed[0]
+    assert principal.evidence["order"] == 1
+    assert not revalidate_verdict(principal._replace(completely_p_primitive=0))
+    assert not revalidate_verdict(principal._replace(evidence={**principal.evidence,
+                                                               "order": True}))
+    assert not revalidate_verdict(principal._replace(evidence={**principal.evidence,
+                                                               "square_form": [True, 0, 14]}))
+    flagged = [(v, 0) for v in [*failed, *classify_all(-2604, 11)]
+               if v.route == ROUTE_ORDER_FOUR_SQUARE_FAILED]
+    # at D = -23 the prime class of 3 has order 3: [2, +-1, 3] fail with a
+    # square that takes 9 3-primitively
+    flagged += [(v, 1) for v in classify_all(-23, 3)
+                if v.evidence.get("square_has_p_square") is True]
+    assert [flag for _, flag in flagged].count(1) == 2
+    for v, flag in flagged:
+        assert revalidate_verdict(v)
+        evidence = {**v.evidence, "square_has_p_square": flag}
+        assert not revalidate_verdict(v._replace(evidence=evidence)), (v.cls, flag)
     # a route-3 class must be a reduced class of the census, within its limit
     v = next(v for v in classify_all(-56, 3) if v.route == ROUTE_ORDER_FOUR_SQUARE)
     assert not revalidate_verdict(v._replace(cls=BinaryForm(3, 8, 10)))

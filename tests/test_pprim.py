@@ -1,12 +1,14 @@
 """Two-square solutions, scaling isometries, and the classification routes."""
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 
-from helpers import discriminants_in
-from qprim import pprim
+from helpers import discriminants_in, two_square_scan
+from qprim import pprim, repcount
 from qprim.classgroup import ambiguous_classes, enumerate_classes
 from qprim.intarith import kronecker, primes_up_to
 from qprim.pprim import (
@@ -22,7 +24,7 @@ from qprim.pprim import (
     solve_two_square,
 )
 from qprim.qform import BinaryForm, IntMap2, transformed_coefficients
-from qprim.repcount import enumerate_solutions, half_plane_solutions, rep_counts, spectrum
+from qprim.repcount import enumerate_solutions, rep_counts, spectrum
 
 
 def brute_two_square(D, p):
@@ -271,17 +273,15 @@ def test_root_mod_4p():
                 samples += 1
 
 
+def no_scan(*args):
+    raise AssertionError(f"scanned {args}")
+
+
 def test_route_three_corollaries(monkeypatch):
     # with P the prime class of p, a class passes route 3 iff ord(P) = 4 and
     # it lies in P*Cl[2]; so the passing classes of a (D, p) number 0,
-    # #Cl[2] or h, and P^4 = 1 puts |D| <= 4p^4 when any class passes
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return half_plane_solutions(*args)
-
-    monkeypatch.setattr(pprim, "half_plane_solutions", counting)
+    # #Cl[2] or h, and P^4 = 1 puts |D| <= 4p^4 when any class passes.
+    # Routes 2 and 3 come from P o P without a row scan
     route_three_passes = 0
     for D in discriminants_in(-1500, -3):
         group = enumerate_classes(D)
@@ -289,15 +289,14 @@ def test_route_three_corollaries(monkeypatch):
         for p in primes_up_to(23):
             if D % p == 0:
                 continue
-            calls.clear()
-            verdicts = classify_all(D, p)
+            with monkeypatch.context() as m:
+                m.setattr(repcount, "half_plane_solutions", no_scan)
+                verdicts = classify_all(D, p)
+                solve_two_square(D, p)
             passing = sum(v.completely_p_primitive for v in verdicts)
             assert passing in sizes
             assert passing == 0 or -D <= 4 * p**4
-            # one scan of p^2 by P^2, made only when some class passes route
-            # 3; the scans of the principal form are solve_two_square's
             routed = [v for v in verdicts if v.route == ROUTE_ORDER_FOUR_SQUARE]
-            assert len([f for f, _ in calls if f.a > 1]) == bool(routed)
             route_three_passes += bool(routed)
             # P^2 has order 2, so it does not represent 1 and every solution
             # of p^2 by it is p-primitive; the evidence is the least of them
@@ -307,6 +306,58 @@ def test_route_three_corollaries(monkeypatch):
                 assert all(math.gcd(x, y) % p != 0 for x, y in sols)
                 assert v.evidence["solution"] == list(sols[0])
     assert route_three_passes > 0
+
+
+def test_classify_all_scans_no_rows_near_max_p(monkeypatch):
+    # at the largest prime below MAX_P every route is still decided from
+    # P o P, and its evidence holds
+    p = 999983
+    monkeypatch.setattr(repcount, "half_plane_solutions", no_scan)
+    routes = set()
+    for D in discriminants_in(-1500, -3):
+        verdicts = classify_all(D, p)
+        sol = solve_two_square(D, p)
+        routes |= {v.route for v in verdicts}
+        assert (verdicts[0].route == ROUTE_PRINCIPAL_SQUARE) == (sol is not None)
+        for v in verdicts:
+            if v.route == ROUTE_PRINCIPAL_SQUARE:
+                assert (v.evidence["m"], v.evidence["n"]) == sol[:2]
+                assert 4 * p * p == sol.m**2 - D * sol.n**2 and sol.m % p != 0
+            elif v.route == ROUTE_ORDER_FOUR_SQUARE:
+                x, y = v.evidence["solution"]
+                assert BinaryForm(*v.evidence["square_form"]).evaluate(x, y) == p * p
+    assert routes == set(ROUTES)
+
+
+@pytest.mark.parametrize(
+    "largest",
+    [
+        pytest.param(False, id="below_10^4"),
+        # the reference scans about 1.15 * 10^6 rows for each: 5 s in all
+        pytest.param(True, id="largest_12", marks=pytest.mark.slow),
+    ],
+)
+def test_solve_two_square_matches_row_scan(largest):
+    # the reduced point of P^2 against the principal form's row scan at
+    # D = -3 and -4, whose six and four units give three and two images of
+    # the point: every p below 10^4, and the twelve largest primes below 10^6
+    primes = primes_up_to(10**6)[-12:] if largest else primes_up_to(10**4)
+    for D in (-3, -4):
+        for p in primes:
+            if D % p:
+                assert solve_two_square(D, p) == two_square_scan(D, p), (D, p)
+
+
+def test_pprim_imports_nothing_from_repcount():
+    tree = ast.parse(Path(pprim.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported and not any("repcount" in name for name in imported), imported
 
 
 def test_routes_are_exhaustive():

@@ -1,5 +1,6 @@
 """Binary forms, the unimodular action, and Gauss reduction."""
 
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from qprim.qform import (
     is_discriminant,
     is_reduced,
     reduce,
+    reduce_carrying,
     transformed_coefficients,
 )
 
@@ -167,7 +169,8 @@ def test_rep_is_the_class_reduced_form():
 
 
 def test_reduce_invariant_under_unimodular_action():
-    # the reduced representative is a class invariant
+    # the reduced representative is a class invariant, and the point that
+    # `reduce_carrying` carries keeps its value and its gcd
     rng = random.Random(20260815)
     for D in discriminants_in(-2000, -3):
         for f in enumerate_classes(D).classes:
@@ -175,6 +178,10 @@ def test_reduce_invariant_under_unimodular_action():
                 m = random_unimodular(rng)
                 g = apply_map(f, m)
                 assert reduce(g) == f
+                x, y = rng.randint(-9, 9), rng.randint(-9, 9)
+                reduced, u, v = reduce_carrying(g, x, y)
+                assert reduced == f and f.evaluate(u, v) == g.evaluate(x, y)
+                assert math.gcd(u, v) == math.gcd(x, y)
 
 
 def test_reduced_coefficient_bound():
