@@ -14,8 +14,9 @@ from .intarith import kronecker_prime, primes_up_to
 from .qform import BinaryForm, check_discriminant, is_ambiguous, is_reduced
 
 #: largest |D| the census accepts: its loop runs O(|D|) times, and with the
-#: power walk it takes 0.035-0.040 s at the limit (medians of fifteen runs
-#: each at D = -9999991 and -10^7, 2-vCPU Intel Xeon VM)
+#: power walk it takes 0.025-0.045 s at the limit (medians of fifteen runs
+#: each at D = -9999991 and -10^7, cache cleared, in four runs on a 2-vCPU
+#: Intel Xeon VM whose speed drifted by up to 1.7x between them)
 MAX_ABS_D = 10**7
 
 #: discriminants whose census stays cached; a sweep over more evicts the
@@ -64,7 +65,7 @@ def enumerate_classes(D: int) -> ClassGroup:
     first j where x^j equals the mirror of x^(j - 1), so k = 2j - 1, or
     its own mirror, so k = 2j, and fills in x^(k - i) as the mirror of
     x^i.  A D below -MAX_ABS_D raises ValueError before any work; at the
-    limit the census takes 0.035-0.040 s."""
+    limit the census takes 0.025-0.045 s."""
     check_discriminant(D)
     if D < -MAX_ABS_D:
         raise ValueError(f"|D| must be at most {MAX_ABS_D}, got D = {D}")

@@ -29,9 +29,10 @@ def is_prime(n: int) -> bool:
 #: route-1 witness p^2 a that the witness search did not reach is scanned
 #: over up to 2pa/sqrt|D| rows.  The classifier itself takes O(log p)
 #: steps (`sqrt_mod` and two reductions), so near the limit one
-#: `classify_all` takes 0.06-0.13 ms, the trial division included (medians
+#: `classify_all` takes 0.04-0.15 ms, the trial division included (medians
 #: of 20 runs, D = -3, -4, -23, -56 and -2604 at the twelve largest primes
-#: below 10^6, census cached, 2-vCPU VM)
+#: below 10^6, census cached, in four runs on a 2-vCPU VM whose speed
+#: drifted by up to 1.7x between them)
 MAX_P = 10**6
 
 

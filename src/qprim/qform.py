@@ -133,6 +133,11 @@ def reduce_carrying(f: tuple[int, int, int], x: int, y: int) -> tuple[BinaryForm
     the shift (x, y) |-> (x + t*y, y) taking b into (-a, a], and the swap
     (x, y) |-> (-y, x) taking [a, b, c] to [c, -b, a].  The point moves
     by their inverses, (x, y) |-> (x - t*y, y) and (x, y) |-> (y, -x).
+
+    g is built once, in C by `tuple.__new__`, after the checks of the
+    `BinaryForm` constructor: D < 0 and a > 0 are checked on entry and
+    both steps keep them, and gcd(a, b, c) = 1 is checked on g, with the
+    constructor's message.
     """
     a, b, c = f
     if b * b - 4 * a * c >= 0 or a <= 0:
@@ -146,7 +151,9 @@ def reduce_carrying(f: tuple[int, int, int], x: int, y: int) -> tuple[BinaryForm
             break
         a, b, c = c, -b, a
         x, y = y, -x
-    g = BinaryForm(a, b, c)
+    if math.gcd(a, b, c) != 1:
+        raise ValueError(f"form [{a},{b},{c}] is not primitive")
+    g = tuple.__new__(BinaryForm, (a, b, c))
     assert is_reduced(g)
     return g, x, y
 

@@ -34,7 +34,9 @@ def half_plane_solutions(f: BinaryForm, n: int) -> Iterator[tuple[int, int]]:
 
     The rows are scanned lazily, so a caller that stops early skips the rest.
     For n >= 1 they hold one point of each pair (x, y), (-x, -y), so together
-    with their negatives they are all the solutions."""
+    with their negatives they are all the solutions; n < 1 yields nothing."""
+    if n < 1:
+        return
     a, b, c = f
     abs_d = 4 * a * c - b * b
     isqrt = math.isqrt
@@ -94,10 +96,11 @@ def rep_profile(f: BinaryForm, bound: int, lo: int = 0) -> dict[int, int]:
     |D|y^2), and of those the values > lo where |2ax + by| > t =
     isqrt(4a lo - |D|y^2), if that radicand is >= 0; so the sweep walks
     the shell lo < n <= bound, at most two runs of x per row, and never
-    the points inside it.
+    the points inside it.  A lo below 0 counts as 0.
     """
     if bound < 1:
         raise ValueError(f"rep_profile requires bound >= 1, got {bound}")
+    lo = max(lo, 0)
     a, b, c = f
     abs_d = 4 * a * c - b * b
     two_a = 2 * a

@@ -6,13 +6,33 @@ from functools import lru_cache
 from qprim.classgroup import ClassGroup, compose
 from qprim.intarith import ceil_div, is_prime
 from qprim.pprim import TwoSquareSolution
-from qprim.qform import BinaryForm, is_discriminant
+from qprim.qform import BinaryForm, is_discriminant, is_reduced
 from qprim.repcount import half_plane_solutions
 
 
 def raw_form(a: int, b: int, c: int) -> BinaryForm:
     """BinaryForm bypassing constructor validation.  Negative tests only."""
     return tuple.__new__(BinaryForm, (a, b, c))
+
+
+def reduce_carrying_validating(f, x, y):
+    """Reference for `qform.reduce_carrying`: the same Gauss-reduction loop,
+    ending in the validating `BinaryForm` constructor and `is_reduced`."""
+    a, b, c = f
+    if b * b - 4 * a * c >= 0 or a <= 0:
+        raise ValueError(f"cannot reduce non positive definite form {f}")
+    while True:
+        if b <= -a or b > a:
+            t = (a - b) // (2 * a)
+            b, c = b + 2 * a * t, (a * t + b) * t + c
+            x -= t * y
+        if a < c or (a == c and b >= 0):
+            break
+        a, b, c = c, -b, a
+        x, y = y, -x
+    g = BinaryForm(a, b, c)
+    assert is_reduced(g)
+    return g, x, y
 
 
 def discriminants_in(dmin: int, dmax: int) -> list[int]:

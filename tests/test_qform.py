@@ -5,9 +5,11 @@ import random
 
 import pytest
 
-from helpers import discriminants_in, raw_form
+from helpers import discriminants_in, raw_form, reduce_carrying_validating
 from lemma_checks import apply_map, improper_automorph, omega
 from qprim.classgroup import enumerate_classes, inverse_class
+from qprim.oracle import verify_classification_grid
+from qprim.pprim import classify_all
 from qprim.qform import (
     BinaryForm,
     IntMap2,
@@ -166,6 +168,78 @@ def test_rep_is_the_class_reduced_form():
     orders = enumerate_classes(-56).orders
     assert orders[BinaryForm(7, 0, 2).rep] == 2
     assert orders[BinaryForm(3, 8, 10).rep] == 4
+
+
+def _outcome(kernel, f, x, y):
+    """The result of `kernel(f, x, y)`, or the type and text of its error."""
+    try:
+        g, u, v = kernel(f, x, y)
+    except (ValueError, TypeError) as err:
+        return type(err), str(err)
+    assert type(g) is BinaryForm
+    return g, u, v
+
+
+def test_reduce_carrying_matches_validating_reference():
+    # every triple 1 <= a, c <= 40, |b| <= 80 of negative discriminant,
+    # imprimitive ones included, with a seeded point carried along: the
+    # same reduced form, point and error text as the loop that ends in
+    # the validating constructor
+    rng = random.Random(20261020)
+    points = [(rng.randint(-50, 50), rng.randint(-50, 50)) for _ in range(16)]
+    checked = imprimitive = 0
+    for a in range(1, 41):
+        for c in range(1, 41):
+            for b in range(-80, 81):
+                if b * b >= 4 * a * c:
+                    continue
+                x, y = points[checked % 16]
+                got = _outcome(reduce_carrying, (a, b, c), x, y)
+                assert got == _outcome(reduce_carrying_validating, (a, b, c), x, y)
+                imprimitive += got[0] is ValueError
+                checked += 1
+    assert checked > 100000 and imprimitive > 10000
+
+
+def test_reduce_carrying_errors_match_the_constructor():
+    for f, error, message in (
+        ((2, 2, 2), ValueError, "form [2,2,2] is not primitive"),
+        ((6, 4, 10), ValueError, "form [6,4,10] is not primitive"),
+        ((4, 0, 4), ValueError, "form [4,0,4] is not primitive"),
+        ((10, 4, 6), ValueError, "form [6,-4,10] is not primitive"),
+        ((1, 0, -1), ValueError, "cannot reduce non positive definite form (1, 0, -1)"),
+        ((-2, 1, -3), ValueError, "cannot reduce non positive definite form (-2, 1, -3)"),
+        ((0, 1, 1), ValueError, "cannot reduce non positive definite form (0, 1, 1)"),
+        ((1.0, 0, 1), TypeError, "'float' object cannot be interpreted as an integer"),
+        ((2, 1, 3.0), TypeError, "'float' object cannot be interpreted as an integer"),
+    ):
+        for kernel in (reduce_carrying, reduce_carrying_validating):
+            assert _outcome(kernel, f, 1, 0) == (error, message), (kernel, f)
+        with pytest.raises(error) as err:
+            reduce(f)
+        assert str(err.value) == message
+
+
+def test_no_validating_constructor_inside_the_library(monkeypatch):
+    # the census, the verdicts, every reduction and the grid build their
+    # forms by `tuple.__new__`; the validating constructor is for input
+    # from outside only
+    calls = []
+
+    def counting_new(cls, a, b, c):
+        calls.append((a, b, c))
+        return tuple.__new__(cls, (a, b, c))
+
+    discriminants = random.Random(34).sample(discriminants_in(-10000, -1000), 20)
+    monkeypatch.setattr(BinaryForm, "__new__", counting_new)
+    enumerate_classes.cache_clear()
+    verdicts = sum(len(classify_all(D, p)) for D in discriminants
+                   for p in (2, 3, 5, 7, 11, 13) if D % p != 0)
+    assert verdicts > 1000 and calls == []
+    enumerate_classes.cache_clear()
+    report = verify_classification_grid(-400, -3, 23, 5000)
+    assert report.cells and calls == []
+    assert BinaryForm(2, 0, 7) == (2, 0, 7) and calls == [(2, 0, 7)]
 
 
 def test_reduce_invariant_under_unimodular_action():

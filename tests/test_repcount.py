@@ -127,6 +127,16 @@ def test_rep_profile_matches_per_value_enumeration():
         rep_profile(BinaryForm(1, 0, 1), 0)
 
 
+def test_edge_values_yield_nothing_or_count_as_zero():
+    # n < 1 has no solution in the half-plane, not even (0, 0), and a
+    # shell's lo < 0 is the full sweep
+    for f in SAMPLE_FORMS:
+        for n in (0, -1, -100):
+            assert list(half_plane_solutions(f, n)) == []
+        for lo in (-1, -50):
+            assert rep_profile(f, 60, lo) == rep_profile(f, 60)
+
+
 def test_rep_profile_shell_matches_full_sweep():
     # the shell lo < n <= hi is the full sweep to hi without the values up
     # to lo: every class of every D in [-200, -3], with lo = 0 (the full
