@@ -5,27 +5,27 @@ its index-3 restriction tilde_f_m = f_m(3x + y - z, y, z) share, for
 m = 1, the same represented values in the residue class 1 mod 3 except
 for the single value 1.
 
-Both value sets come from one sweep of a binary form.  f_1 = t^2 + g(y, z)
-with g = [3, 2, 5] of discriminant -56, and tilde_f_1 is the same sum
-with t = 3x + y - z, that is t = y - z (mod 3).  So n is a value of f_1
-iff n - t^2 is a value of g for some t >= 0, and a value of tilde_f_1
-iff n - t^2 = g(y, z) for some t >= 0 and (y, z) with y - z = +-t
-(mod 3); g(0, 0) = 0 supplies the squares.  The sweep of g is exhaustive.
+Both value sets come from one exhaustive sweep of g = [3, 2, 5], of
+discriminant -56: f_1 = t^2 + g(y, z), and tilde_f_1 is the same sum
+with t = 3x + y - z = y - z (mod 3), so with y - z = +-t (mod 3) for
+t >= 0.  As t^2 = 0 or 1 (mod 3), n = 1 needs g = 1 for 3 | t and g = 0
+otherwise.  g = 2z(y + z) (mod 3): for 3 not | z, g = 1 iff y = z and
+g = 0 iff y = -z (mod 3); for 3 | z, g = 0.  So no value g = 2 is read,
+the 3 | t parts of the two sets are equal, and they differ only through
+the values g = 0 at 3 | z, y = z (mod 3).  Each class of g is a bitset
+in an int, bit j for 3j + c, so each shift is a third of the bound wide.
 
-The sweep works one row z at a time, on bitsets held in Python ints.
-With z = 3q + r and k = y + q, g(y, z) = 3k^2 + 2rk + (14z^2 + r^2)/3,
-and y = z (mod 3) iff k = q + r (mod 3).  So every row is one of nine
-fixed bit patterns {3k^2 + 2rk : k = j (mod 3)}, r and j in 0..2, shifted
-by (14z^2 + r^2)/3: one masked shift per row instead of a loop over its
-points.  The report compares the two value sets by the bits of their
-exclusive or.
+The sweep goes by rows.  With z = 3q + r, r in -1..1, and k = y + q,
+g(y, z) = 3k^2 + 2rk + (14z^2 + r^2)/3, and y = z (mod 3) iff
+k = q + r (mod 3).  One class k = i (mod 3) lies in one residue mod 3,
+so it is the fixed pattern {(3k^2 + 2rk) // 3 : k = i (mod 3)} shifted:
+one masked shift per class, no loop over the row's points.  The report
+compares the two value sets by the bits of their exclusive or.
 
 The equivalence of tilde_f_1 with the shape [4, 6, 7, yz=6, zx=2, xy=0]
-is proved by a change of basis U with det U = +-1 and tilde_f_1 o U equal
-to the shape; U is a constant, checked by its determinant and one
-substitution.
-Equivalent forms share every invariant, the theta series and the Gram
-determinant included, so U is the whole certificate.
+is proved by a change of basis U, det U = +-1, with tilde_f_1 o U equal
+to the shape, checked by one substitution.  Equivalent forms share every
+invariant (theta series, Gram determinant), so U is the whole certificate.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from typing import NamedTuple
 
 Vec3 = tuple[int, int, int]
 
-#: largest bound spectrum_identity_report accepts (about 0.15 s of work,
-#: 2-vCPU VM)
+#: largest bound spectrum_identity_report accepts (0.03-0.04 s of work in
+#: three fresh processes, 2-vCPU VM)
 MAX_BOUND = 10**6
 
 
@@ -123,58 +123,60 @@ def build_tilde_fm(m: int) -> TernaryForm:
     return substitute(build_fm(m), ((3, 0, 0), (1, 1, 0), (-1, 0, 1)))
 
 
-def _row_patterns(top: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The nine row patterns of g = [3, 2, 5], as bitsets up to bit top.
-
-    Entry [r][j] is the pair (same, other): same has bit 3k^2 + 2rk + 1
-    for each k = j (mod 3), other for each k != j (mod 3).  The + 1 keeps
-    every bit at or above 0: 3k^2 + 2rk is -1 at k = -1, r = 2.
-    """
-    kmax = math.isqrt(top // 3) + 2
-    patterns = []
-    for r in range(3):
-        by_class = [bytearray(top // 8 + 1) for _ in range(3)]
-        for k in range(-kmax, kmax + 1):
-            v = 3 * k * k + 2 * r * k + 1
-            if v <= top:
-                by_class[k % 3][v >> 3] |= 1 << (v & 7)
-        p = [int.from_bytes(b, "little") for b in by_class]
-        patterns.append(tuple((p[j], p[j - 1] | p[j - 2]) for j in range(3)))
-    return tuple(patterns)
+def _row_patterns(top: int) -> tuple:
+    """The row patterns of g = [3, 2, 5], reaching bit top: row z = 3q + r,
+    r in -1..1, shifts entry [r][q mod 3] by (14z^2 + r^2) // 9.  For
+    r = +-1 the entry is the pair of the values g = 1 (y = z) and g = 0
+    (y = -z), for r = 0 of the values g = 0 with y = z and the others:
+    bit j of each stands for g = 3(j + shift) + c."""
+    kmax = math.isqrt(top) + 2
+    # k^2 for 3 | k and 3 not | k, then (3k^2 + 2k) // 3 by k mod 3
+    sets = [bytearray((kmax + 1) ** 2 // 8) for _ in range(5)]
+    for k in range(kmax + 1):
+        n = k * k
+        sets[k % 3 > 0][n >> 3] |= 1 << (n & 7)
+        n = (3 * k + 2) * k // 3
+        sets[2 + k % 3][n >> 3] |= 1 << (n & 7)
+        n = (3 * k - 2) * k // 3
+        sets[2 + -k % 3][n >> 3] |= 1 << (n & 7)
+    s0, s1, p0, p1, p2 = (int.from_bytes(b, "little") for b in sets)
+    # r = 1: class i = q + 1, q - 1 of (3k^2 + 2k) // 3, shifted by
+    # (2i mod 3 + (2 + q) mod 3) // 3; z -> -z maps (1, q) to (-1, -q)
+    plus = (p1 << 1, p2 << 1), (p2, p0), (p0, p1 << 1)
+    return ((s0, s1), (s1, s0 | s1), (s1, s0 | s1)), plus, (plus[0], plus[2], plus[1])
 
 
 def one_mod_three_values(bound: int) -> tuple[int, int]:
     """The values n <= bound, n = 1 mod 3, of f_1 and of tilde_f_1, as
-    bitsets: bit n is set iff n is a value.
+    bitsets: bit j is set iff n = 3j + 1 is a value.
 
-    g = [3, 2, 5] is swept one row z >= 0 at a time; (-y, -z) gives the
-    same value and split.  With z = 3q + r and k = y + q,
-    g(y, z) = 3k^2 + 2rk + (14z^2 + r^2)/3, and y = z (mod 3) iff
-    k = q + r (mod 3), so row z is the pattern [r][(q + r) mod 3] of
-    `_row_patterns` shifted by (14z^2 + r^2)/3 and cut at bound.  Since
-    {t, -t} mod 3 is {0} or {1, 2}, tilde_f_1 takes t^2 + g(y, z) for
-    3 | t with y = z and for 3 not | t with y != z (mod 3), while f_1
-    takes every t with every (y, z).
-    """
-    top = bound + 1
+    Rows z >= 0 of g are swept by `_row_patterns`; (-y, -z) gives the
+    same value and split.  Bit j of g = 3j + c, shifted by t^2 // 3,
+    stands for t^2 + g.  See the module docstring."""
+    top = (bound - 1) // 3
     keep = (1 << top + 1) - 1
     patterns = _row_patterns(top)
-    same = other = 0
+    one = same = other = 0
     for z in range(math.isqrt(3 * bound // 14) + 1):
-        q, r = divmod(z, 3)
-        shift = (14 * z * z + r * r) // 3
-        row_same, row_other = patterns[r][(q + r) % 3]
-        same |= row_same << shift & keep
-        other |= row_other << shift & keep
-    g_same, g_other = same >> 1, other >> 1
-    g_all = g_same | g_other
+        q, r = divmod(z + 1, 3)
+        r -= 1
+        first, second = patterns[r][q % 3]
+        shift = (14 * z * z + r * r) // 9
+        if r:
+            one |= first << shift & keep
+        else:
+            same |= first << shift & keep
+        other |= second << shift & keep
+    g_zero = same | other
     f1 = tf1 = 0
     for t in range(math.isqrt(bound) + 1):
-        f1 |= g_all << t * t
-        tf1 |= (g_other if t % 3 else g_same) << t * t
-    # bits 1, 4, 7, ... up to bound: 1 + 8 + 8^2 + ... = (8^c - 1) / 7
-    one_mod_three = ((1 << 3 * ((bound + 2) // 3)) - 1) // 7 << 1
-    return f1 & one_mod_three, tf1 & one_mod_three
+        if t % 3:
+            f1 |= g_zero << t * t // 3
+            tf1 |= other << t * t // 3
+        else:
+            tf1 |= one << t * t // 3
+    # tf1 is a subset of f1: its 3 | t part is all of f1's
+    return (f1 | tf1) & keep, tf1 & keep
 
 
 class SpectrumIdentityReport(NamedTuple):
@@ -183,9 +185,7 @@ class SpectrumIdentityReport(NamedTuple):
     reduced shape.
 
     sets_match: (values of f_1 in 1 mod 3, minus {1}) equals
-    (values of tilde_f_1 in 1 mod 3), both up to `bound`.  Both sets
-    come from one sweep of g = [3, 2, 5], because f_1 = t^2 + g(y, z) and
-    tilde_f_1 is the same sum with t = y - z (mod 3); see
+    (values of tilde_f_1 in 1 mod 3), both up to `bound`; see
     `one_mod_three_values`.
     sym_diff: the values in 1 mod 3 up to `bound` that exactly one of the
     two forms takes, ascending; (1,) when the identity holds.
@@ -227,7 +227,7 @@ def spectrum_identity_report(bound: int) -> SpectrumIdentityReport:
     if not 10 <= bound <= MAX_BOUND:
         raise ValueError(f"bound must be in [10, {MAX_BOUND}], got {bound}")
     lhs, rhs = one_mod_three_values(bound)
-    # the sets match iff they differ at most in 1 and tilde_f_1 misses 1
+    # a match: they differ at most in n = 1 (bit 0), which tilde_f_1 misses
     diff = lhs ^ rhs
     rows = CHANGE_OF_BASIS
     det = _det3(rows)
@@ -237,7 +237,7 @@ def spectrum_identity_report(bound: int) -> SpectrumIdentityReport:
     proved = det in (1, -1) and substitute(build_tilde_fm(1), cols) == REDUCED_SHAPE
     return SpectrumIdentityReport(
         bound,
-        diff in (0, 2) and not rhs & 2,
-        tuple(n for n, bit in enumerate(bin(diff)[:1:-1]) if bit == "1"),
+        diff in (0, 1) and not rhs & 1,
+        tuple(3 * j + 1 for j, bit in enumerate(bin(diff)[:1:-1]) if bit == "1"),
         rows if proved else None, det if proved else None,
     )

@@ -93,3 +93,55 @@ def _sorted_profile(f: BinaryForm, bound: int) -> tuple[tuple[int, int], ...]:
             v = a * x * x + b * x * y + c * y * y
             gcds[v] = math.gcd(gcds.get(v, 0), x, y)
     return tuple(sorted(gcds.items()))
+
+
+def full_width_row_patterns(top: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The nine full-width row patterns of g = [3, 2, 5], as bitsets up to
+    bit top.
+
+    Entry [r][j], r in 0..2, is the pair (same, other): same has bit
+    3k^2 + 2rk + 1 for each k = j (mod 3), other for each k != j (mod 3).
+    The + 1 keeps every bit at or above 0: 3k^2 + 2rk is -1 at k = -1,
+    r = 2.
+    """
+    kmax = math.isqrt(top // 3) + 2
+    patterns = []
+    for r in range(3):
+        by_class = [bytearray(top // 8 + 1) for _ in range(3)]
+        for k in range(-kmax, kmax + 1):
+            v = 3 * k * k + 2 * r * k + 1
+            if v <= top:
+                by_class[k % 3][v >> 3] |= 1 << (v & 7)
+        p = [int.from_bytes(b, "little") for b in by_class]
+        patterns.append(tuple((p[j], p[j - 1] | p[j - 2]) for j in range(3)))
+    return tuple(patterns)
+
+
+def full_width_one_mod_three_values(bound: int) -> tuple[int, int]:
+    """Reference for `ternary.one_mod_three_values`: the same two value
+    sets, with bit n set iff n <= bound, n = 1 (mod 3), is a value.
+
+    Every value of g = [3, 2, 5] is kept, each row z = 3q + r (r in 0..2)
+    the pattern [r][(q + r) mod 3] of `full_width_row_patterns` shifted by
+    (14z^2 + r^2)/3; f_1 takes t^2 + g for every t and (y, z), tilde_f_1
+    for 3 | t with y = z and for 3 not | t with y != z (mod 3).
+    """
+    top = bound + 1
+    keep = (1 << top + 1) - 1
+    patterns = full_width_row_patterns(top)
+    same = other = 0
+    for z in range(math.isqrt(3 * bound // 14) + 1):
+        q, r = divmod(z, 3)
+        shift = (14 * z * z + r * r) // 3
+        row_same, row_other = patterns[r][(q + r) % 3]
+        same |= row_same << shift & keep
+        other |= row_other << shift & keep
+    g_same, g_other = same >> 1, other >> 1
+    g_all = g_same | g_other
+    f1 = tf1 = 0
+    for t in range(math.isqrt(bound) + 1):
+        f1 |= g_all << t * t
+        tf1 |= (g_other if t % 3 else g_same) << t * t
+    # bits 1, 4, 7, ... up to bound: 1 + 8 + 8^2 + ... = (8^c - 1) / 7
+    one_mod_three = ((1 << 3 * ((bound + 2) // 3)) - 1) // 7 << 1
+    return f1 & one_mod_three, tf1 & one_mod_three

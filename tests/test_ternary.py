@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import full_width_one_mod_three_values
 from lemma_checks import det3, rep_count_table
 from qprim import ternary
 from qprim.ternary import (
@@ -216,6 +217,11 @@ def one_mod_three_keys(table, bound):
 
 
 def set_bits(bits):
+    """The values n = 3j + 1 whose bit j is set."""
+    return {3 * j + 1 for j, bit in enumerate(bin(bits)[:1:-1]) if bit == "1"}
+
+
+def full_width_bits(bits):
     return {n for n, bit in enumerate(bin(bits)[:1:-1]) if bit == "1"}
 
 
@@ -234,17 +240,28 @@ def test_one_mod_three_values_match_lattice_count():
     )
 
 
+def test_one_mod_three_values_match_full_width_reference():
+    # the compressed sweep keeps only the classes of g that can reach
+    # 1 mod 3; the full-width sweep keeps every value of g
+    bounds = [*range(10, 1501), 2500, 5000, 10000, 20000, 999999, 10**6]
+    for bound in bounds:
+        got = one_mod_three_values(bound)
+        want = full_width_one_mod_three_values(bound)
+        assert tuple(map(set_bits, got)) == tuple(map(full_width_bits, want)), bound
+        assert all(b.bit_length() <= (bound - 1) // 3 + 1 for b in got), bound
+
+
 def test_spectrum_identity_report_sees_a_doctored_sweep(monkeypatch):
     lhs, rhs = one_mod_three_values(300)
-    # 1 is a value of tilde_f_1: the sets now differ nowhere, yet 1 is
-    # missing from (values of f_1) - {1}
-    monkeypatch.setattr(ternary, "one_mod_three_values", lambda b: (lhs, rhs | 2))
+    # 1 (bit 0) is a value of tilde_f_1: the sets now differ nowhere, yet
+    # 1 is missing from (values of f_1) - {1}
+    monkeypatch.setattr(ternary, "one_mod_three_values", lambda b: (lhs, rhs | 1))
     report = spectrum_identity_report(300)
     assert not report.sets_match and not report.ok
     assert report.sym_diff == ()
-    # 4 = f_1(2, 0, 0) = tilde_f_1(0, 1, 0); drop it from tilde_f_1
-    assert lhs >> 4 & 1 and rhs >> 4 & 1
-    monkeypatch.setattr(ternary, "one_mod_three_values", lambda b: (lhs, rhs ^ 1 << 4))
+    # 4 = f_1(2, 0, 0) = tilde_f_1(0, 1, 0), bit 1; drop it from tilde_f_1
+    assert lhs >> 1 & 1 and rhs >> 1 & 1
+    monkeypatch.setattr(ternary, "one_mod_three_values", lambda b: (lhs, rhs ^ 1 << 1))
     report = spectrum_identity_report(300)
     assert not report.sets_match and not report.ok
     assert report.sym_diff == (1, 4)
