@@ -4,7 +4,10 @@ The key identity 4a*f(x, y) = (2ax + by)^2 + |D|*y^2 bounds |y| by
 sqrt(4an/|D|) for f(x, y) = n, so solution sets are finite and cheap to
 enumerate exactly at desk scale.  Every definite form has the automorph -I,
 so (x, y) and (-x, -y) share their value, and both lattice sweeps walk only
-the half-plane y >= 0.  The value sweep `rep_profile` returns the counts
+the half-plane y >= 0.  The row scan behind the point queries splits the
+rows by the parity of y and keeps a class only if 4an - |D|y^2 can be a
+square mod 64 for some y in it, so it walks every row, every other row or
+no row, still ascending.  The value sweep `rep_profile` returns the counts
 r(n) and nothing else: each point it visits stands for itself and its
 negative, so it adds 2.  Primitivity is read off the counts, because the
 solutions of n in dZ^2 are d times the solutions of n/d^2.
@@ -23,18 +26,42 @@ from .qform import BinaryForm
 MAX_BOUND = 10**6
 
 #: largest number of rows the `represent` command sweeps, summed over the
-#: classes: `enumerate_solutions(f, n)` walks the isqrt(4an // |D|) + 1 rows
-#: y >= 0 (0.7-0.8 s for `represent -3` or `-4` at the limit, 2-vCPU VM)
+#: classes: `enumerate_solutions(f, n)` walks at most isqrt(4an // |D|) + 1
+#: rows y >= 0, and the cap counts all of them (0.46-0.48 s for
+#: `represent -3` or `-4` at the limit with both parity classes kept, half
+#: that with one and 1-2 ms with none, 2-vCPU VM)
 MAX_ROWS = 3 * 10**6
+
+#: _SQUARE_MOD_64[k] is True iff k is a square mod 64
+_SQUARE_MOD_64 = tuple(map({s * s % 64 for s in range(32)}.__contains__, range(64)))
+
+#: the residues y^2 mod 64 of the even and of the odd y < 32; (y + 32)^2 =
+#: y^2 mod 64, so they are those of every y of that parity
+_ROW_SQUARES_MOD_64 = tuple(sorted({y * y % 64 for y in range(r, 32, 2)}) for r in (0, 1))
+
+
+def _rows(four_an: int, abs_d: int) -> range:
+    """The rows 0 <= y <= isqrt(4an / |D|), ascending, of the parity classes
+    in which 4an - |D|y^2 can be a square mod 64: every row, every other
+    row, or none."""
+    k, d = four_an % 64, abs_d % 64
+    even, odd = (any(_SQUARE_MOD_64[(k - d * t) % 64] for t in ts) for ts in _ROW_SQUARES_MOD_64)
+    end = math.isqrt(four_an // abs_d) + 1
+    if even and odd:
+        return range(end)
+    return range(0 if even else 1, end, 2) if even or odd else range(0)
 
 
 def half_plane_solutions(f: BinaryForm, n: int) -> Iterator[tuple[int, int]]:
     """Yield the (x, y) with f(x, y) = n and y >= 1, or y = 0 and x >= 1, by
     ascending y.
 
-    The rows are scanned lazily, so a caller that stops early skips the rest.
-    For n >= 1 they hold one point of each pair (x, y), (-x, -y), so together
-    with their negatives they are all the solutions; n < 1 yields nothing."""
+    A solution has 4an - |D|y^2 = (2ax + by)^2, so the scan tests only the
+    rows of the parity classes of y in which that can be a square mod 64,
+    which are both, one or none of them.  The rows are scanned lazily, so
+    a caller that stops early skips the rest.  For n >= 1 they hold one
+    point of each pair (x, y), (-x, -y), so together with their negatives
+    they are all the solutions; n < 1 yields nothing."""
     if n < 1:
         return
     a, b, c = f
@@ -42,7 +69,7 @@ def half_plane_solutions(f: BinaryForm, n: int) -> Iterator[tuple[int, int]]:
     isqrt = math.isqrt
     four_an = 4 * a * n
     two_a = 2 * a
-    for y in range(isqrt(four_an // abs_d) + 1):
+    for y in _rows(four_an, abs_d):
         disc = four_an - abs_d * y * y
         s = isqrt(disc)
         if s * s != disc:

@@ -1,6 +1,7 @@
 """Shared test helpers."""
 
 import math
+from collections.abc import Iterator
 from functools import lru_cache
 
 from qprim.classgroup import ClassGroup, compose
@@ -51,6 +52,27 @@ def two_square_scan(D: int, p: int) -> TwoSquareSolution | None:
         if math.gcd(m, y, p) == 1:
             return TwoSquareSolution(m, y, p)
     return None
+
+
+def half_plane_solutions_unfiltered(f: BinaryForm, n: int) -> Iterator[tuple[int, int]]:
+    """Reference for `repcount.half_plane_solutions`: the same row scan
+    through every row 0 <= y <= isqrt(4an/|D|), with no parity class of y
+    skipped."""
+    if n < 1:
+        return
+    a, b, c = f
+    abs_d = 4 * a * c - b * b
+    four_an = 4 * a * n
+    two_a = 2 * a
+    for y in range(math.isqrt(four_an // abs_d) + 1):
+        disc = four_an - abs_d * y * y
+        s = math.isqrt(disc)
+        if s * s != disc:
+            continue
+        for root in (s, -s) if s and y else (s,):
+            num = -b * y + root
+            if num % two_a == 0:
+                yield num // two_a, y
 
 
 def composition_table(group: ClassGroup) -> list[list[int]]:

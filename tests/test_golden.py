@@ -39,6 +39,9 @@ STDOUT_CASES = {
     "represent_-56_9_3.json": ["represent", "-56", "9", "--p", "3"],
     "represent_-56_9_3.txt": ["represent", "-56", "9", "--p", "3", "--format", "text"],
     "represent_-56_9_3.tsv": ["represent", "-56", "9", "--p", "3", "--format", "tsv"],
+    # 39 and 54 rows: [1, 0, 14] holds solutions in odd rows only, [2, 0, 7]
+    # in even rows only, and [3, +-2, 5] in neither
+    "represent_-56_20286_3.json": ["represent", "-56", "20286", "--p", "3"],
     "spectrum_-56_3_2_5.json": ["spectrum", "-56", "--form", "3,2,5", "--bound", "200",
                                 "--p", "3"],
     "ternary-demo_1000.json": ["ternary-demo", "--bound", "1000"],

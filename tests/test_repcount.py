@@ -1,16 +1,18 @@
 """Representation counts against a dumb box-scan oracle, plus the mass identity."""
 
 import math
+import random
 
 import pytest
 
-from helpers import discriminants_in
+from helpers import discriminants_in, half_plane_solutions_unfiltered
 from lemma_checks import mass
 from qprim.classgroup import enumerate_classes, inverse_class
 from qprim.qform import BinaryForm
 from qprim.repcount import (
     MAX_BOUND,
     RepRecord,
+    _rows,
     enumerate_solutions,
     half_plane_solutions,
     rep_counts,
@@ -78,6 +80,65 @@ def test_enumerate_solutions_matches_box_scan():
             assert sorted(half) == [(x, y) for x, y in sols if y > 0 or (y == 0 and x > 0)]
             assert [y for _, y in half] == sorted(y for _, y in half)
     assert list(half_plane_solutions(BinaryForm(3, 2, 5), 27)) == [(3, 0), (1, 2)]
+
+
+def _compare_with_unfiltered_scan(queries) -> tuple[int, int]:
+    """(queries, solutions) of the (f, n) in queries, each asserted to give
+    the same solutions, in the same order, as the scan through every row."""
+    count = solutions = 0
+    for f, n in queries:
+        half = list(half_plane_solutions(f, n))
+        assert half == list(half_plane_solutions_unfiltered(f, n)), (f, n)
+        count += 1
+        solutions += len(half)
+    return count, solutions
+
+
+def test_half_plane_solutions_matches_unfiltered_scan():
+    # the parity classes of y that the scan skips hold no solution: every
+    # class of every D in [-600, -3] at n = 1, 4, ..., 37 and at three
+    # seeded n <= 10^6
+    rng = random.Random("half_plane_solutions:-600")
+    queries = [
+        (f, n)
+        for D in discriminants_in(-600, -3)
+        for f in enumerate_classes(D).classes
+        for n in [*range(1, 38, 3), *(rng.randint(1, 10**6) for _ in range(3))]
+    ]
+    assert _compare_with_unfiltered_scan(queries) == (32928, 6105)
+
+
+def test_row_scan_parity_classes():
+    # 4an - |D|y^2 is a square mod 64 for both classes of y, for the even or
+    # the odd rows only, or for neither; the rows still ascend
+    cases = [
+        (BinaryForm(1, 0, 1), 25, range(0, 6), [(5, 0), (4, 3), (-4, 3), (3, 4), (-3, 4), (0, 5)]),
+        (BinaryForm(2, 0, 7), 20286, range(0, 54, 2), [(63, 42), (-63, 42)]),
+        (BinaryForm(1, 0, 14), 20286, range(1, 39, 2),
+         [(140, 7), (-140, 7), (56, 35), (-56, 35)]),
+        (BinaryForm(1, 0, 1), 3, range(0), []),
+    ]
+    for f, n, rows, half in cases:
+        assert _rows(4 * f.a * n, -f.D) == rows
+        assert list(half_plane_solutions(f, n)) == half
+
+
+@pytest.mark.slow
+def test_half_plane_solutions_matches_unfiltered_scan_wide():
+    # the represent_points domain: every class of every D in [-4000, -3],
+    # at a seeded n <= 10^7 and at a seeded value f(x, y) <= 10^7
+    rng = random.Random("half_plane_solutions:-4000")
+    queries = []
+    for D in discriminants_in(-4000, -3):
+        for f in enumerate_classes(D).classes:
+            xmax, ymax = (math.isqrt(4 * k * 10**7 // -D) for k in (f.c, f.a))
+            while True:
+                v = f.evaluate(rng.randint(-xmax, xmax), rng.randint(-ymax, ymax))
+                if 0 < v <= 10**7:
+                    break
+            queries += [(f, rng.randint(1, 10**7)), (f, v)]
+    count, solutions = _compare_with_unfiltered_scan(queries)
+    assert (count, solutions) == (72276, 76188)
 
 
 def test_rep_counts_examples():
