@@ -7,11 +7,11 @@ identity failed or its change of basis did not prove the equivalence,
 2 usage, precondition or file error (a `spectrum --bound` above
 `repcount.MAX_BOUND`, a `ternary-demo --bound` above `ternary.MAX_BOUND`,
 a `represent` n whose rows sum above `repcount.MAX_ROWS`, a `verify`
-window whose two-square rows, those of p^2 by the principal form that a
-route-1 revalidation rescans, sum above it too, a `verify` window whose
-discriminants sum above `classgroup.MAX_ABS_D` in |D|, a p or
-`verify --pmax` above `intarith.MAX_P`, and a discriminant or
-`verify --dmin` below -`classgroup.MAX_ABS_D` included).
+window whose two-square rows, those of p^2 by the principal form, which
+bound the scans of its positive cells' searches, sum above it too, a
+`verify` window whose discriminants sum above `classgroup.MAX_ABS_D` in
+|D|, a p or `verify --pmax` above `intarith.MAX_P`, and a discriminant
+or `verify --dmin` below -`classgroup.MAX_ABS_D` included).
 `verify` runs its whole grid in this one process.
 """
 

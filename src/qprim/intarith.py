@@ -25,9 +25,9 @@ def is_prime(n: int) -> bool:
 
 
 #: largest prime the library accepts.  It bounds `is_prime`'s trial
-#: division, about sqrt(p)/2 steps, and the verify grid's rescans: a
-#: route-1 witness p^2 a that the witness search did not reach is scanned
-#: over up to 2pa/sqrt|D| rows.  The classifier itself takes O(log p)
+#: division, about sqrt(p)/2 steps, and the verify grid's searches of
+#: positive cells: each scans its smallest candidate p^2 a over up to
+#: 2pa/sqrt|D| rows.  The classifier itself takes O(log p)
 #: steps (`sqrt_mod` and two reductions), so near the limit one
 #: `classify_all` takes 0.04-0.15 ms, the trial division included (medians
 #: of 20 runs, D = -3, -4, -23, -56 and -2604 at the twelve largest primes

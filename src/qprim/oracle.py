@@ -1,7 +1,8 @@
 """Brute-force cross-checks for every classifier claim.
 
 Nothing here trusts the decision routes: verdicts are re-derived from
-exhaustive enumeration (value sweeps and row scans) and compared.
+exhaustive enumeration (value sweeps and row scans), or for route 1 from
+Euler's criterion, and compared.
 A disagreement is reported as a contradiction, never suppressed.
 
 A witness against complete p-primitivity is an n that f represents only
@@ -19,11 +20,13 @@ candidate p^2 a if that lies above, and a negative one up to a ceiling
 that defaults to 50x the bound; the pair is searched at each prime up to
 the larger need of its two members, and each cell reads the result at
 its own, which it reports as its `bound`.  The grid then re-derives
-every verdict's evidence.  A route-1 witness must be a value of the
-class that `_p_primitive` rejects: one equal to the search's witness for
-the pair at p was found and scanned by the search, and any other is
-scanned in full, or rejected unscanned if that needs more than
-`repcount.MAX_ROWS` rows.  Route-3 evidence is compared key by key
+every verdict's evidence.  A route-1 witness must be p^2 a = f(p, 0),
+and (D/p) = -1 by Euler's criterion, D^((p-1)/2) = -1 mod p, or
+D = 5 mod 8 for p = 2.  For odd p, p then divides neither a nor c, and
+4a f = (2ax + by)^2 - D y^2 shows that p | f(x, y) forces p | x and
+p | y; for p = 2, a, b and c are odd, and f = x^2 + xy + y^2 mod 2 does
+the same.  So f represents p^2 a only imprimitively,
+and no row is scanned.  Route-3 evidence is compared key by key
 against facts derived once per class: its order, its square by
 `compose`, and the order-4 test.  The order is read from the census,
 `enumerate_classes(D).orders`, the same power walk that `classify_all`
@@ -53,7 +56,7 @@ from .pprim import (
     ROUTE_SYMBOL_MINUS_ONE,
     Verdict,
 )
-from .repcount import MAX_ROWS, half_plane_solutions, rep_profile
+from .repcount import MAX_ROWS, rep_profile
 
 STATUS_AGREES = "agrees"
 STATUS_CONTRADICTION = "contradiction"
@@ -246,9 +249,9 @@ def verify_classification_grid(
     no (D, p) cell, or one whose (D, p) pairs hold more than
     `repcount.MAX_ROWS` two-square rows in all raises ValueError before any
     classification.  The two-square rows of a pair are the
-    isqrt(4p^2/|D|) + 1 rows of p^2 by the principal form, which the
-    route-1 revalidation of an inert pair scans in full when its witness
-    p^2 lies beyond the witness search.  The cells are checked one after
+    isqrt(4p^2/|D|) + 1 rows of p^2 by the principal form; a positive
+    cell's search reaches its smallest candidate p^2 a, whose scan reads
+    up to 2pa/sqrt|D| of its rows.  The cells are checked one after
     another in this process.
     """
     if bound < 1:
@@ -281,12 +284,12 @@ def verify_classification_grid(
                 discriminants.append(D)
     if not discriminants:
         raise ValueError(f"no (D, p) cell with D in [{dmin}, {dmax}] and p <= {pmax}")
-    # p^2 by the principal form has isqrt(4p^2 / |D|) + 1 rows; for an
-    # inert p whose witness p^2 lies beyond the search, the route-1
-    # revalidation scans all of them, and 2pa/sqrt|D| rows for a class
-    # [a, b, c]: 0.52 s for the three cells of D = -23 at p = 999959.  The
-    # sum is checked one discriminant at a time, so a window far over the
-    # cap is refused after little more than MAX_ROWS steps
+    # p^2 by the principal form has isqrt(4p^2 / |D|) + 1 rows; a positive
+    # cell's search scans its candidate p^2 a over up to 2pa/sqrt|D| rows
+    # of it: 34-101 ms for each of the three classes of D = -23 at
+    # p = 999377 (2-vCPU VM).  The sum is checked one discriminant at a
+    # time, so a window far over the cap is refused after little more than
+    # MAX_ROWS steps
     rows = 0
     for D in discriminants:
         rows += sum(math.isqrt(4 * p * p // -D) + 1 for p in primes if D % p)
@@ -318,7 +321,7 @@ def verify_classification_grid(
             f, p, cpp, route, _ = v
             searched = found[key][p]
             witness = searched if searched is not None and searched <= top else None
-            if not _revalidate(v, squares, searched) or cpp and witness is not None:
+            if not _revalidate(v, squares) or cpp and witness is not None:
                 status = STATUS_CONTRADICTION
             elif cpp or witness is not None:
                 status = STATUS_AGREES
@@ -340,14 +343,13 @@ def revalidate_verdict(v: Verdict) -> bool:
 
     Every route's evidence must carry exactly the route's keys, and its
     numbers must be ints; evidence of another type or shape is rejected,
-    never raised on.  A route-1 witness n >= 1 must be divisible by p,
-    represented by the class and never p-primitively (`_p_primitive`).
-    Evidence too large to check, a witness whose row scans could need
-    more than `repcount.MAX_ROWS` rows, is rejected before any row.
-    Route-3 evidence must equal the derived facts key for key, with
-    `square_has_p_square` the bool `_p_primitive` gives for p^2 by the
-    square, not an int equal to it; a passing verdict's solution, a list
-    of two ints, is checked by evaluating the square class at it.
+    never raised on.  A route-1 witness must be p^2 a = f(p, 0), with
+    (D/p) = -1 by Euler's criterion, computed here; no row is scanned, and
+    any other witness is rejected.  Route-3 evidence must equal the
+    derived facts key for key, with `square_has_p_square` the bool
+    `_p_primitive` gives for p^2 by the square, not an int equal to it; a
+    passing verdict's solution, a list of two ints, is checked by
+    evaluating the square class at it.
     """
     f, p = v.cls, v.p
     return (isinstance(f, BinaryForm) and type(v.completely_p_primitive) is bool
@@ -356,19 +358,13 @@ def revalidate_verdict(v: Verdict) -> bool:
 
 
 def _revalidate(
-    v: Verdict,
-    squares: dict[BinaryForm, tuple[int, BinaryForm, list[int]] | None],
-    searched: int | None = None,
+    v: Verdict, squares: dict[BinaryForm, tuple[int, BinaryForm, list[int]] | None]
 ) -> bool:
     """`revalidate_verdict`, reading and filling the facts that the grid
     derives once per discriminant.  `squares` maps a route-3 class to its
     `_order_and_square`: its census order and its square, or None if the
     class is not in the census or its order fails the order-4 test; the
-    evidence is compared with them key by key.  A route-1 witness equal to
-    `searched`, the grid's smallest witness for the class at p, was
-    scanned by the search and is accepted; any other is scanned in full,
-    or rejected if isqrt(4kn/|D|) >= MAX_ROWS for k = a + |b| + c, at least
-    the first coefficient of either scan.  p is not checked here: the
+    evidence is compared with them key by key.  p is not checked here: the
     grid's primes are primes that do not divide D."""
     f, p, cpp, route, evidence = v
     if not isinstance(evidence, dict):
@@ -376,19 +372,13 @@ def _revalidate(
     # each route's evidence holds its keys and no other: as many keys, each
     # read by `get`, whose None no check accepts
     if route == ROUTE_SYMBOL_MINUS_ONE:
-        n = evidence.get("witness")
+        n, D = evidence.get("witness"), f.D
         return (
             not cpp
             and len(evidence) == 1
             and type(n) is int
-            and (
-                n == searched
-                or n >= 1
-                and n % p == 0
-                and math.isqrt(4 * (f.a + abs(f.b) + f.c) * n // -f.D) < MAX_ROWS
-                and next(half_plane_solutions(f, n), None) is not None
-                and not _p_primitive(f, n, p)
-            )
+            and n == p * p * f.a
+            and (D % 8 == 5 if p == 2 else pow(D % p, (p - 1) // 2, p) == p - 1)
         )
     if route == ROUTE_PRINCIPAL_SQUARE:
         m, n = evidence.get("m"), evidence.get("n")

@@ -139,7 +139,7 @@ class Verdict(NamedTuple):
     """Decision for one (class, p) pair with machine-checkable evidence.
 
     evidence keys by route:
-      symbol_minus_one:         witness (represented, never p-primitively)
+      symbol_minus_one:         witness (p^2 a = f(p, 0), with (D/p) = -1)
       principal_square:         m, n (4p^2 = m^2 + |D|n^2)
       order_four_square:        order, square_form, solution (of p^2)
       order_four_square_failed: order, square_form, square_has_p_square

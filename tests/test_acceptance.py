@@ -16,7 +16,7 @@ import pytest
 
 from helpers import discriminants_in
 from lemma_checks import mass, verify_jones, verify_reflection_parity
-from qprim import oracle
+from qprim import oracle, repcount
 from qprim.classgroup import ambiguous_classes, enumerate_classes
 from qprim.intarith import kronecker, primes_up_to
 from qprim.oracle import verify_classification_grid
@@ -133,8 +133,10 @@ def test_criterion_3():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_smallest_witnesses", counting("pairs", searching))
         mp.setattr(oracle, "rep_profile", counting("rep_profile", sweeping))
-        for name in ("compose", "_p_primitive", "half_plane_solutions"):
+        for name in ("compose", "_p_primitive"):
             mp.setattr(oracle, name, counting(name, getattr(oracle, name)))
+        mp.setattr(repcount, "half_plane_solutions",
+                   counting("half_plane_solutions", repcount.half_plane_solutions))
         t0 = time.perf_counter()
         report = verify_classification_grid(
             dmin=-400, dmax=-3, pmax=23, bound=5000, ceiling=250000
@@ -170,9 +172,9 @@ def test_criterion_3():
     # lo < m <= hi, 53226 values wide in all; each pair's first window
     # (0, a] holds a alone and is not swept.  Each fact is derived once per
     # discriminant: each class is squared once for all of its route-3
-    # primes, and every route-1 witness is the search's own, so none is
-    # scanned again.  Each route-3 negative scans its square for p^2 once
-    # (3722 scans)
+    # primes, and route-1 evidence is checked by Euler's criterion, so no
+    # witness is scanned again.  Each route-3 negative scans its square for
+    # p^2 once (3722 scans)
     assert calls == {
         "pairs": 754, "rep_profile": 2112, "swept": 53226, "compose": 969, "_p_primitive": 3722
     }

@@ -323,7 +323,8 @@ def test_census_commands_reject_d_beyond_limit(capsys, argv):
 
 
 # a prime above MAX_P, whose trial division would take about ten times as
-# long as at the cap, and whose verify rescans a hundred times as long
+# long as at the cap, and whose verify searches of positive cells scan a
+# hundred times as many rows
 BIG_P = "100000007"
 
 

@@ -12,7 +12,7 @@ from lemma_checks import (
     verify_product_membership,
     verify_reflection_parity,
 )
-from qprim import oracle, pprim
+from qprim import oracle, pprim, repcount
 from qprim.classgroup import MAX_ABS_D, enumerate_classes
 from qprim.intarith import primes_up_to
 from qprim.oracle import (
@@ -289,15 +289,31 @@ def test_revalidate_rejects_doctored_evidence():
         assert revalidate_verdict(v)
         assert not revalidate_verdict(v._replace(evidence={**v.evidence, "bogus": 1}))
     assert not revalidate_verdict(good._replace(evidence={"m": good.evidence["m"]}))
-    # a route-1 witness must be a value of the class that is divisible by p
-    # and never p-primitive: 0 is not, nor 1, 14 and 15, which p = 11 does
-    # not divide, nor 22, which [1, 0, 14] does not take
+    # a route-1 witness must be p^2 a = f(p, 0): 0 is not, nor 1, 14 and 15,
+    # which p = 11 does not divide, nor 22, which [1, 0, 14] does not take,
+    # nor 121 * 15, a witness all the same, nor p^2 c for [2, 0, 7]
     v = classify_all(-56, 11)[0]
     assert v.cls.triple() == (1, 0, 14) and v.evidence == {"witness": 121}
-    for witness in (121, 121 * 15):
-        assert revalidate_verdict(v._replace(evidence={"witness": witness}))
-    for witness in (0, 1, 14, 15, 22):
+    assert revalidate_verdict(v)
+    for witness in (0, 1, 14, 15, 22, 121 * 15):
         assert not revalidate_verdict(v._replace(evidence={"witness": witness})), witness
+    w = classify_all(-56, 11)[1]
+    assert w.cls.triple() == (2, 0, 7) and revalidate_verdict(w)
+    assert not revalidate_verdict(w._replace(evidence={"witness": 121 * 7}))
+    # a route-1 verdict is negative: True with the same evidence is rejected
+    assert not revalidate_verdict(v._replace(completely_p_primitive=True))
+    # (D/p) = -1 by Euler's criterion, D = 5 mod 8 at p = 2: 2 is inert in
+    # D = -3 and splits in D = -7 = 1 mod 8, so p^2 a = 4 for -7's class
+    # [1, 1, 2] is rejected; so is p^2 a = 121 at p = 11, where (-7/11) = 1
+    (inert,) = classify_all(-3, 2)
+    assert inert.route == ROUTE_SYMBOL_MINUS_ONE and inert.evidence == {"witness": 4}
+    assert revalidate_verdict(inert)
+    (split,) = classify_all(-7, 2)
+    assert split.route != ROUTE_SYMBOL_MINUS_ONE
+    for p in (2, 11):
+        doctored = split._replace(p=p, completely_p_primitive=False,
+                                  route=ROUTE_SYMBOL_MINUS_ONE, evidence={"witness": p * p})
+        assert not revalidate_verdict(doctored), p
     # evidence of the wrong type or shape is rejected, never raised on
     for witness in (121.0, "121", None, [121]):
         assert not revalidate_verdict(v._replace(evidence={"witness": witness})), witness
@@ -371,31 +387,25 @@ def test_revalidate_rejects_doctored_evidence():
 
 
 def test_revalidate_rejects_witness_too_large_to_scan(monkeypatch):
-    # the scans of a witness n read the rows of f, or of [c, b, a] or
-    # [a + b + c, b + 2c, c], isqrt(4kn // |D|) + 1 of them for a first
-    # coefficient k <= a + |b| + c; a witness for which that bound exceeds
-    # MAX_ROWS is rejected before any row.  An honest witness p^2 a of a
-    # reduced form stays within 2p + 1 rows, since 4(a + |b| + c)a <= 4|D|;
-    # D = -3 meets that bound, and at the largest p it is scanned in full
-    v = classify_all(-3, 999983)[0]
-    assert v.route == ROUTE_SYMBOL_MINUS_ONE and revalidate_verdict(v)
-
+    # route 1 is checked by Euler's criterion and scans no row, so every
+    # inert verdict at the largest primes passes with each scan patched to
+    # raise, and a witness too large to scan is rejected unscanned
     def no_scan(*args):
         raise AssertionError(f"scanned {args}")
 
-    monkeypatch.setattr(oracle, "half_plane_solutions", no_scan)
+    monkeypatch.setattr(repcount, "half_plane_solutions", no_scan)
+    monkeypatch.setattr(oracle, "_first_imprimitive", no_scan)
     monkeypatch.setattr(oracle, "_p_primitive", no_scan)
+    verdicts = [*classify_all(-3, 999983), *classify_all(-56, 999979)]
+    assert len(verdicts) == 5
+    for v in verdicts:
+        assert v.route == ROUTE_SYMBOL_MINUS_ONE and revalidate_verdict(v), v
     v = classify_all(-56, 11)[0]
     assert v.cls.triple() == (1, 0, 14)
     assert not revalidate_verdict(v._replace(evidence={"witness": 121 * 10**30}))
-    # for [1, 0, 14], 4kn // |D| = 60n // 56: the last multiple of 11 below
-    # 56 MAX_ROWS^2 / 60 is scanned, the next one is not
-    edge = -(-56 * oracle.MAX_ROWS**2 // (60 * 11)) * 11
-    assert not revalidate_verdict(v._replace(evidence={"witness": edge}))
-    with pytest.raises(AssertionError, match="scanned"):
-        revalidate_verdict(v._replace(evidence={"witness": edge - 11}))
-    # 11 divides a, so [11, 1, 10^6] is scanned as [10^6, 1, 11]: about
-    # 10^8 rows where the rows of f number 331663
+    # 11 divides a, so a scan of [11, 1, 10^6] would read [10^6, 1, 11]:
+    # about 10^8 rows where the rows of f number 331663.  The witness is not
+    # 11^2 a, and 11 splits, since D = 1 mod 11
     doctored = Verdict(BinaryForm(11, 1, 10**6), 11, False, ROUTE_SYMBOL_MINUS_ONE,
                        {"witness": 11 * 10**16})
     assert not revalidate_verdict(doctored)
@@ -708,40 +718,42 @@ def test_grid_searches_positive_cells_up_to_their_smallest_candidate(monkeypatch
 
 
 @pytest.mark.parametrize(
-    "witness, scanned, status",
+    "witness",
     [
-        (9, False, STATUS_AGREES),  # the search's own witness
-        (36, True, STATUS_AGREES),  # 6^2: another witness, scanned in full
-        (15, True, STATUS_CONTRADICTION),  # 1 + 14, taken 3-primitively
-        (22, False, STATUS_CONTRADICTION),  # not divisible by 3
+        9,  # the search's own witness, p^2 a
+        36,  # 6^2: another witness
+        15,  # 1 + 14, taken 3-primitively
+        22,  # not divisible by 3
     ],
 )
-def test_grid_rescans_a_route_one_witness_the_search_did_not_find(
-    monkeypatch, witness, scanned, status
-):
-    # [1, 0, 14] at D = -56, p = 3 given route-1 evidence: a witness equal to
-    # the search's smallest, 9, is accepted on the search's scan, and any
-    # other is scanned again, alone
+def test_grid_rejects_route_one_evidence_at_a_split_prime(monkeypatch, witness):
+    # [1, 0, 14] at D = -56, p = 3 given route-1 evidence: 3 splits, so
+    # every witness is a contradiction, 9 = p^2 a included, and none is
+    # scanned.  The one p-primitive scan left is route 3's, for [2, 0, 7],
+    # whose square [1, 0, 14] takes 9
     real = pprim.classify_all
     calls = []
-    real_scan = oracle.half_plane_solutions
+    real_scan = oracle._p_primitive
 
     def doctoring(D, p):
         return [v._replace(route=ROUTE_SYMBOL_MINUS_ONE, evidence={"witness": witness})
                 if (p, v.cls) == (3, (1, 0, 14)) else v for v in real(D, p)]
 
-    def scanning(f, n):
+    def scanning(f, n, p):
         calls.append((f.triple(), n))
-        return real_scan(f, n)
+        return real_scan(f, n, p)
+
+    def no_scan(*args):
+        raise AssertionError(f"scanned {args}")
 
     monkeypatch.setattr(pprim, "classify_all", doctoring)
-    monkeypatch.setattr(oracle, "half_plane_solutions", scanning)
+    monkeypatch.setattr(oracle, "_p_primitive", scanning)
+    monkeypatch.setattr(repcount, "half_plane_solutions", no_scan)
     report = verify_classification_grid(-56, -56, 3, 5000)
     cell = next(c for c in report.cells if c.form == (1, 0, 14))
-    assert (cell.witness, cell.status) == (9, status)
-    assert [c.form for c in report.contradictions] == ([] if status == STATUS_AGREES else [cell.form])
-    # only a route-1 check looks for a solution of the witness
-    assert calls == ([((1, 0, 14), witness)] if scanned else [])
+    assert (cell.witness, cell.status) == (9, STATUS_CONTRADICTION)
+    assert [c.form for c in report.contradictions] == [cell.form]
+    assert calls == [((1, 0, 14), 9)]
 
 
 @pytest.mark.parametrize("form", [(3, -2, 17), (3, 2, 17), (6, -4, 9), (6, 4, 9)])
