@@ -5,12 +5,15 @@ sqrt(4an/|D|) for f(x, y) = n, so solution sets are finite and cheap to
 enumerate exactly at desk scale.  Every definite form has the automorph -I,
 so (x, y) and (-x, -y) share their value, and both lattice sweeps walk only
 the half-plane y >= 0.  The row scan behind the point queries splits the
-rows by the parity of y and keeps a class only if 4an - |D|y^2 can be a
-square mod 64 for some y in it, so it walks every row, every other row or
-no row, still ascending.  The value sweep `rep_profile` returns the counts
-r(n) and nothing else: each point it visits stands for itself and its
-negative, so it adds 2.  Primitivity is read off the counts, because the
-solutions of n in dZ^2 are d times the solutions of n/d^2.
+rows by the 2-adic valuation of y, capped at 3 (odd y, y = 2 mod 4, 4 mod
+8 and 0 mod 8, a half, a quarter and two eighths of the rows), and keeps
+a class only if 4an - |D|y^2 can be a square mod 64 for some y in it.
+It walks each class kept as one arithmetic progression of rows, steps
+4an - |D|y^2 by subtraction, and sorts the rows that hold a square by y.
+The value sweep `rep_profile` returns the counts r(n) and nothing else:
+each point it visits stands for itself and its negative, so it adds 2.
+Primitivity is read off the counts, because the solutions of n in dZ^2
+are d times the solutions of n/d^2.
 """
 
 from __future__ import annotations
@@ -27,29 +30,30 @@ MAX_BOUND = 10**6
 
 #: largest number of rows the `represent` command sweeps, summed over the
 #: classes: `enumerate_solutions(f, n)` walks at most isqrt(4an // |D|) + 1
-#: rows y >= 0, and the cap counts all of them (0.46-0.48 s for
-#: `represent -3` or `-4` at the limit with both parity classes kept, half
-#: that with one and 1-2 ms with none, 2-vCPU VM)
+#: rows y >= 0, and the cap counts all of them (0.29-0.31 s for
+#: `represent -3 6749999999999` or `-4 8999999999997`, at the limit with
+#: three quarters of the rows kept, the odd y and y = 2 mod 4; 0.10 s with
+#: a quarter kept and 1 ms with none, 2-vCPU VM)
 MAX_ROWS = 3 * 10**6
 
 #: _SQUARE_MOD_64[k] is True iff k is a square mod 64
 _SQUARE_MOD_64 = tuple(map({s * s % 64 for s in range(32)}.__contains__, range(64)))
 
-#: the residues y^2 mod 64 of the even and of the odd y < 32; (y + 32)^2 =
-#: y^2 mod 64, so they are those of every y of that parity
-_ROW_SQUARES_MOD_64 = tuple(sorted({y * y % 64 for y in range(r, 32, 2)}) for r in (0, 1))
+#: the classes of y by 2-adic valuation, capped at 3, as (first row, step,
+#: the residues y^2 mod 64 of the class): odd y, y = 2 mod 4, 4 mod 8 and
+#: 0 mod 8; (y + 32)^2 = y^2 mod 64, so the y < 64 give them all
+_ROW_CLASSES = tuple((r, m, tuple(sorted({y * y % 64 for y in range(r, 64, m)})))
+                     for r, m in ((1, 2), (2, 4), (4, 8), (0, 8)))
 
 
-def _rows(four_an: int, abs_d: int) -> range:
-    """The rows 0 <= y <= isqrt(4an / |D|), ascending, of the parity classes
-    in which 4an - |D|y^2 can be a square mod 64: every row, every other
-    row, or none."""
+def _row_classes(four_an: int, abs_d: int) -> list[range]:
+    """The rows 0 <= y <= isqrt(4an / |D|) of each class of y by 2-adic
+    valuation in which 4an - |D|y^2 can be a square mod 64, one ascending
+    range per class kept: odd y, then y = 2 mod 4, 4 mod 8 and 0 mod 8."""
     k, d = four_an % 64, abs_d % 64
-    even, odd = (any(_SQUARE_MOD_64[(k - d * t) % 64] for t in ts) for ts in _ROW_SQUARES_MOD_64)
     end = math.isqrt(four_an // abs_d) + 1
-    if even and odd:
-        return range(end)
-    return range(0 if even else 1, end, 2) if even or odd else range(0)
+    return [range(r, end, m) for r, m, ts in _ROW_CLASSES
+            if any(_SQUARE_MOD_64[(k - d * t) % 64] for t in ts)]
 
 
 def half_plane_solutions(f: BinaryForm, n: int) -> Iterator[tuple[int, int]]:
@@ -57,11 +61,12 @@ def half_plane_solutions(f: BinaryForm, n: int) -> Iterator[tuple[int, int]]:
     ascending y.
 
     A solution has 4an - |D|y^2 = (2ax + by)^2, so the scan tests only the
-    rows of the parity classes of y in which that can be a square mod 64,
-    which are both, one or none of them.  The rows are scanned lazily, so
-    a caller that stops early skips the rest.  For n >= 1 they hold one
-    point of each pair (x, y), (-x, -y), so together with their negatives
-    they are all the solutions; n < 1 yields nothing."""
+    rows of the classes of y by 2-adic valuation in which that can be a
+    square mod 64.  It walks each class kept with 4an - |D|y^2 updated by
+    subtraction and yields the rows that hold a square sorted by y.  For
+    n >= 1 they hold one point of each pair (x, y), (-x, -y), so together
+    with their negatives they are all the solutions; n < 1 yields
+    nothing."""
     if n < 1:
         return
     a, b, c = f
@@ -69,11 +74,22 @@ def half_plane_solutions(f: BinaryForm, n: int) -> Iterator[tuple[int, int]]:
     isqrt = math.isqrt
     four_an = 4 * a * n
     two_a = 2 * a
-    for y in _rows(four_an, abs_d):
+    hits = []
+    for rows in _row_classes(four_an, abs_d):
+        # from row y to y + step, 4an - |D|y^2 falls by dec = |D|step(2y + step)
+        y, step = rows.start, rows.step
         disc = four_an - abs_d * y * y
-        s = isqrt(disc)
-        if s * s != disc:
-            continue
+        dec = abs_d * step * (2 * y + step)
+        inc = 2 * step * step * abs_d
+        for y in rows:
+            s = isqrt(disc)
+            if s * s == disc:
+                hits.append((y, s))
+            disc -= dec
+            dec += inc
+    # each row lies in one class, so the rows are distinct and sort by y
+    hits.sort()
+    for y, s in hits:
         # the row y = 0 has s > 0 and keeps the root x = s / 2a > 0
         for root in (s, -s) if s and y else (s,):
             num = -b * y + root

@@ -56,7 +56,7 @@ def two_square_scan(D: int, p: int) -> TwoSquareSolution | None:
 
 def half_plane_solutions_unfiltered(f: BinaryForm, n: int) -> Iterator[tuple[int, int]]:
     """Reference for `repcount.half_plane_solutions`: the same row scan
-    through every row 0 <= y <= isqrt(4an/|D|), with no parity class of y
+    through every row 0 <= y <= isqrt(4an/|D|), with no class of y
     skipped."""
     if n < 1:
         return

@@ -42,6 +42,10 @@ STDOUT_CASES = {
     # 39 and 54 rows: [1, 0, 14] holds solutions in odd rows only, [2, 0, 7]
     # in even rows only, and [3, +-2, 5] in neither
     "represent_-56_20286_3.json": ["represent", "-56", "20286", "--p", "3"],
+    # every class keeps only the rows y = 4 and y = 0 mod 8, 126 of the 499
+    # rows and half of the 251 even ones; [3, +-2, 5] hold solutions at
+    # y = 52, 100 and 140
+    "represent_-56_100000_3.json": ["represent", "-56", "100000", "--p", "3"],
     "spectrum_-56_3_2_5.json": ["spectrum", "-56", "--form", "3,2,5", "--bound", "200",
                                 "--p", "3"],
     "ternary-demo_1000.json": ["ternary-demo", "--bound", "1000"],

@@ -841,9 +841,11 @@ def test_grid_rejects_dmin_beyond_census_limit(dmin):
 
 
 def test_grid_rejects_window_over_two_square_rows(monkeypatch):
-    # the window D in [-60, -3], p <= 7 needs 217 `solve_two_square` rows
-    # in all, isqrt(4p^2 / |D|) + 1 per (D, p); one fewer is refused before
-    # any classification, and the last discriminant tips the sum over
+    # the window D in [-60, -3], p <= 7 holds 217 two-square rows in all,
+    # the isqrt(4p^2 / |D|) + 1 rows of p^2 by the principal form per
+    # (D, p), which bound the grid's positive searches up to p^2 a; one
+    # fewer is refused before any classification, and the last
+    # discriminant tips the sum over
     calls = []
     monkeypatch.setattr(pprim, "classify_all", lambda D, p: calls.append((D, p)) or [])
     monkeypatch.setattr(oracle, "MAX_ROWS", 216)

@@ -230,8 +230,10 @@ def test_classify_checks_p_before_the_census(monkeypatch):
     ],
 )
 def test_classify_all_settles_pair_facts_once(monkeypatch, D, p, route):
-    # (D/p) and the two-square equation depend on (D, p), not on the class
-    calls = {"kronecker_prime": 0, "solve_two_square": 0}
+    # (D/p), P^2 and the two-square equation depend on (D, p), not on the
+    # class: one `_prime_squares` settles (D/p) and P^2, and route 1 needs
+    # no `_two_square`
+    calls = {"kronecker_prime": 0, "_prime_squares": 0, "_two_square": 0}
     for name in calls:
         def counting(*args, _name=name, _real=getattr(pprim, name)):
             calls[_name] += 1
@@ -241,7 +243,8 @@ def test_classify_all_settles_pair_facts_once(monkeypatch, D, p, route):
     verdicts = classify_all(D, p)
     assert len(verdicts) == enumerate_classes(D).h
     assert route in {v.route for v in verdicts}
-    assert calls["kronecker_prime"] <= 1 and calls["solve_two_square"] <= 1
+    assert calls == {"kronecker_prime": 1, "_prime_squares": 1,
+                     "_two_square": 0 if route == ROUTE_SYMBOL_MINUS_ONE else 1}
 
 
 def test_classify_all_builds_exact_verdicts():

@@ -12,7 +12,7 @@ from qprim.qform import BinaryForm
 from qprim.repcount import (
     MAX_BOUND,
     RepRecord,
-    _rows,
+    _row_classes,
     enumerate_solutions,
     half_plane_solutions,
     rep_counts,
@@ -70,8 +70,8 @@ def test_enumerate_solutions_examples():
 
 
 def test_enumerate_solutions_matches_box_scan():
-    # the lazy row scan behind it yields the half-plane y >= 1 with x >= 1 on
-    # the row y = 0, rows ascending
+    # the row scan behind it yields the half-plane y >= 1 with x >= 1 on the
+    # row y = 0, rows ascending
     for f in SAMPLE_FORMS:
         for n in range(1, 60):
             sols = brute_solutions(f, n)
@@ -108,18 +108,27 @@ def test_half_plane_solutions_matches_unfiltered_scan():
     assert _compare_with_unfiltered_scan(queries) == (32928, 6105)
 
 
-def test_row_scan_parity_classes():
-    # 4an - |D|y^2 is a square mod 64 for both classes of y, for the even or
-    # the odd rows only, or for neither; the rows still ascend
+def test_row_scan_two_adic_classes():
+    # 4an - |D|y^2 is a square mod 64 in some classes of y by 2-adic
+    # valuation (odd, 2 mod 4, 4 mod 8, 0 mod 8) and not in the others; each
+    # class kept is one ascending range, and the solutions come by
+    # ascending y across the classes
     cases = [
-        (BinaryForm(1, 0, 1), 25, range(0, 6), [(5, 0), (4, 3), (-4, 3), (3, 4), (-3, 4), (0, 5)]),
-        (BinaryForm(2, 0, 7), 20286, range(0, 54, 2), [(63, 42), (-63, 42)]),
-        (BinaryForm(1, 0, 14), 20286, range(1, 39, 2),
+        (BinaryForm(1, 0, 1), 25, [range(1, 6, 2), range(4, 6, 8), range(0, 6, 8)],
+         [(5, 0), (4, 3), (-4, 3), (3, 4), (-3, 4), (0, 5)]),
+        (BinaryForm(2, 0, 7), 20286, [range(2, 54, 4)], [(63, 42), (-63, 42)]),
+        (BinaryForm(1, 0, 14), 20286, [range(1, 39, 2)],
          [(140, 7), (-140, 7), (56, 35), (-56, 35)]),
-        (BinaryForm(1, 0, 1), 3, range(0), []),
+        (BinaryForm(1, 0, 1), 3, [], []),
+        # the even rows split: y = 2 mod 4 only; the odd rows and y = 4 mod
+        # 8; y = 4 and y = 0 mod 8, of which only the row 0 is below the top
+        (BinaryForm(1, 0, 14), 56, [range(2, 3, 4)], [(0, 2)]),
+        (BinaryForm(1, 1, 1), 13, [range(1, 5, 2), range(4, 5, 8)],
+         [(3, 1), (-4, 1), (1, 3), (-4, 3), (-1, 4), (-3, 4)]),
+        (BinaryForm(1, 0, 14), 4, [range(4, 1, 8), range(0, 1, 8)], [(2, 0)]),
     ]
     for f, n, rows, half in cases:
-        assert _rows(4 * f.a * n, -f.D) == rows
+        assert _row_classes(4 * f.a * n, -f.D) == rows
         assert list(half_plane_solutions(f, n)) == half
 
 
