@@ -7,9 +7,10 @@ so (x, y) and (-x, -y) share their value, and both lattice sweeps walk only
 the half-plane y >= 0.  The row scan behind the point queries splits the
 rows by the 2-adic valuation of y, capped at 3 (odd y, y = 2 mod 4, 4 mod
 8 and 0 mod 8, a half, a quarter and two eighths of the rows), and keeps
-a class only if 4an - |D|y^2 can be a square mod 64 for some y in it.
-It walks each class kept as one arithmetic progression of rows, steps
-4an - |D|y^2 by subtraction, and sorts the rows that hold a square by y.
+a class only if 4an - |D|y^2 can be a square mod 64 for some y in it: a
+table built at import, indexed by |D| mod 64, holds one bit per 4an mod
+64 and class.  It walks each class kept as one arithmetic progression of
+rows, steps 4an - |D|y^2 by subtraction, and returns one list by y.
 The value sweep `rep_profile` returns the counts r(n) and nothing else:
 each point it visits stands for itself and its negative, so it adds 2.
 Primitivity is read off the counts, because the solutions of n in dZ^2
@@ -19,7 +20,8 @@ are d times the solutions of n/d^2.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from functools import reduce
+from operator import itemgetter, or_
 from typing import NamedTuple
 
 from .intarith import ceil_div, check_prime
@@ -30,71 +32,66 @@ MAX_BOUND = 10**6
 
 #: largest number of rows the `represent` command sweeps, summed over the
 #: classes: `enumerate_solutions(f, n)` walks at most isqrt(4an // |D|) + 1
-#: rows y >= 0, and the cap counts all of them (0.29-0.31 s for
-#: `represent -3 6749999999999` or `-4 8999999999997`, at the limit with
-#: three quarters of the rows kept, the odd y and y = 2 mod 4; 0.10 s with
-#: a quarter kept and 1 ms with none, 2-vCPU VM)
+#: rows y >= 0, and the cap counts all of them (0.29-0.30 s of scan, 0.35
+#: s in all, for `represent -3 6749999999999` or `-4 8999999999997`, at the
+#: limit with three quarters of the rows kept, the odd y and y = 2 mod 4;
+#: 0.10 s of scan with a quarter kept, 2-vCPU VM)
 MAX_ROWS = 3 * 10**6
 
-#: _SQUARE_MOD_64[k] is True iff k is a square mod 64
-_SQUARE_MOD_64 = tuple(map({s * s % 64 for s in range(32)}.__contains__, range(64)))
 
-#: the classes of y by 2-adic valuation, capped at 3, as (first row, step,
-#: the residues y^2 mod 64 of the class): odd y, y = 2 mod 4, 4 mod 8 and
-#: 0 mod 8; (y + 32)^2 = y^2 mod 64, so the y < 64 give them all
-_ROW_CLASSES = tuple((r, m, tuple(sorted({y * y % 64 for y in range(r, 64, m)})))
-                     for r, m in ((1, 2), (2, 4), (4, 8), (0, 8)))
-
-
-def _row_classes(four_an: int, abs_d: int) -> list[range]:
-    """The rows 0 <= y <= isqrt(4an / |D|) of each class of y by 2-adic
-    valuation in which 4an - |D|y^2 can be a square mod 64, one ascending
-    range per class kept: odd y, then y = 2 mod 4, 4 mod 8 and 0 mod 8."""
-    k, d = four_an % 64, abs_d % 64
-    end = math.isqrt(four_an // abs_d) + 1
-    return [range(r, end, m) for r, m, ts in _ROW_CLASSES
-            if any(_SQUARE_MOD_64[(k - d * t) % 64] for t in ts)]
+def _row_table() -> tuple:
+    """_ROW_TABLE[|D| % 64]: per class of y (odd, 2 mod 4, 4 mod 8, 0 mod
+    8), the row (first y, step, dec / |D|, inc / |D|, mask).  From y to
+    y + step, 4an - |D|y^2 falls by dec = |D|step(2y + step), and dec grows
+    by inc = 2|D|step^2.  Bit k of the mask is set iff k - |D|t is a square
+    mod 64 for some t = y^2 mod 64 of the class (y < 64 give every t)."""
+    squares = sum(1 << k for k in {s * s % 64 for s in range(32)})
+    # the squares mod 64 rotated left by j: bits 64 - j to 127 - j of them twice
+    rotated = [(squares << 64 | squares) >> 64 - j & (1 << 64) - 1 for j in range(64)]
+    classes = [(r, m, {y * y % 64 for y in range(r, 64, m)})
+               for r, m in ((1, 2), (2, 4), (4, 8), (0, 8))]
+    return tuple(tuple((r, m, m * (2 * r + m), 2 * m * m,
+                        reduce(or_, [rotated[d * t % 64] for t in ts]))
+                       for r, m, ts in classes) for d in range(64))
 
 
-def half_plane_solutions(f: BinaryForm, n: int) -> Iterator[tuple[int, int]]:
-    """Yield the (x, y) with f(x, y) = n and y >= 1, or y = 0 and x >= 1, by
-    ascending y.
+_ROW_TABLE = _row_table()
+
+
+def half_plane_solutions(f: BinaryForm, n: int) -> list[tuple[int, int]]:
+    """The (x, y) with f(x, y) = n and y >= 1, or y = 0 and x >= 1, sorted
+    by y.
 
     A solution has 4an - |D|y^2 = (2ax + by)^2, so the scan tests only the
-    rows of the classes of y by 2-adic valuation in which that can be a
-    square mod 64.  It walks each class kept with 4an - |D|y^2 updated by
-    subtraction and yields the rows that hold a square sorted by y.  For
-    n >= 1 they hold one point of each pair (x, y), (-x, -y), so together
-    with their negatives they are all the solutions; n < 1 yields
-    nothing."""
+    classes of y that `_ROW_TABLE` keeps for |D| and 4an mod 64, each with
+    4an - |D|y^2 updated by subtraction.  For n >= 1 the rows hold one
+    point of each pair (x, y), (-x, -y), so together with their negatives
+    they are all the solutions; n < 1 has none."""
     if n < 1:
-        return
+        return []
     a, b, c = f
     abs_d = 4 * a * c - b * b
     isqrt = math.isqrt
     four_an = 4 * a * n
-    two_a = 2 * a
-    hits = []
-    for rows in _row_classes(four_an, abs_d):
-        # from row y to y + step, 4an - |D|y^2 falls by dec = |D|step(2y + step)
-        y, step = rows.start, rows.step
-        disc = four_an - abs_d * y * y
-        dec = abs_d * step * (2 * y + step)
-        inc = 2 * step * step * abs_d
-        for y in rows:
-            s = isqrt(disc)
-            if s * s == disc:
-                hits.append((y, s))
-            disc -= dec
-            dec += inc
-    # each row lies in one class, so the rows are distinct and sort by y
-    hits.sort()
-    for y, s in hits:
-        # the row y = 0 has s > 0 and keeps the root x = s / 2a > 0
-        for root in (s, -s) if s and y else (s,):
-            num = -b * y + root
-            if num % two_a == 0:
-                yield num // two_a, y
+    end = isqrt(four_an // abs_d) + 1
+    out = []
+    for y, step, dec, inc, mask in _ROW_TABLE[abs_d % 64]:
+        if mask >> four_an % 64 & 1:
+            disc, dec, inc = four_an - abs_d * y * y, abs_d * dec, abs_d * inc
+            for y in range(y, end, step):
+                s = isqrt(disc)
+                if s * s == disc:
+                    # the row y = 0 has s > 0 and keeps the root x = s / 2a > 0
+                    for root in (s, -s) if s and y else (s,):
+                        num = root - b * y
+                        if num % (2 * a) == 0:
+                            out += ((num // (2 * a), y),)
+                disc -= dec
+                dec += inc
+    # each row lies in one class, so the rows are distinct; the sort is
+    # stable and keeps the roots of a row in order
+    out.sort(key=itemgetter(1))
+    return out
 
 
 def enumerate_solutions(f: BinaryForm, n: int) -> list[tuple[int, int]]:
@@ -121,12 +118,15 @@ class RepRecord(NamedTuple):
 
 def rep_counts(f: BinaryForm, n: int, p: int) -> RepRecord:
     """RepRecord for f(x, y) = n; a solution is p-primitive iff gcd(x, y, p) = 1.
-    p must be a prime <= `intarith.MAX_P`, checked before any row."""
+    p must be a prime <= `intarith.MAX_P` and then n must be >= 1, both
+    checked before any row."""
     check_prime(p)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     sols = tuple(enumerate_solutions(f, n))
-    r = len(sols)
-    r_star = sum(1 for x, y in sols if math.gcd(x, y) % p != 0)
-    return RepRecord(n, p, sols, r, r_star, r - r_star)
+    # gcd(x, y, p) > 1 iff p divides both x and y
+    r_flat = len([0 for x, y in sols if x % p == 0 == y % p])
+    return tuple.__new__(RepRecord, (n, p, sols, len(sols), len(sols) - r_flat, r_flat))
 
 
 def rep_profile(f: BinaryForm, bound: int, lo: int = 0) -> dict[int, int]:

@@ -44,7 +44,7 @@ def discriminants_in(dmin: int, dmax: int) -> list[int]:
 def two_square_scan(D: int, p: int) -> TwoSquareSolution | None:
     """Reference for `pprim.solve_two_square`: 4p^2 = (2x + ey)^2 + |D|y^2
     for the principal form [1, e, (e - D)/4] at p^2, with e = D mod 2, so
-    `half_plane_solutions` of p^2 by that form yields the solutions by
+    `half_plane_solutions` of p^2 by that form returns the solutions by
     ascending n = y, and the scan stops at the first p-primitive one."""
     e = D % 2
     for x, y in half_plane_solutions(BinaryForm(1, e, (e - D) // 4), p * p):

@@ -7,12 +7,13 @@ import pytest
 
 from helpers import discriminants_in, half_plane_solutions_unfiltered
 from lemma_checks import mass
+from qprim import repcount
 from qprim.classgroup import enumerate_classes, inverse_class
 from qprim.qform import BinaryForm
 from qprim.repcount import (
     MAX_BOUND,
+    _ROW_TABLE,
     RepRecord,
-    _row_classes,
     enumerate_solutions,
     half_plane_solutions,
     rep_counts,
@@ -70,7 +71,7 @@ def test_enumerate_solutions_examples():
 
 
 def test_enumerate_solutions_matches_box_scan():
-    # the row scan behind it yields the half-plane y >= 1 with x >= 1 on the
+    # the row scan behind it returns the half-plane y >= 1 with x >= 1 on the
     # row y = 0, rows ascending
     for f in SAMPLE_FORMS:
         for n in range(1, 60):
@@ -95,7 +96,7 @@ def _compare_with_unfiltered_scan(queries) -> tuple[int, int]:
 
 
 def test_half_plane_solutions_matches_unfiltered_scan():
-    # the parity classes of y that the scan skips hold no solution: every
+    # the 2-adic classes of y that the scan skips hold no solution: every
     # class of every D in [-600, -3] at n = 1, 4, ..., 37 and at three
     # seeded n <= 10^6
     rng = random.Random("half_plane_solutions:-600")
@@ -106,6 +107,34 @@ def test_half_plane_solutions_matches_unfiltered_scan():
         for n in [*range(1, 38, 3), *(rng.randint(1, 10**6) for _ in range(3))]
     ]
     assert _compare_with_unfiltered_scan(queries) == (32928, 6105)
+
+
+#: the classes of y by 2-adic valuation, capped at 3, as (first y, step):
+#: odd y, y = 2 mod 4, 4 mod 8 and 0 mod 8
+TWO_ADIC_CLASSES = [(1, 2), (2, 4), (4, 8), (0, 8)]
+
+
+def _kept_classes(k, d):
+    """The (first y, step) of each class that `_ROW_TABLE[d]` keeps at
+    4an = k mod 64."""
+    return [(y, step) for y, step, _, _, mask in _ROW_TABLE[d] if mask >> k & 1]
+
+
+def test_row_table_matches_its_definition():
+    # at 4an = k and |D| = d mod 64, a class is kept iff some y < 64 in it
+    # makes k - d*y^2 a square mod 64, which (y + 32)^2 = y^2 mod 64 makes
+    # the same as some y in it at all; from y to y + step, 4an - |D|y^2
+    # falls by |D|step(2y + step), and that decrement grows by 2|D|step^2
+    squares = {s * s % 64 for s in range(64)}
+    for d in range(64):
+        assert [row[:4] for row in _ROW_TABLE[d]] == [
+            (y, step, step * (2 * y + step), 2 * step * step) for y, step in TWO_ADIC_CLASSES
+        ]
+        for k in range(64):
+            assert _kept_classes(k, d) == [
+                (r, step) for r, step in TWO_ADIC_CLASSES
+                if any((k - d * y * y) % 64 in squares for y in range(r, 64, step))
+            ], (k, d)
 
 
 def test_row_scan_two_adic_classes():
@@ -128,8 +157,24 @@ def test_row_scan_two_adic_classes():
         (BinaryForm(1, 0, 14), 4, [range(4, 1, 8), range(0, 1, 8)], [(2, 0)]),
     ]
     for f, n, rows, half in cases:
-        assert _row_classes(4 * f.a * n, -f.D) == rows
-        assert list(half_plane_solutions(f, n)) == half
+        four_an = 4 * f.a * n
+        end = math.isqrt(four_an // -f.D) + 1
+        kept = _kept_classes(four_an % 64, -f.D % 64)
+        assert [range(y, end, step) for y, step in kept] == rows
+        assert half_plane_solutions(f, n) == half
+
+
+def test_every_scan_goes_through_half_plane_solutions(monkeypatch):
+    # the guards that patch this name to raise must intercept the scans of
+    # both public entry points
+    def no_scan(*args):
+        raise AssertionError(f"scanned {args}")
+
+    monkeypatch.setattr(repcount, "half_plane_solutions", no_scan)
+    with pytest.raises(AssertionError, match="scanned"):
+        rep_counts(BinaryForm(1, 0, 1), 25, 5)
+    with pytest.raises(AssertionError, match="scanned"):
+        enumerate_solutions(BinaryForm(1, 0, 1), 25)
 
 
 @pytest.mark.slow
@@ -161,16 +206,24 @@ def test_rep_counts_examples():
     assert rec.r_star_p > 0 and (2, 2) in rec.solutions
     with pytest.raises(ValueError):
         rep_counts(BinaryForm(1, 0, 14), 9, 4)
+    # n is checked after p, in rep_counts' own terms
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+            rep_counts(BinaryForm(1, 0, 14), n, 3)
+    with pytest.raises(ValueError, match="p must be prime, got 4"):
+        rep_counts(BinaryForm(1, 0, 14), 0, 4)
 
 
 def test_rep_counts_parity_and_split():
-    # solutions come in (x, y) -> (-x, -y) pairs, so r is even; r = r* + r_flat
+    # solutions come in (x, y) -> (-x, -y) pairs, so r is even; r = r* + r_flat,
+    # and r* counts the solutions with gcd(x, y, p) = 1
     for f in SAMPLE_FORMS:
         for n in range(1, 200):
             rec = rep_counts(f, n, 3)
             assert rec.r % 2 == 0
             assert rec.r == rec.r_star_p + rec.r_flat_p
             assert rec.r == len(rec.solutions)
+            assert rec.r_star_p == sum(1 for x, y in rec.solutions if math.gcd(x, y, 3) == 1)
 
 
 def test_rep_counts_symmetric_under_inverse():
@@ -202,7 +255,7 @@ def test_edge_values_yield_nothing_or_count_as_zero():
     # shell's lo < 0 is the full sweep
     for f in SAMPLE_FORMS:
         for n in (0, -1, -100):
-            assert list(half_plane_solutions(f, n)) == []
+            assert half_plane_solutions(f, n) == []
         for lo in (-1, -50):
             assert rep_profile(f, 60, lo) == rep_profile(f, 60)
 
