@@ -75,10 +75,10 @@ def half_plane_solutions(f: BinaryForm, n: int) -> list[tuple[int, int]]:
     four_an = 4 * a * n
     end = isqrt(four_an // abs_d) + 1
     out = []
-    for y, step, dec, inc, mask in _ROW_TABLE[abs_d % 64]:
+    for r, step, dec1, inc1, mask in _ROW_TABLE[abs_d % 64]:
         if mask >> four_an % 64 & 1:
-            disc, dec, inc = four_an - abs_d * y * y, abs_d * dec, abs_d * inc
-            for y in range(y, end, step):
+            disc, dec, inc = four_an - abs_d * r * r, abs_d * dec1, abs_d * inc1
+            for y in range(r, end, step):
                 s = isqrt(disc)
                 if s * s == disc:
                     # the row y = 0 has s > 0 and keeps the root x = s / 2a > 0
@@ -97,7 +97,7 @@ def half_plane_solutions(f: BinaryForm, n: int) -> list[tuple[int, int]]:
 def enumerate_solutions(f: BinaryForm, n: int) -> list[tuple[int, int]]:
     """All integer (x, y) with f(x, y) = n, sorted lexicographically."""
     if n < 1:
-        raise ValueError(f"enumerate_solutions requires n >= 1, got {n}")
+        raise ValueError(f"n must be >= 1, got {n}")
     out = []
     for x, y in half_plane_solutions(f, n):
         out += ((x, y), (-x, -y))
@@ -121,8 +121,6 @@ def rep_counts(f: BinaryForm, n: int, p: int) -> RepRecord:
     p must be a prime <= `intarith.MAX_P` and then n must be >= 1, both
     checked before any row."""
     check_prime(p)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     sols = tuple(enumerate_solutions(f, n))
     # gcd(x, y, p) > 1 iff p divides both x and y
     r_flat = len([0 for x, y in sols if x % p == 0 == y % p])

@@ -206,7 +206,7 @@ def test_rep_counts_examples():
     assert rec.r_star_p > 0 and (2, 2) in rec.solutions
     with pytest.raises(ValueError):
         rep_counts(BinaryForm(1, 0, 14), 9, 4)
-    # n is checked after p, in rep_counts' own terms
+    # n is checked after p, with a message that names n
     for n in (0, -3):
         with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
             rep_counts(BinaryForm(1, 0, 14), n, 3)

@@ -2,18 +2,17 @@
 
 Code-only lines hold at least one token of code: blank lines, comments
 and docstrings (the leading string of a module, class or function body)
-do not count.  Run from the repository root:
+do not count.  Run it from any directory:
 
-    python tools/src_lines.py [DIR]
+    python tools/src_lines.py
 
-DIR defaults to src/qprim.  The script only prints; it checks nothing.
+The script only prints; it checks nothing.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -44,17 +43,19 @@ def count_lines(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code)
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[0] if argv else "src/qprim")
+#: the library's package directory
+SRC = Path(__file__).resolve().parents[1] / "src" / "qprim"
+
+
+def main() -> None:
     totals = [0, 0]
     print(f"{'module':<16}{'total':>7}{'code':>7}")
-    for path in sorted(root.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         counts = count_lines(path.read_text())
         totals = [t + c for t, c in zip(totals, counts)]
         print(f"{path.name:<16}{counts[0]:>7}{counts[1]:>7}")
     print(f"{'sum':<16}{totals[0]:>7}{totals[1]:>7}")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()
