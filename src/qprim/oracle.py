@@ -115,7 +115,7 @@ def _first_imprimitive(scan: tuple[int, int, int, int], values: Iterable[int], t
         # every row is tested: the default verify grid's 14027 rejected
         # candidates stop after 60250 rows, about 4.3 each, which cost less
         # than the mod-64 test of the row classes in
-        # `repcount.half_plane_solutions`
+        # `repcount.enumerate_solutions`
         for y in range(isqrt(four_an // abs_d), 0, -1):
             if y % p:
                 disc = four_an - abs_d * y * y

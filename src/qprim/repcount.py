@@ -10,7 +10,8 @@ rows by the 2-adic valuation of y, capped at 3 (odd y, y = 2 mod 4, 4 mod
 a class only if 4an - |D|y^2 can be a square mod 64 for some y in it: a
 table built at import, indexed by |D| mod 64, holds one bit per 4an mod
 64 and class.  It walks each class kept as one arithmetic progression of
-rows, steps 4an - |D|y^2 by subtraction, and returns one list by y.
+rows, steps 4an - |D|y^2 by subtraction, adds each point found with
+its negative, and sorts the list once.
 The value sweep `rep_profile` returns the counts r(n) and nothing else:
 each point it visits stands for itself and its negative, so it adds 2.
 Primitivity is read off the counts, because the solutions of n in dZ^2
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from operator import itemgetter, or_
+from operator import or_
 from typing import NamedTuple
 
 from .intarith import ceil_div, check_prime
@@ -32,10 +33,10 @@ MAX_BOUND = 10**6
 
 #: largest number of rows the `represent` command sweeps, summed over the
 #: classes: `enumerate_solutions(f, n)` walks at most isqrt(4an // |D|) + 1
-#: rows y >= 0, and the cap counts all of them (0.29-0.30 s of scan, 0.35
-#: s in all, for `represent -3 6749999999999` or `-4 8999999999997`, at the
-#: limit with three quarters of the rows kept, the odd y and y = 2 mod 4;
-#: 0.10 s of scan with a quarter kept, 2-vCPU VM)
+#: rows y >= 0, and the cap counts all of them (2-vCPU VM: 0.28-0.31 s of
+#: scan, 0.4 s for the process, for `represent -3 6749999999999` or
+#: `represent -4 8999999999997` at the limit, with three quarters of the
+#: rows kept, the odd y and y = 2 mod 4; 0.10 s of scan with a quarter kept)
 MAX_ROWS = 3 * 10**6
 
 
@@ -58,17 +59,16 @@ def _row_table() -> tuple:
 _ROW_TABLE = _row_table()
 
 
-def half_plane_solutions(f: BinaryForm, n: int) -> list[tuple[int, int]]:
-    """The (x, y) with f(x, y) = n and y >= 1, or y = 0 and x >= 1, sorted
-    by y.
+def enumerate_solutions(f: BinaryForm, n: int) -> list[tuple[int, int]]:
+    """All integer (x, y) with f(x, y) = n, sorted lexicographically.
 
     A solution has 4an - |D|y^2 = (2ax + by)^2, so the scan tests only the
-    classes of y that `_ROW_TABLE` keeps for |D| and 4an mod 64, each with
-    4an - |D|y^2 updated by subtraction.  For n >= 1 the rows hold one
-    point of each pair (x, y), (-x, -y), so together with their negatives
-    they are all the solutions; n < 1 has none."""
+    classes of y >= 0 that `_ROW_TABLE` keeps for |D| and 4an mod 64, each
+    with 4an - |D|y^2 updated by subtraction.  Its rows hold one point of
+    each pair (x, y), (-x, -y): y >= 1, or y = 0 and x >= 1; each point
+    found is added with its negative."""
     if n < 1:
-        return []
+        raise ValueError(f"n must be >= 1, got {n}")
     a, b, c = f
     abs_d = 4 * a * c - b * b
     isqrt = math.isqrt
@@ -85,22 +85,10 @@ def half_plane_solutions(f: BinaryForm, n: int) -> list[tuple[int, int]]:
                     for root in (s, -s) if s and y else (s,):
                         num = root - b * y
                         if num % (2 * a) == 0:
-                            out += ((num // (2 * a), y),)
+                            x = num // (2 * a)
+                            out += ((x, y), (-x, -y))
                 disc -= dec
                 dec += inc
-    # each row lies in one class, so the rows are distinct; the sort is
-    # stable and keeps the roots of a row in order
-    out.sort(key=itemgetter(1))
-    return out
-
-
-def enumerate_solutions(f: BinaryForm, n: int) -> list[tuple[int, int]]:
-    """All integer (x, y) with f(x, y) = n, sorted lexicographically."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    out = []
-    for x, y in half_plane_solutions(f, n):
-        out += ((x, y), (-x, -y))
     out.sort()
     return out
 

@@ -1,14 +1,13 @@
 """Shared test helpers."""
 
 import math
-from collections.abc import Iterator
 from functools import lru_cache
 
 from qprim.classgroup import ClassGroup, compose
 from qprim.intarith import ceil_div, is_prime
 from qprim.pprim import TwoSquareSolution
 from qprim.qform import BinaryForm, is_discriminant, is_reduced
-from qprim.repcount import half_plane_solutions
+from qprim.repcount import enumerate_solutions
 
 
 def raw_form(a: int, b: int, c: int) -> BinaryForm:
@@ -44,26 +43,27 @@ def discriminants_in(dmin: int, dmax: int) -> list[int]:
 def two_square_scan(D: int, p: int) -> TwoSquareSolution | None:
     """Reference for `pprim.solve_two_square`: 4p^2 = (2x + ey)^2 + |D|y^2
     for the principal form [1, e, (e - D)/4] at p^2, with e = D mod 2, so
-    `half_plane_solutions` of p^2 by that form returns the solutions by
-    ascending n = y, and the scan stops at the first p-primitive one."""
+    each solution (x, y) of p^2 by that form gives (m, n) = (|2x + ey|, |y|),
+    and the scan takes them by ascending n and stops at the first
+    p-primitive one."""
     e = D % 2
-    for x, y in half_plane_solutions(BinaryForm(1, e, (e - D) // 4), p * p):
-        m = abs(2 * x + e * y)
-        if math.gcd(m, y, p) == 1:
-            return TwoSquareSolution(m, y, p)
+    sols = enumerate_solutions(BinaryForm(1, e, (e - D) // 4), p * p)
+    for n, m in sorted((abs(y), abs(2 * x + e * y)) for x, y in sols):
+        if math.gcd(m, n, p) == 1:
+            return TwoSquareSolution(m, n, p)
     return None
 
 
-def half_plane_solutions_unfiltered(f: BinaryForm, n: int) -> Iterator[tuple[int, int]]:
-    """Reference for `repcount.half_plane_solutions`: the same row scan
+def enumerate_solutions_unfiltered(f: BinaryForm, n: int) -> list[tuple[int, int]]:
+    """Reference for `repcount.enumerate_solutions`: the same row scan
     through every row 0 <= y <= isqrt(4an/|D|), with no class of y
-    skipped."""
-    if n < 1:
-        return
+    skipped, each point found added with its negative and the list
+    sorted."""
     a, b, c = f
     abs_d = 4 * a * c - b * b
     four_an = 4 * a * n
     two_a = 2 * a
+    out = []
     for y in range(math.isqrt(four_an // abs_d) + 1):
         disc = four_an - abs_d * y * y
         s = math.isqrt(disc)
@@ -72,7 +72,9 @@ def half_plane_solutions_unfiltered(f: BinaryForm, n: int) -> Iterator[tuple[int
         for root in (s, -s) if s and y else (s,):
             num = -b * y + root
             if num % two_a == 0:
-                yield num // two_a, y
+                x = num // two_a
+                out += [(x, y), (-x, -y)]
+    return sorted(out)
 
 
 def composition_table(group: ClassGroup) -> list[list[int]]:

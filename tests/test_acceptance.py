@@ -135,8 +135,8 @@ def test_criterion_3():
         mp.setattr(oracle, "rep_profile", counting("rep_profile", sweeping))
         for name in ("compose", "_p_primitive"):
             mp.setattr(oracle, name, counting(name, getattr(oracle, name)))
-        mp.setattr(repcount, "half_plane_solutions",
-                   counting("half_plane_solutions", repcount.half_plane_solutions))
+        mp.setattr(repcount, "enumerate_solutions",
+                   counting("enumerate_solutions", repcount.enumerate_solutions))
         t0 = time.perf_counter()
         report = verify_classification_grid(
             dmin=-400, dmax=-3, pmax=23, bound=5000, ceiling=250000

@@ -349,7 +349,7 @@ def test_commands_reject_p_beyond_cap(capsys, monkeypatch, argv, message):
         (pprim, "enumerate_classes"),
         (cli, "enumerate_classes"),
         (pprim, "_prime_squares"),
-        (repcount, "half_plane_solutions"),
+        (repcount, "enumerate_solutions"),
         (repcount, "rep_profile"),
         (oracle, "primes_up_to"),
     ]:

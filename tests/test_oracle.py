@@ -393,7 +393,7 @@ def test_revalidate_rejects_witness_too_large_to_scan(monkeypatch):
     def no_scan(*args):
         raise AssertionError(f"scanned {args}")
 
-    monkeypatch.setattr(repcount, "half_plane_solutions", no_scan)
+    monkeypatch.setattr(repcount, "enumerate_solutions", no_scan)
     monkeypatch.setattr(oracle, "_first_imprimitive", no_scan)
     monkeypatch.setattr(oracle, "_p_primitive", no_scan)
     verdicts = [*classify_all(-3, 999983), *classify_all(-56, 999979)]
@@ -748,7 +748,7 @@ def test_grid_rejects_route_one_evidence_at_a_split_prime(monkeypatch, witness):
 
     monkeypatch.setattr(pprim, "classify_all", doctoring)
     monkeypatch.setattr(oracle, "_p_primitive", scanning)
-    monkeypatch.setattr(repcount, "half_plane_solutions", no_scan)
+    monkeypatch.setattr(repcount, "enumerate_solutions", no_scan)
     report = verify_classification_grid(-56, -56, 3, 5000)
     cell = next(c for c in report.cells if c.form == (1, 0, 14))
     assert (cell.witness, cell.status) == (9, STATUS_CONTRADICTION)

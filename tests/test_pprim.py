@@ -293,7 +293,7 @@ def test_route_three_corollaries(monkeypatch):
             if D % p == 0:
                 continue
             with monkeypatch.context() as m:
-                m.setattr(repcount, "half_plane_solutions", no_scan)
+                m.setattr(repcount, "enumerate_solutions", no_scan)
                 verdicts = classify_all(D, p)
                 solve_two_square(D, p)
             passing = sum(v.completely_p_primitive for v in verdicts)
@@ -315,7 +315,7 @@ def test_classify_all_scans_no_rows_near_max_p(monkeypatch):
     # at the largest prime below MAX_P every route is still decided from
     # P o P, and its evidence holds
     p = 999983
-    monkeypatch.setattr(repcount, "half_plane_solutions", no_scan)
+    monkeypatch.setattr(repcount, "enumerate_solutions", no_scan)
     routes = set()
     for D in discriminants_in(-1500, -3):
         verdicts = classify_all(D, p)

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from helpers import discriminants_in, half_plane_solutions_unfiltered
+from helpers import discriminants_in, enumerate_solutions_unfiltered
 from lemma_checks import mass
-from qprim import repcount
+from qprim import cli, repcount
 from qprim.classgroup import enumerate_classes, inverse_class
 from qprim.qform import BinaryForm
 from qprim.repcount import (
@@ -15,7 +15,6 @@ from qprim.repcount import (
     _ROW_TABLE,
     RepRecord,
     enumerate_solutions,
-    half_plane_solutions,
     rep_counts,
     rep_profile,
     spectrum,
@@ -71,34 +70,55 @@ def test_enumerate_solutions_examples():
 
 
 def test_enumerate_solutions_matches_box_scan():
-    # the row scan behind it returns the half-plane y >= 1 with x >= 1 on the
-    # row y = 0, rows ascending
     for f in SAMPLE_FORMS:
         for n in range(1, 60):
-            sols = brute_solutions(f, n)
-            assert enumerate_solutions(f, n) == sols
-            half = list(half_plane_solutions(f, n))
-            assert sorted(half) == [(x, y) for x, y in sols if y > 0 or (y == 0 and x > 0)]
-            assert [y for _, y in half] == sorted(y for _, y in half)
-    assert list(half_plane_solutions(BinaryForm(3, 2, 5), 27)) == [(3, 0), (1, 2)]
+            assert enumerate_solutions(f, n) == brute_solutions(f, n)
+    # the row y = 0 adds (3, 0) and its negative once each
+    assert enumerate_solutions(BinaryForm(3, 2, 5), 27) == [(-3, 0), (-1, -2), (1, 2), (3, 0)]
+
+
+#: forms that are not reduced (|b| > a, or a > c), as `spectrum --form`
+#: and library callers may pass them
+UNREDUCED_FORMS = [
+    BinaryForm(3, 8, 10),
+    BinaryForm(10, 8, 3),
+    BinaryForm(1, 6, 10),
+    BinaryForm(7, 9, 3),
+    BinaryForm(5, -8, 4),
+    BinaryForm(2, -5, 4),
+]
+
+
+def test_scans_of_unreduced_forms_match_box_scan():
+    # the row scan, its counts at p = 3 and the value sweep read any
+    # positive definite form, not only a reduced one
+    for f in UNREDUCED_FORMS:
+        brute = {n: brute_solutions(f, n) for n in range(1, 151)}
+        for n, sols in brute.items():
+            assert enumerate_solutions(f, n) == sols, (f, n)
+            flat = len([0 for x, y in sols if x % 3 == 0 == y % 3])
+            assert rep_counts(f, n, 3) == RepRecord(n, 3, tuple(sols), len(sols),
+                                                   len(sols) - flat, flat), (f, n)
+        assert rep_profile(f, 150) == {n: len(sols) for n, sols in brute.items() if sols}, f
 
 
 def _compare_with_unfiltered_scan(queries) -> tuple[int, int]:
     """(queries, solutions) of the (f, n) in queries, each asserted to give
-    the same solutions, in the same order, as the scan through every row."""
+    the same list as the scan through every row."""
     count = solutions = 0
     for f, n in queries:
-        half = list(half_plane_solutions(f, n))
-        assert half == list(half_plane_solutions_unfiltered(f, n)), (f, n)
+        sols = enumerate_solutions(f, n)
+        assert sols == enumerate_solutions_unfiltered(f, n), (f, n)
         count += 1
-        solutions += len(half)
+        solutions += len(sols)
     return count, solutions
 
 
-def test_half_plane_solutions_matches_unfiltered_scan():
+def test_enumerate_solutions_matches_unfiltered_scan():
     # the 2-adic classes of y that the scan skips hold no solution: every
     # class of every D in [-600, -3] at n = 1, 4, ..., 37 and at three
-    # seeded n <= 10^6
+    # seeded n <= 10^6 (the seed names the scan these queries were first
+    # drawn for, so that they stay the same queries)
     rng = random.Random("half_plane_solutions:-600")
     queries = [
         (f, n)
@@ -106,7 +126,7 @@ def test_half_plane_solutions_matches_unfiltered_scan():
         for f in enumerate_classes(D).classes
         for n in [*range(1, 38, 3), *(rng.randint(1, 10**6) for _ in range(3))]
     ]
-    assert _compare_with_unfiltered_scan(queries) == (32928, 6105)
+    assert _compare_with_unfiltered_scan(queries) == (32928, 12210)
 
 
 #: the classes of y by 2-adic valuation, capped at 3, as (first y, step):
@@ -140,8 +160,8 @@ def test_row_table_matches_its_definition():
 def test_row_scan_two_adic_classes():
     # 4an - |D|y^2 is a square mod 64 in some classes of y by 2-adic
     # valuation (odd, 2 mod 4, 4 mod 8, 0 mod 8) and not in the others; each
-    # class kept is one ascending range, and the solutions come by
-    # ascending y across the classes
+    # class kept is one ascending range, and its rows y >= 0 hold one point
+    # of each pair (x, y), (-x, -y) of solutions
     cases = [
         (BinaryForm(1, 0, 1), 25, [range(1, 6, 2), range(4, 6, 8), range(0, 6, 8)],
          [(5, 0), (4, 3), (-4, 3), (3, 4), (-3, 4), (0, 5)]),
@@ -161,26 +181,29 @@ def test_row_scan_two_adic_classes():
         end = math.isqrt(four_an // -f.D) + 1
         kept = _kept_classes(four_an % 64, -f.D % 64)
         assert [range(y, end, step) for y, step in kept] == rows
-        assert half_plane_solutions(f, n) == half
+        assert enumerate_solutions(f, n) == sorted(half + [(-x, -y) for x, y in half])
 
 
-def test_every_scan_goes_through_half_plane_solutions(monkeypatch):
+def test_every_scan_goes_through_enumerate_solutions(monkeypatch):
     # the guards that patch this name to raise must intercept the scans of
-    # both public entry points
+    # rep_counts and of both forms of the represent command; cli.run
+    # catches only ValueError and OSError, so the AssertionError gets out
     def no_scan(*args):
         raise AssertionError(f"scanned {args}")
 
-    monkeypatch.setattr(repcount, "half_plane_solutions", no_scan)
+    monkeypatch.setattr(repcount, "enumerate_solutions", no_scan)
     with pytest.raises(AssertionError, match="scanned"):
         rep_counts(BinaryForm(1, 0, 1), 25, 5)
-    with pytest.raises(AssertionError, match="scanned"):
-        enumerate_solutions(BinaryForm(1, 0, 1), 25)
+    for argv in (["represent", "-56", "9"], ["represent", "-56", "9", "--p", "3"]):
+        with pytest.raises(AssertionError, match="scanned"):
+            cli.run(argv)
 
 
 @pytest.mark.slow
-def test_half_plane_solutions_matches_unfiltered_scan_wide():
+def test_enumerate_solutions_matches_unfiltered_scan_wide():
     # the represent_points domain: every class of every D in [-4000, -3],
-    # at a seeded n <= 10^7 and at a seeded value f(x, y) <= 10^7
+    # at a seeded n <= 10^7 and at a seeded value f(x, y) <= 10^7 (seeded
+    # as the test above)
     rng = random.Random("half_plane_solutions:-4000")
     queries = []
     for D in discriminants_in(-4000, -3):
@@ -192,7 +215,7 @@ def test_half_plane_solutions_matches_unfiltered_scan_wide():
                     break
             queries += [(f, rng.randint(1, 10**7)), (f, v)]
     count, solutions = _compare_with_unfiltered_scan(queries)
-    assert (count, solutions) == (72276, 76188)
+    assert (count, solutions) == (72276, 152376)
 
 
 def test_rep_counts_examples():
@@ -251,11 +274,12 @@ def test_rep_profile_matches_per_value_enumeration():
 
 
 def test_edge_values_yield_nothing_or_count_as_zero():
-    # n < 1 has no solution in the half-plane, not even (0, 0), and a
+    # n < 1 is refused before any row, not answered with (0, 0), and a
     # shell's lo < 0 is the full sweep
     for f in SAMPLE_FORMS:
         for n in (0, -1, -100):
-            assert half_plane_solutions(f, n) == []
+            with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+                enumerate_solutions(f, n)
         for lo in (-1, -50):
             assert rep_profile(f, 60, lo) == rep_profile(f, 60)
 
